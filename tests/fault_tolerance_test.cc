@@ -1,7 +1,12 @@
 #include <algorithm>
+#include <bit>
+#include <iostream>
+#include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "exec/distributed_executor.h"
 #include "exec/fault_model.h"
@@ -11,6 +16,7 @@
 #include "partition/subject_hash_partitioner.h"
 #include "partition/vp_partitioner.h"
 #include "test_util.h"
+#include "workload/datasets.h"
 
 namespace mpc::exec {
 namespace {
@@ -414,6 +420,157 @@ TEST(FaultToleranceTest, VpInvariantAndIncompletenessUnderCrash) {
       EXPECT_LT(stats.completeness_bound, 1.0);
     }
   }
+}
+
+// --- Golden pin: bindings and every non-timing stat, per plan. ---
+
+/// One line per query: the status code, the bindings (columns in order,
+/// rows in order) and every non-timing ExecutionStats field, doubles as
+/// exact bit patterns. Timing fields (decomposition/local/join/total
+/// millis) are wall-clock measurements and left out.
+std::string GoldenLine(const Result<QueryResponse>& response) {
+  std::string out = StatusCodeName(response.status().code());
+  if (!response.ok()) return out + "\n";
+  auto add = [&out](uint64_t v) { out += " " + std::to_string(v); };
+  auto add_double = [&add](double v) { add(std::bit_cast<uint64_t>(v)); };
+  const BindingTable& table = response->bindings;
+  add(table.var_ids.size());
+  for (uint32_t v : table.var_ids) add(v);
+  add(table.rows.size());
+  for (const auto& row : table.rows) {
+    for (uint32_t v : row) add(v);
+  }
+  const ExecutionStats& s = response->stats;
+  add(static_cast<uint64_t>(s.cls));
+  add(s.independent);
+  add(s.num_subqueries);
+  add_double(s.network_millis);
+  add(s.num_results);
+  add(s.shipped_bytes);
+  add(s.sites_evaluated);
+  add(s.sites_pruned);
+  add(s.bloom_dropped_rows);
+  add(s.local_rows);
+  add(s.sites_failed);
+  add(s.retries);
+  add(s.failover_hits);
+  add(s.complete);
+  add(s.failed_site_vertices);
+  add(s.replicated_failed_vertices);
+  add_double(s.completeness_bound);
+  add_double(s.fault_wait_millis);
+  add(s.plan_cache_hit);
+  add(s.result_cache_hit);
+  add(s.trace_id);
+  return out + "\n";
+}
+
+/// Recorded from the executor before its per-site loops were merged into
+/// one scatter/gather step; any change to an answer or to a non-timing
+/// stat on any plan shows up here. Rows: {LUBM LQ1-LQ14, fault-test
+/// queries} x {MPC, MPC + Bloom reduction, VP} x {faults off, seeded
+/// faults under kFail, seeded faults under kBestEffort}.
+TEST(FaultToleranceTest, GoldenBindingsAndStatsOnEveryPlan) {
+  struct Workload {
+    std::string name;
+    RdfGraph graph;
+    std::vector<std::string> queries;
+  };
+  std::vector<Workload> workloads;
+  {
+    workload::GeneratedDataset d =
+        workload::MakeDataset(workload::DatasetId::kLubm, 0.2, 1);
+    Workload w{"lubm", std::move(d.graph), {}};
+    for (const workload::NamedQuery& nq : d.benchmark_queries) {
+      w.queries.push_back(nq.sparql);
+    }
+    workloads.push_back(std::move(w));
+  }
+  workloads.push_back(
+      {"fault",
+       TestGraph(12),
+       {"SELECT * WHERE { ?x <t:p0> ?y . }",
+        "SELECT * WHERE { ?x <t:p0> ?y . ?x <t:p1> ?z . }",
+        "SELECT * WHERE { ?a <t:p0> ?b . ?b <t:p1> ?c . }",
+        "SELECT * WHERE { ?a <t:p0> ?b . ?b <t:p1> ?c . ?c <t:p2> ?d . }",
+        "SELECT * WHERE { ?x ?p ?y . ?x <t:p4> ?z . }"}});
+
+  const std::map<std::string, uint64_t> golden = {
+      {"lubm/mpc/off", 17984720367087501453u},
+      {"lubm/mpc/fail", 6690752152670495077u},
+      {"lubm/mpc/best_effort", 266931086738464507u},
+      {"lubm/bloom/off", 17984720367087501453u},
+      {"lubm/bloom/fail", 6690752152670495077u},
+      {"lubm/bloom/best_effort", 266931086738464507u},
+      {"lubm/vp/off", 11363413662897742062u},
+      {"lubm/vp/fail", 12388032214214729580u},
+      {"lubm/vp/best_effort", 16558400263735843939u},
+      {"fault/mpc/off", 8168546654996974357u},
+      {"fault/mpc/fail", 16411557214553012096u},
+      {"fault/mpc/best_effort", 3188955596020314146u},
+      {"fault/bloom/off", 17209307654308413146u},
+      {"fault/bloom/fail", 16411557214553012096u},
+      {"fault/bloom/best_effort", 9518069967698880264u},
+      {"fault/vp/off", 17516303720866919162u},
+      {"fault/vp/fail", 7111249171413959850u},
+      {"fault/vp/best_effort", 16275560992171907443u},
+  };
+
+  std::string recorded;
+  for (const Workload& w : workloads) {
+    partition::PartitionerOptions base{.k = 8, .epsilon = 0.3, .seed = 3};
+    core::MpcOptions mpc_options;
+    mpc_options.base = base;
+    const Cluster mpc_cluster =
+        Cluster::Build(core::MpcPartitioner(mpc_options).Partition(w.graph));
+    const Cluster vp_cluster =
+        Cluster::Build(partition::VpPartitioner(base).Partition(w.graph));
+    for (const std::string strategy : {"mpc", "bloom", "vp"}) {
+      for (const std::string faults : {"off", "fail", "best_effort"}) {
+        const std::string name = w.name + "/" + strategy + "/" + faults;
+        // The fault schedule depends on (seed, site, step) only, so
+        // several seeds are needed to reach crashes, exhausted retries
+        // and blown deadlines on different sites and steps.
+        const std::vector<uint64_t> seeds =
+            faults == "off" ? std::vector<uint64_t>{0}
+                            : std::vector<uint64_t>{1, 2, 3, 4, 5, 6, 7, 8};
+        std::vector<uint64_t> hashes;
+        for (int threads : {1, 8}) {
+          std::string lines;
+          for (uint64_t seed : seeds) {
+            DistributedExecutor::Options options;
+            options.num_threads = threads;
+            options.bloom_reduction = strategy == "bloom";
+            if (faults != "off") {
+              options.faults.seed = seed;
+              options.faults.crash_rate = 0.05;
+              options.faults.transient_rate = 0.25;
+              options.faults.slowdown_rate = 0.1;
+              options.network.site_timeout_ms = 25.0;
+              options.network.max_retries = 1;
+            }
+            options.partial_results = faults == "best_effort"
+                                          ? PartialResultPolicy::kBestEffort
+                                          : PartialResultPolicy::kFail;
+            DistributedExecutor executor(
+                strategy == "vp" ? vp_cluster : mpc_cluster, w.graph,
+                options);
+            for (const std::string& text : w.queries) {
+              lines += GoldenLine(executor.Execute(QueryRequest::FromQuery(
+                  testutil::ParseQueryOrDie(text))));
+            }
+          }
+          hashes.push_back(HashString(lines));
+        }
+        EXPECT_EQ(hashes[0], hashes[1]) << name << ": 1 vs 8 threads";
+        EXPECT_EQ(hashes[0], golden.at(name)) << name;
+        recorded += "{\"" + name + "\", " + std::to_string(hashes[0]) +
+                    "u},\n";
+      }
+    }
+  }
+  // Printed on any mismatch so a deliberate change can re-pin in one go.
+  if (HasFailure()) std::cerr << recorded;
 }
 
 // --- Cluster replica lookup. ---
