@@ -26,6 +26,8 @@
 #  - an adaptive-serving smoke replays a skewed workload through
 #    `mpc serve --migrate` and checks that hot-vertex migration absorbs
 #    the induced drift without a single full repartition;
+#  - a serving-benchmark smoke replays a short dbpedia_log query-log
+#    profile through servebench, whose oracle checks every answer;
 #  - the tracer and metrics tests run under ThreadSanitizer, since their
 #    whole point is lock-free recording from concurrent pool threads.
 #
@@ -574,6 +576,18 @@ EOF
   echo "live-introspection smoke passed"
 }
 
+# Serving-benchmark smoke: servebench (its own Release build under
+# .bench_build/) replays a DBpedia-profile query log for 2 s and checks
+# every answer against a single-store oracle. It exits non-zero when any
+# answer disagrees or any operation fails — the log's variable-free
+# crossing subqueries and self-loop query shapes are what it guards.
+servebench_smoke() {
+  echo "=== servebench dbpedia_log smoke ==="
+  python3 servebench/run.py --workload dbpedia_log --seed 11 --seconds 2 \
+    --trace 0
+  echo "servebench smoke passed"
+}
+
 run_config build
 trace_smoke build
 recovery_smoke build
@@ -582,6 +596,7 @@ adaptive_smoke build
 segment_smoke build
 chaos_smoke build
 obs_smoke build
+servebench_smoke
 # The asan run_config re-runs the whole suite — including the RPC frame
 # decoder fuzz tests and the multi-process RemoteCluster tests — under
 # AddressSanitizer (workers exec the asan-built mpc binary).
@@ -610,4 +625,4 @@ serve_smoke build-tsan
 adaptive_smoke build-tsan
 obs_smoke build-tsan
 
-echo "All checks passed (default + asan + ubsan + obs/serve/segment smoke + tsan)."
+echo "All checks passed (default + asan + ubsan + obs/serve/segment/servebench smoke + tsan)."

@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "exec/bloom_filter.h"
+#include "exec/network_model.h"
 #include "partition/partitioning.h"
 #include "rdf/graph.h"
 #include "store/bgp_matcher.h"
@@ -72,9 +73,9 @@ struct SiteEvalRequest {
   const std::vector<std::unique_ptr<BloomFilter>>* var_filters = nullptr;
 };
 
-/// What a site answers with. On failure (remote backends only — the
-/// in-process simulator never fails), EvaluateOnSite still fills the
-/// retry/wait accounting so the coordinator's stats stay truthful.
+/// What a site answers with. On failure (a real transport's, or one the
+/// FaultModel wrapper simulates), the call still fills the retry/wait
+/// accounting so the coordinator's stats stay truthful.
 struct SiteEvalReply {
   store::BindingTable table;
   /// Rows dropped site-side by the Bloom filters.
@@ -82,11 +83,16 @@ struct SiteEvalReply {
   /// Site-side evaluation time (wall-clock at the site).
   double eval_millis = 0.0;
   /// Transport waiting: retry backoff, blown deadlines, reconnects
-  /// (wall-clock; 0 for the in-process backend, whose waits are simulated
-  /// by the executor's FaultModel instead).
+  /// (wall-clock for real transports; the FaultModel wrapper adds its
+  /// simulated waits here).
   double wait_millis = 0.0;
   /// Transport-level retries actually performed.
   int retries = 0;
+  /// With an Unavailable status: the site only ran out of retries on
+  /// transient errors and stays up for later subqueries. Unavailable
+  /// without it is fail-stop — the site is down for the rest of the
+  /// query.
+  bool transient = false;
 };
 
 /// Evaluation schedule knobs a backend applies to real RPCs; mirrors the
@@ -99,6 +105,12 @@ struct SiteCallPolicy {
   int max_retries = 0;
   /// Exponential backoff base between attempts.
   double backoff_ms = 1.0;
+
+  /// `net`'s deadline, retry and backoff settings, so one configuration
+  /// governs simulated and real calls.
+  static SiteCallPolicy FromNetwork(const NetworkModel& net) {
+    return {net.site_timeout_ms, net.max_retries, net.retry_backoff_ms};
+  }
 };
 
 /// Abstract coordinator-side view of the k partition sites. Everything
@@ -151,11 +163,12 @@ class ClusterBackend {
   virtual size_t MemoryUsage() const = 0;
 
   /// Evaluates `request`'s sub-BGP of `resolved` at `site`. The one
-  /// data-path call of the executor; errors (Unavailable for a dead
-  /// site / exhausted retries, DeadlineExceeded for blown deadlines)
-  /// only come from remote backends — the simulator's failures are
-  /// injected by the executor's FaultModel before this is called.
-  /// `policy` bounds real transport attempts and is ignored in-process.
+  /// data-path call of the executor (made through
+  /// FaultModel::EvaluateOnSite); errors (Unavailable for a dead site /
+  /// exhausted retries, DeadlineExceeded for blown deadlines) only come
+  /// from remote backends — the simulator's failures are injected by
+  /// that wrapper instead. `policy` bounds real transport attempts and
+  /// is ignored in-process.
   virtual Status EvaluateOnSite(uint32_t site,
                                 const store::ResolvedQuery& resolved,
                                 const SiteEvalRequest& request,

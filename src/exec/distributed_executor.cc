@@ -1,15 +1,14 @@
 #include "exec/distributed_executor.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "exec/bloom_filter.h"
-#include "exec/fault_model.h"
 #include "exec/join.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sparql/parser.h"
 
 namespace mpc::exec {
 
@@ -17,126 +16,6 @@ using store::BindingTable;
 using store::ResolvedQuery;
 
 namespace {
-
-/// Outcome of the retry/failover protocol for one (site, subquery-step)
-/// RPC, resolved serially from the pure FaultModel before any local
-/// evaluation runs — so the schedule (and every non-timing stat) is
-/// identical at any thread count.
-struct FaultOutcome {
-  bool evaluate = true;
-  /// False when the site was already known down (not contacted again).
-  bool contacted = true;
-  int retries = 0;
-  /// Simulated waiting: backoff between attempts, blown deadlines,
-  /// failure detection.
-  double wait_ms = 0.0;
-  /// Multiplier on the measured eval time (slowdown fault, no deadline).
-  double slowdown = 1.0;
-  StatusCode failure = StatusCode::kOk;
-};
-
-FaultOutcome ResolveSiteAttempts(const FaultModel& faults,
-                                 const NetworkModel& net, size_t step,
-                                 uint32_t site, SiteAvailability* avail) {
-  FaultOutcome out;
-  if (!avail->IsUp(site)) {
-    // Known down since an earlier subquery — simulated crash or real
-    // transport failure alike: skipped without an RPC.
-    out.evaluate = false;
-    out.contacted = false;
-    out.failure = StatusCode::kUnavailable;
-    return out;
-  }
-  if (!faults.enabled()) return out;
-  if (faults.DownBefore(site, step)) {
-    // Crashed at an earlier step while not being contacted (e.g. it was
-    // pruned then); this contact detects it.
-    avail->MarkDown(site);
-    out.evaluate = false;
-    out.failure = StatusCode::kUnavailable;
-    out.wait_ms = net.FailureDetectMillis();
-    obs::TraceSpan span("exec.rpc.attempt");
-    span.Attr("site", site)
-        .Attr("subquery", static_cast<uint64_t>(step))
-        .Attr("attempt", 0)
-        .Attr("fault", "crash")
-        .Attr("sim_wait_ms", out.wait_ms);
-    return out;
-  }
-  for (int attempt = 0; attempt <= net.max_retries; ++attempt) {
-    obs::TraceSpan span("exec.rpc.attempt");
-    const FaultKind kind = faults.Sample(site, step, attempt);
-    span.Attr("site", site)
-        .Attr("subquery", static_cast<uint64_t>(step))
-        .Attr("attempt", attempt)
-        .Attr("fault", FaultKindName(kind));
-    switch (kind) {
-      case FaultKind::kNone:
-        return out;
-      case FaultKind::kCrash:
-        // Fail-stop: no retry can help; the site is gone for the rest
-        // of the query.
-        avail->MarkDown(site);
-        out.evaluate = false;
-        out.failure = StatusCode::kUnavailable;
-        out.wait_ms += net.FailureDetectMillis();
-        span.Attr("sim_wait_ms", net.FailureDetectMillis());
-        return out;
-      case FaultKind::kTransient:
-        out.wait_ms += net.BackoffMillis(attempt);
-        span.Attr("sim_wait_ms", net.BackoffMillis(attempt));
-        if (attempt == net.max_retries) {
-          out.evaluate = false;
-          out.failure = StatusCode::kUnavailable;
-          return out;
-        }
-        ++out.retries;
-        break;
-      case FaultKind::kSlowdown:
-        if (!net.has_deadline()) {
-          // No deadline configured: the slow answer is accepted and its
-          // latency multiplier charged to the simulated clock.
-          out.slowdown = faults.options().slowdown_factor;
-          span.Attr("slowdown", out.slowdown);
-          return out;
-        }
-        // The slow attempt misses the per-site deadline; we waited the
-        // full timeout for nothing.
-        out.wait_ms += net.site_timeout_ms;
-        span.Attr("sim_wait_ms", net.site_timeout_ms);
-        if (attempt == net.max_retries) {
-          out.evaluate = false;
-          out.failure = StatusCode::kDeadlineExceeded;
-          return out;
-        }
-        ++out.retries;
-        break;
-    }
-  }
-  return out;
-}
-
-/// Transport knobs for real RPC attempts (ignored by the in-process
-/// backend, whose waits the FaultModel simulates instead). Reuses the
-/// NetworkModel's deadline/retry/backoff settings so one configuration
-/// governs both simulated and real calls.
-SiteCallPolicy CallPolicy(const NetworkModel& net) {
-  SiteCallPolicy policy;
-  policy.timeout_ms = net.site_timeout_ms;
-  policy.max_retries = net.max_retries;
-  policy.backoff_ms = net.retry_backoff_ms;
-  return policy;
-}
-
-Status FaultStatus(StatusCode code, uint32_t site, size_t subquery) {
-  std::string msg = "site " + std::to_string(site) +
-                    " did not answer subquery " + std::to_string(subquery) +
-                    " (retries exhausted)";
-  if (code == StatusCode::kDeadlineExceeded) {
-    return Status::DeadlineExceeded(std::move(msg));
-  }
-  return Status::Unavailable(std::move(msg));
-}
 
 /// Rows binding at least one vertex owned by a down site: those matches
 /// were served from 1-hop crossing-edge replicas held by live sites.
@@ -181,6 +60,19 @@ void FlushExecutionMetrics(const ExecutionStats& stats) {
   metrics.HistogramRef("exec.total_ms").Observe(stats.total_millis);
 }
 
+/// Coordinator-side join of the per-subquery tables, under set
+/// semantics.
+BindingTable JoinAtCoordinator(std::vector<BindingTable> tables,
+                               ExecutionStats* stats) {
+  obs::TraceSpan span("exec.join");
+  Timer timer;
+  BindingTable joined = JoinAll(std::move(tables));
+  joined.Deduplicate();
+  stats->join_millis = timer.ElapsedMillis();
+  span.Attr("rows", static_cast<uint64_t>(joined.num_rows()));
+  return joined;
+}
+
 }  // namespace
 
 DistributedExecutor::DistributedExecutor(const ClusterBackend& cluster,
@@ -205,12 +97,16 @@ Result<QueryResponse> DistributedExecutor::Execute(
   }
   Result<sparql::QueryGraph> query = ResolveRequestQuery(request);
   if (!query.ok()) return query.status();
-  const PartialResultPolicy policy =
-      request.options.partial_results.value_or(options_.partial_results);
 
   QueryResponse response;
   response.generation = options_.generation;
   ExecutionStats* stats = &response.stats;
+  QueryRun run;
+  run.partial_results =
+      request.options.partial_results.value_or(options_.partial_results);
+  run.avail = cluster_.AllUp();
+  run.contacted.assign(cluster_.k(), 0);
+  run.stats = stats;
   const bool vp = cluster_.partitioning().kind() ==
                   partition::PartitioningKind::kEdgeDisjoint;
   obs::TraceSpan span("exec.query");
@@ -223,8 +119,7 @@ Result<QueryResponse> DistributedExecutor::Execute(
   // serving-layer span, or freshly rooted here); 0 when tracing is off.
   stats->trace_id = obs::CurrentTraceContext().trace_id;
   Result<BindingTable> result =
-      vp ? ExecuteVp(*query, policy, stats)
-         : ExecuteVertexDisjoint(*query, plan, policy, stats);
+      vp ? ExecuteVp(*query, &run) : ExecuteVertexDisjoint(*query, plan, &run);
   span.Attr("subqueries", static_cast<uint64_t>(stats->num_subqueries))
       .Attr("sites_evaluated", static_cast<uint64_t>(stats->sites_evaluated))
       .Attr("sites_pruned", static_cast<uint64_t>(stats->sites_pruned))
@@ -241,13 +136,12 @@ Result<QueryResponse> DistributedExecutor::Execute(
 
 Result<BindingTable> DistributedExecutor::ExecuteVertexDisjoint(
     const sparql::QueryGraph& query, const QueryPlan* plan,
-    PartialResultPolicy partial_results, ExecutionStats* stats) const {
-  const int threads = ResolveNumThreads(options_.num_threads);
+    QueryRun* run) const {
+  ExecutionStats* stats = run->stats;
   // --- QDT: classify + decompose (or reuse the caller's cached plan),
   // resolve, dispatch. ---
   Timer timer;
   QueryPlan local_plan;
-  ResolvedQuery resolved;
   {
     obs::TraceSpan qdt_span("exec.decompose");
     if (plan == nullptr) {
@@ -260,22 +154,18 @@ Result<BindingTable> DistributedExecutor::ExecuteVertexDisjoint(
     stats->independent = plan->classification.independently_executable();
     stats->num_subqueries = plan->decomposition.num_subqueries();
 
-    resolved = store::ResolveQuery(query, graph_);
+    run->resolved = store::ResolveQuery(query, graph_);
     qdt_span.Attr("subqueries",
                   static_cast<uint64_t>(plan->decomposition.num_subqueries()))
         .Attr("cached", stats->plan_cache_hit ? 1 : 0);
   }
   const Decomposition& decomposition = plan->decomposition;
+  const ResolvedQuery& resolved = run->resolved;
   const double classify_millis = timer.ElapsedMillis();
 
-  // --- LET: each subquery on each site; sites run in parallel, so a
-  // subquery costs its slowest site; subqueries run back-to-back.
-  // Localization: a site lacking any required property of a subquery is
-  // skipped entirely (it cannot hold a match of that sub-BGP). ---
-  std::vector<bool> site_contacted(cluster_.k(), false);
   // Bloom-join reduction state: per query variable, a filter over the
   // values already bound by earlier subqueries.
-  std::vector<std::unique_ptr<BloomFilter>> var_filters(resolved.num_vars);
+  VarFilters var_filters(resolved.num_vars);
   const bool use_bloom =
       options_.bloom_reduction && !stats->independent &&
       decomposition.num_subqueries() > 1;
@@ -319,162 +209,61 @@ Result<BindingTable> DistributedExecutor::ExecuteVertexDisjoint(
     vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
     return vars;
   };
-  for (const std::vector<size_t>& sub : decomposition.subqueries) {
-    for (uint32_t v : subquery_vars(sub)) ++remaining_uses[v];
+  if (use_bloom) {
+    for (const std::vector<size_t>& sub : decomposition.subqueries) {
+      for (uint32_t v : subquery_vars(sub)) ++remaining_uses[v];
+    }
   }
 
-  SiteAvailability avail = cluster_.AllUp();
-  std::vector<BindingTable> subquery_results;
-  subquery_results.resize(decomposition.num_subqueries());
-  size_t step = 0;  // execution sequence number, for the fault schedule
-  for (size_t subquery_index : order) {
+  // --- LET: per subquery, prune, scatter, dedupe, publish filters. ---
+  std::vector<BindingTable> subquery_results(decomposition.num_subqueries());
+  std::vector<uint32_t> sites;
+  for (size_t step = 0; step < order.size(); ++step) {
+    const size_t subquery_index = order[step];
     obs::TraceSpan subquery_span("exec.subquery");
     subquery_span.Attr("subquery", static_cast<uint64_t>(subquery_index));
     const std::vector<size_t>& sub =
         decomposition.subqueries[subquery_index];
-    for (uint32_t v : subquery_vars(sub)) --remaining_uses[v];
-    // Constant properties this subquery requires.
-    std::vector<rdf::PropertyId> required;
-    for (size_t idx : sub) {
-      const store::ResolvedPattern& p = resolved.patterns[idx];
-      if (!p.p_is_var && !p.impossible) required.push_back(p.p);
+    if (use_bloom) {
+      for (uint32_t v : subquery_vars(sub)) --remaining_uses[v];
     }
-    // Sites that can contribute (localization) and the retry/failover
-    // protocol per site: decided serially so the pruning/contact/fault
-    // bookkeeping never depends on scheduling.
-    struct PlannedSite {
-      uint32_t site;
-      double wait_ms;
-      double slowdown;
-    };
-    std::vector<PlannedSite> planned;
-    // A failed site still blocks the step for as long as the coordinator
-    // waited on it (timeouts, backoff) before giving up.
-    double failed_wait = 0.0;
+    // Localization: a site lacking a constant property the subquery
+    // requires cannot hold a match of it, so it is not contacted.
+    sites.clear();
     for (uint32_t site = 0; site < cluster_.k(); ++site) {
-      if (options_.site_pruning) {
-        bool relevant = true;
-        for (rdf::PropertyId p : required) {
-          if (!cluster_.SiteHasProperty(site, p)) {
-            relevant = false;
-            break;
-          }
-        }
-        if (!relevant) {
-          ++stats->sites_pruned;
-          continue;
-        }
+      const bool relevant =
+          !options_.site_pruning ||
+          std::all_of(sub.begin(), sub.end(), [&](size_t idx) {
+            const store::ResolvedPattern& p = resolved.patterns[idx];
+            return p.p_is_var || p.impossible ||
+                   cluster_.SiteHasProperty(site, p.p);
+          });
+      if (relevant) {
+        sites.push_back(site);
+      } else {
+        ++stats->sites_pruned;
       }
-      FaultOutcome outcome = ResolveSiteAttempts(
-          fault_model_, options_.network, step, site, &avail);
-      stats->retries += static_cast<size_t>(outcome.retries);
-      stats->fault_wait_millis += outcome.wait_ms;
-      if (outcome.contacted) site_contacted[site] = true;
-      if (!outcome.evaluate) {
-        ++stats->sites_failed;
-        failed_wait = std::max(failed_wait, outcome.wait_ms);
-        if (partial_results == PartialResultPolicy::kFail) {
-          return FaultStatus(outcome.failure, site, subquery_index);
-        }
-        continue;
-      }
-      planned.push_back({site, outcome.wait_ms, outcome.slowdown});
     }
-
-    // Concurrent site evaluation — in-process threads standing in for
-    // (or real RPCs actually reaching) the k machines matching in
-    // parallel. Each site's reply (or transport failure) lands in that
-    // site's slot; the bloom filters were published by earlier
-    // subqueries and are only read here. The post-pass below walks the
-    // slots in site order, so the merged table — and the failure
-    // bookkeeping — is identical at any thread count.
-    SiteEvalRequest eval_request;
-    eval_request.pattern_indices = sub;
-    eval_request.max_rows = options_.max_rows;
-    eval_request.var_filters = use_bloom ? &var_filters : nullptr;
-    struct SiteEval {
-      SiteEvalReply reply;
-      Status status = Status::Ok();
-    };
-    std::vector<SiteEval> evals(planned.size());
-    // Pool threads have no ambient span state; hand them this thread's
-    // context so their site spans (and the RPC spans beneath, including
-    // the worker-process spans a remote backend ships back) stay inside
-    // this query's trace.
-    const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
-    ParallelFor(0, planned.size(), 1, threads, [&](size_t s) {
-      obs::ScopedTraceContext scoped_ctx(trace_ctx);
-      obs::TraceSpan site_span("exec.site.eval");
-      evals[s].status =
-          cluster_.EvaluateOnSite(planned[s].site, resolved, eval_request,
-                                  CallPolicy(options_.network),
-                                  &evals[s].reply);
-      site_span.Attr("site", planned[s].site)
-          .Attr("subquery", static_cast<uint64_t>(subquery_index))
-          .Attr("rows", static_cast<uint64_t>(evals[s].reply.table.num_rows()))
-          .Attr("eval_ms", evals[s].reply.eval_millis)
-          .Attr("ok", evals[s].status.ok() ? 1 : 0);
-    });
-
-    double slowest_site = failed_wait;
-    BindingTable merged;
-    for (size_t s = 0; s < planned.size(); ++s) {
-      SiteEval& eval = evals[s];
-      // Transport accounting (real backends; zero in-process). Slowdown
-      // faults stretch the site's simulated answer time; simulated retry
-      // backoff and blown deadlines are charged on top.
-      stats->retries += static_cast<size_t>(eval.reply.retries);
-      stats->fault_wait_millis += eval.reply.wait_millis;
-      const double site_millis =
-          eval.reply.eval_millis * planned[s].slowdown + planned[s].wait_ms +
-          eval.reply.wait_millis;
-      slowest_site = std::max(slowest_site, site_millis);
-      if (!eval.status.ok()) {
-        // A real transport failure. Unavailable means the worker is gone
-        // — fail-stop for the rest of the query, exactly like a
-        // simulated crash; a blown deadline leaves the site up.
-        if (eval.status.code() == StatusCode::kUnavailable) {
-          avail.MarkDown(planned[s].site);
-        }
-        ++stats->sites_failed;
-        if (partial_results == PartialResultPolicy::kFail) {
-          return eval.status;
-        }
-        continue;
-      }
-      ++stats->sites_evaluated;
-      stats->bloom_dropped_rows += eval.reply.bloom_dropped;
-      stats->local_rows += eval.reply.table.num_rows();
-      if (merged.var_ids.empty()) merged.var_ids = eval.reply.table.var_ids;
-      for (auto& row : eval.reply.table.rows) {
-        merged.rows.push_back(std::move(row));
-      }
-      // Shipping this site's table to the coordinator.
-      stats->shipped_bytes += eval.reply.table.ByteSize();
-    }
-    if (merged.var_ids.empty()) {
-      // Every site pruned or failed (or k = 0): synthesize the empty
-      // table with the right columns so downstream joins see the schema.
-      merged = SchemaTable(resolved, sub);
-    }
-    stats->local_eval_millis += slowest_site;
+    Result<BindingTable> merged = ScatterGather(
+        run, sub, sites, step, use_bloom ? &var_filters : nullptr);
+    if (!merged.ok()) return merged.status();
     // Union semantics (Definition 3.7): replicas may produce the same
     // match at two sites; dedupe.
-    merged.Deduplicate();
+    merged->Deduplicate();
     if (use_bloom) {
       // Publish filters for join variables still needed by later
       // subqueries, sized by distinct values (filters are broadcast to
-      // the k sites, which the byte accounting charges below). Very
-      // large key sets are not worth shipping.
+      // the k sites, which the byte accounting charges). Very large key
+      // sets are not worth shipping.
       constexpr size_t kMaxFilterKeys = 65536;
-      for (size_t col = 0; col < merged.var_ids.size(); ++col) {
-        uint32_t var = merged.var_ids[col];
+      for (size_t col = 0; col < merged->var_ids.size(); ++col) {
+        uint32_t var = merged->var_ids[col];
         if (remaining_uses[var] == 0 || var_filters[var] != nullptr) {
           continue;
         }
         std::vector<uint32_t> keys;
-        keys.reserve(merged.num_rows());
-        for (const auto& row : merged.rows) keys.push_back(row[col]);
+        keys.reserve(merged->num_rows());
+        for (const auto& row : merged->rows) keys.push_back(row[col]);
         std::sort(keys.begin(), keys.end());
         keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
         if (keys.size() > kMaxFilterKeys) continue;
@@ -484,80 +273,35 @@ Result<BindingTable> DistributedExecutor::ExecuteVertexDisjoint(
         var_filters[var] = std::move(filter);
       }
     }
-    subquery_results[subquery_index] = std::move(merged);
-    ++step;
+    subquery_results[subquery_index] = std::move(*merged);
   }
+
+  // --- JT: coordinator-side join (none for IEQs). ---
+  BindingTable final_table =
+      stats->independent
+          ? std::move(subquery_results.front())
+          : JoinAtCoordinator(std::move(subquery_results), stats);
   size_t contacted = 0;
-  for (bool c : site_contacted) contacted += c;
-  stats->decomposition_millis =
-      classify_millis + options_.network.DispatchMillis(contacted);
-  stats->network_millis = options_.network.TransferMillis(
-      stats->shipped_bytes, stats->sites_evaluated);
-
-  // --- JT: coordinator-side join (0 when independent). ---
-  BindingTable final_table;
-  if (stats->independent) {
-    final_table = std::move(subquery_results.front());
-  } else {
-    obs::TraceSpan join_span("exec.join");
-    timer.Reset();
-    final_table = JoinAll(std::move(subquery_results));
-    final_table.Deduplicate();
-    stats->join_millis = timer.ElapsedMillis();
-    join_span.Attr("rows", static_cast<uint64_t>(final_table.num_rows()));
-  }
-
-  // --- Partial-result accounting (best-effort only; kFail returned
-  // above). Lost contributions make the answer a subset of the true
-  // result; the replication analysis bounds what survived. ---
-  if (stats->sites_failed > 0) {
-    stats->complete = false;
-    const ReplicaCoverage coverage = cluster_.ComputeReplicaCoverage(avail);
-    stats->failed_site_vertices = coverage.failed_owned_vertices;
-    stats->replicated_failed_vertices = coverage.replicated_on_live;
-    stats->completeness_bound =
-        graph_.num_edges() == 0
-            ? 1.0
-            : 1.0 - static_cast<double>(coverage.lost_triples) /
-                        static_cast<double>(graph_.num_edges());
-    if (avail.num_down() > 0) {
-      stats->failover_hits = CountReplicaServedRows(
-          final_table, resolved, cluster_.partitioning(), avail);
-    }
-  }
-
-  final_table.SortColumnsAscending();
-  if (query.limit() != SIZE_MAX && final_table.rows.size() > query.limit()) {
-    final_table.rows.resize(query.limit());
-  }
-  stats->num_results = final_table.num_rows();
-  stats->total_millis = stats->decomposition_millis +
-                        stats->local_eval_millis + stats->join_millis +
-                        stats->network_millis;
-  return final_table;
+  for (uint8_t c : run->contacted) contacted += c;
+  return Finish(query, run, std::move(final_table), stats->sites_evaluated,
+                contacted, classify_millis);
 }
 
 Result<BindingTable> DistributedExecutor::ExecuteVp(
-    const sparql::QueryGraph& query, PartialResultPolicy partial_results,
-    ExecutionStats* stats) const {
+    const sparql::QueryGraph& query, QueryRun* run) const {
+  ExecutionStats* stats = run->stats;
   Timer timer;
   const partition::Partitioning& partitioning = cluster_.partitioning();
   const bool local = IsVpLocalQuery(query, partitioning, graph_);
   stats->independent = local;
   stats->cls = local ? IeqClass::kInternal : IeqClass::kNonIeq;
+  run->resolved = store::ResolveQuery(query, graph_);
+  const double plan_millis = timer.ElapsedMillis();
 
-  ResolvedQuery resolved = store::ResolveQuery(query, graph_);
-  stats->decomposition_millis =
-      timer.ElapsedMillis() + options_.network.DispatchMillis(cluster_.k());
-
-  // Every pattern index, for whole-query site evaluations and schemas.
-  std::vector<size_t> all_patterns(resolved.patterns.size());
-  for (size_t i = 0; i < all_patterns.size(); ++i) all_patterns[i] = i;
-
-  SiteAvailability avail = cluster_.AllUp();
-  BindingTable final_table;
   if (local) {
-    // All predicates live at one site: run the whole BGP there.
+    // All predicates live at one site: run the whole BGP there. VP
+    // stores each property at exactly one site; without replicas a down
+    // home site leaves nothing to fail over to.
     uint32_t home = 0;
     for (const std::string& pred : query.ConstantPredicates()) {
       rdf::PropertyId p = graph_.property_dict().Lookup(pred);
@@ -568,193 +312,180 @@ Result<BindingTable> DistributedExecutor::ExecuteVp(
     }
     stats->num_subqueries = 1;
     stats->sites_pruned += cluster_.k() - 1;
-    FaultOutcome outcome = ResolveSiteAttempts(
-        fault_model_, options_.network, 0, home, &avail);
-    stats->retries += static_cast<size_t>(outcome.retries);
-    stats->fault_wait_millis += outcome.wait_ms;
-    Status failure = outcome.evaluate ? Status::Ok()
-                                      : FaultStatus(outcome.failure, home, 0);
-    double home_wait = outcome.wait_ms;
-    if (outcome.evaluate) {
-      obs::TraceSpan site_span("exec.site.eval");
-      SiteEvalRequest eval_request;
-      eval_request.pattern_indices = all_patterns;
-      eval_request.max_rows = options_.max_rows;
-      SiteEvalReply reply;
-      Status st =
-          cluster_.EvaluateOnSite(home, resolved, eval_request,
-                                  CallPolicy(options_.network), &reply);
-      stats->retries += static_cast<size_t>(reply.retries);
-      stats->fault_wait_millis += reply.wait_millis;
-      home_wait += reply.wait_millis;
-      site_span.Attr("site", home)
-          .Attr("subquery", static_cast<uint64_t>(0))
-          .Attr("rows", static_cast<uint64_t>(reply.table.num_rows()))
-          .Attr("eval_ms", reply.eval_millis)
-          .Attr("ok", st.ok() ? 1 : 0);
-      if (!st.ok()) {
-        if (st.code() == StatusCode::kUnavailable) avail.MarkDown(home);
-        failure = std::move(st);
-      } else {
-        ++stats->sites_evaluated;
-        final_table = std::move(reply.table);
-        stats->local_eval_millis =
-            reply.eval_millis * outcome.slowdown + home_wait;
-        stats->local_rows = final_table.num_rows();
-        stats->shipped_bytes = final_table.ByteSize();
-        stats->network_millis =
-            options_.network.TransferMillis(stats->shipped_bytes, 1);
-      }
-    }
-    if (!failure.ok()) {
-      // VP stores each property at exactly one site; without replicas a
-      // down home site leaves nothing to fail over to.
-      ++stats->sites_failed;
-      if (partial_results == PartialResultPolicy::kFail) return failure;
-      stats->local_eval_millis = home_wait;
-      final_table = SchemaTable(resolved, all_patterns);  // schema only
-    }
-  } else {
-    // Cloud-style plan: every triple pattern is scanned at its property's
-    // home site (or every site for variable predicates), shipped to the
-    // coordinator, and joined there.
-    stats->num_subqueries = query.num_patterns();
-    const int threads = ResolveNumThreads(options_.num_threads);
-    std::vector<BindingTable> pattern_tables;
-    for (size_t i = 0; i < query.num_patterns(); ++i) {
-      const sparql::TriplePattern& pattern = query.patterns()[i];
-      std::vector<size_t> one{i};
-      BindingTable merged;
-      std::vector<uint32_t> sites;
-      if (pattern.predicate.is_variable()) {
-        for (uint32_t site = 0; site < cluster_.k(); ++site) {
-          sites.push_back(site);
-        }
-      } else {
-        rdf::PropertyId p =
-            graph_.property_dict().Lookup(pattern.predicate.text);
-        if (p == rdf::kInvalidVertex) {
-          // Property absent from the data: empty table with the
-          // pattern's variables as columns.
-          merged = SchemaTable(resolved, one);
-        } else {
-          sites.push_back(partitioning.PropertyHome(p));
-        }
-      }
-      // Sites not scanned for this pattern were localized away.
-      stats->sites_pruned += cluster_.k() - sites.size();
-      // Retry/failover protocol per site, then concurrent per-site scans
-      // into per-site slots, merged serially in site order (same scheme
-      // as the vertex-disjoint path).
-      struct PlannedSite {
-        uint32_t site;
-        double wait_ms;
-        double slowdown;
-      };
-      std::vector<PlannedSite> planned;
-      double slowest = 0.0;
-      for (uint32_t site : sites) {
-        FaultOutcome outcome = ResolveSiteAttempts(
-            fault_model_, options_.network, i, site, &avail);
-        stats->retries += static_cast<size_t>(outcome.retries);
-        stats->fault_wait_millis += outcome.wait_ms;
-        if (!outcome.evaluate) {
-          ++stats->sites_failed;
-          slowest = std::max(slowest, outcome.wait_ms);
-          if (partial_results == PartialResultPolicy::kFail) {
-            return FaultStatus(outcome.failure, site, i);
-          }
-          continue;
-        }
-        planned.push_back({site, outcome.wait_ms, outcome.slowdown});
-      }
-      SiteEvalRequest eval_request;
-      eval_request.pattern_indices = one;
-      eval_request.max_rows = options_.max_rows;
-      struct SiteEval {
-        SiteEvalReply reply;
-        Status status = Status::Ok();
-      };
-      std::vector<SiteEval> evals(planned.size());
-      const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
-      ParallelFor(0, planned.size(), 1, threads, [&](size_t s) {
-        obs::ScopedTraceContext scoped_ctx(trace_ctx);
-        obs::TraceSpan site_span("exec.site.eval");
-        evals[s].status =
-            cluster_.EvaluateOnSite(planned[s].site, resolved, eval_request,
-                                    CallPolicy(options_.network),
-                                    &evals[s].reply);
-        site_span.Attr("site", planned[s].site)
-            .Attr("subquery", static_cast<uint64_t>(i))
-            .Attr("rows",
-                  static_cast<uint64_t>(evals[s].reply.table.num_rows()))
-            .Attr("eval_ms", evals[s].reply.eval_millis)
-            .Attr("ok", evals[s].status.ok() ? 1 : 0);
-      });
-      for (size_t s = 0; s < planned.size(); ++s) {
-        SiteEval& eval = evals[s];
-        stats->retries += static_cast<size_t>(eval.reply.retries);
-        stats->fault_wait_millis += eval.reply.wait_millis;
-        const double site_millis =
-            eval.reply.eval_millis * planned[s].slowdown +
-            planned[s].wait_ms + eval.reply.wait_millis;
-        slowest = std::max(slowest, site_millis);
-        if (!eval.status.ok()) {
-          if (eval.status.code() == StatusCode::kUnavailable) {
-            avail.MarkDown(planned[s].site);
-          }
-          ++stats->sites_failed;
-          if (partial_results == PartialResultPolicy::kFail) {
-            return eval.status;
-          }
-          continue;
-        }
-        ++stats->sites_evaluated;
-        stats->local_rows += eval.reply.table.num_rows();
-        stats->shipped_bytes += eval.reply.table.ByteSize();
-        if (merged.var_ids.empty()) merged.var_ids = eval.reply.table.var_ids;
-        for (auto& row : eval.reply.table.rows) {
-          merged.rows.push_back(std::move(row));
-        }
-      }
-      if (merged.var_ids.empty()) {
-        // Every scan site failed: synthesize the empty table with the
-        // pattern's columns so the join still sees the schema.
-        merged = SchemaTable(resolved, one);
-      }
-      stats->local_eval_millis += slowest;
-      merged.Deduplicate();
-      pattern_tables.push_back(std::move(merged));
-    }
-    stats->network_millis = options_.network.TransferMillis(
-        stats->shipped_bytes, query.num_patterns());
-    timer.Reset();
-    final_table = JoinAll(std::move(pattern_tables));
-    final_table.Deduplicate();
-    stats->join_millis = timer.ElapsedMillis();
+    std::vector<size_t> all_patterns(run->resolved.patterns.size());
+    for (size_t i = 0; i < all_patterns.size(); ++i) all_patterns[i] = i;
+    const uint32_t sites[] = {home};
+    Result<BindingTable> table =
+        ScatterGather(run, all_patterns, sites, /*step=*/0, nullptr);
+    if (!table.ok()) return table.status();
+    return Finish(query, run, std::move(*table), stats->sites_evaluated,
+                  cluster_.k(), plan_millis);
   }
 
-  // --- Partial-result accounting. VP keeps no replicas, so nothing is
-  // recoverable: the bound only reflects how much data survived at all.
+  // Cloud-style plan: every triple pattern is scanned at its property's
+  // home site (or every site for variable predicates), shipped to the
+  // coordinator, and joined there.
+  stats->num_subqueries = query.num_patterns();
+  std::vector<BindingTable> pattern_tables;
+  std::vector<uint32_t> sites;
+  for (size_t i = 0; i < query.num_patterns(); ++i) {
+    const sparql::QueryTerm& predicate = query.patterns()[i].predicate;
+    sites.clear();
+    if (predicate.is_variable()) {
+      for (uint32_t site = 0; site < cluster_.k(); ++site) {
+        sites.push_back(site);
+      }
+    } else {
+      // A property absent from the data matches nowhere: no site.
+      rdf::PropertyId p = graph_.property_dict().Lookup(predicate.text);
+      if (p != rdf::kInvalidVertex) {
+        sites.push_back(partitioning.PropertyHome(p));
+      }
+    }
+    // Sites not scanned for this pattern were localized away.
+    stats->sites_pruned += cluster_.k() - sites.size();
+    const size_t pattern[] = {i};
+    Result<BindingTable> table =
+        ScatterGather(run, pattern, sites, /*step=*/i, nullptr);
+    if (!table.ok()) return table.status();
+    table->Deduplicate();
+    pattern_tables.push_back(std::move(*table));
+  }
+  BindingTable joined = JoinAtCoordinator(std::move(pattern_tables), stats);
+  return Finish(query, run, std::move(joined), query.num_patterns(),
+                cluster_.k(), plan_millis);
+}
+
+Result<BindingTable> DistributedExecutor::ScatterGather(
+    QueryRun* run, std::span<const size_t> patterns,
+    std::span<const uint32_t> sites, size_t step,
+    const VarFilters* filters) const {
+  ExecutionStats* stats = run->stats;
+  SiteEvalRequest request;
+  request.pattern_indices = patterns;
+  request.max_rows = options_.max_rows;
+  request.var_filters = filters;
+  struct SiteCall {
+    SiteEvalReply reply;
+    Status status = Status::Ok();
+    bool called = false;
+  };
+  std::vector<SiteCall> calls(sites.size());
+  // Scatter: in-process threads standing in for (or real RPCs actually
+  // reaching) the sites matching in parallel, each reply landing in its
+  // site's slot. Pool threads have no ambient span state; hand them this
+  // thread's context so their site spans (and the RPC spans beneath,
+  // including the worker-process spans a remote backend ships back) stay
+  // inside this query's trace.
+  const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
+  ParallelFor(0, sites.size(), 1, ResolveNumThreads(options_.num_threads),
+              [&](size_t s) {
+                const uint32_t site = sites[s];
+                if (!run->avail.IsUp(site)) {
+                  // Known down since an earlier step: no call at all.
+                  calls[s].status = Status::Unavailable(
+                      "site " + std::to_string(site) + " is down");
+                  return;
+                }
+                obs::ScopedTraceContext scoped_ctx(trace_ctx);
+                obs::TraceSpan site_span("exec.site.eval");
+                calls[s].called = true;
+                calls[s].status = fault_model_.EvaluateOnSite(
+                    cluster_, options_.network, step, site, run->resolved,
+                    request, &calls[s].reply);
+                site_span.Attr("site", site)
+                    .Attr("step", static_cast<uint64_t>(step))
+                    .Attr("rows", static_cast<uint64_t>(
+                                      calls[s].reply.table.num_rows()))
+                    .Attr("eval_ms", calls[s].reply.eval_millis)
+                    .Attr("ok", calls[s].status.ok() ? 1 : 0);
+              });
+
+  // Gather, serially in site order. A step costs its slowest site; a
+  // failed site still blocks it for as long as the coordinator waited
+  // on it (timeouts, backoff, failure detection).
+  double slowest = 0.0;
+  bool answered = false;
+  BindingTable merged;
+  for (size_t s = 0; s < sites.size(); ++s) {
+    const uint32_t site = sites[s];
+    SiteEvalReply& reply = calls[s].reply;
+    const Status& status = calls[s].status;
+    run->contacted[site] |= calls[s].called;
+    stats->retries += static_cast<size_t>(reply.retries);
+    stats->fault_wait_millis += reply.wait_millis;
+    slowest = std::max(slowest, reply.eval_millis + reply.wait_millis);
+    if (!status.ok()) {
+      // Unavailable is fail-stop — a simulated crash or a dead worker
+      // alike: the site is down for the rest of the query. A blown
+      // deadline or exhausted transient retries leave it up.
+      if (status.code() == StatusCode::kUnavailable && !reply.transient) {
+        run->avail.MarkDown(site);
+      }
+      ++stats->sites_failed;
+      if (run->partial_results == PartialResultPolicy::kFail) return status;
+      continue;
+    }
+    ++stats->sites_evaluated;
+    stats->bloom_dropped_rows += reply.bloom_dropped;
+    stats->local_rows += reply.table.num_rows();
+    stats->shipped_bytes += reply.table.ByteSize();
+    // An explicit flag, not an empty column list: a sub-BGP without
+    // variables answers "true" as one row with no columns.
+    if (!answered) {
+      merged = std::move(reply.table);
+      answered = true;
+    } else {
+      for (auto& row : reply.table.rows) merged.rows.push_back(std::move(row));
+    }
+  }
+  stats->local_eval_millis += slowest;
+  // No site answered (all pruned or failed, or k = 0): the empty table
+  // with the right columns, so downstream joins see the schema.
+  if (!answered) return SchemaTable(run->resolved, patterns);
+  return merged;
+}
+
+BindingTable DistributedExecutor::Finish(const sparql::QueryGraph& query,
+                                         QueryRun* run, BindingTable table,
+                                         size_t messages, size_t dispatched,
+                                         double plan_millis) const {
+  ExecutionStats* stats = run->stats;
+  stats->decomposition_millis =
+      plan_millis + options_.network.DispatchMillis(dispatched);
+  stats->network_millis =
+      options_.network.TransferMillis(stats->shipped_bytes, messages);
+
+  // --- Partial-result accounting (best-effort only; kFail returned
+  // earlier). Lost contributions make the answer a subset of the true
+  // result; the replication analysis bounds what survived (VP keeps no
+  // replicas: its bound only reflects how much data survived at all). ---
   if (stats->sites_failed > 0) {
     stats->complete = false;
-    const ReplicaCoverage coverage = cluster_.ComputeReplicaCoverage(avail);
+    const ReplicaCoverage coverage =
+        cluster_.ComputeReplicaCoverage(run->avail);
+    stats->failed_site_vertices = coverage.failed_owned_vertices;
+    stats->replicated_failed_vertices = coverage.replicated_on_live;
     stats->completeness_bound =
         graph_.num_edges() == 0
             ? 1.0
             : 1.0 - static_cast<double>(coverage.lost_triples) /
                         static_cast<double>(graph_.num_edges());
+    if (run->avail.num_down() > 0) {
+      stats->failover_hits = CountReplicaServedRows(
+          table, run->resolved, cluster_.partitioning(), run->avail);
+    }
   }
 
-  final_table.SortColumnsAscending();
-  if (query.limit() != SIZE_MAX && final_table.rows.size() > query.limit()) {
-    final_table.rows.resize(query.limit());
+  table.SortColumnsAscending();
+  if (query.limit() != SIZE_MAX && table.rows.size() > query.limit()) {
+    table.rows.resize(query.limit());
   }
-  stats->num_results = final_table.num_rows();
+  stats->num_results = table.num_rows();
   stats->total_millis = stats->decomposition_millis +
                         stats->local_eval_millis + stats->join_millis +
                         stats->network_millis;
-  return final_table;
+  return table;
 }
 
 }  // namespace mpc::exec

@@ -2,9 +2,13 @@
 #define MPC_EXEC_DISTRIBUTED_EXECUTOR_H_
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
+#include "exec/bloom_filter.h"
 #include "exec/cluster.h"
 #include "exec/decomposer.h"
 #include "exec/fault_model.h"
@@ -95,12 +99,47 @@ class DistributedExecutor {
                                 const QueryPlan* plan) const;
 
  private:
+  /// What every step of one execution shares.
+  struct QueryRun {
+    store::ResolvedQuery resolved;
+    PartialResultPolicy partial_results = PartialResultPolicy::kFail;
+    /// Sites known down so far (fail-stop for the rest of the query).
+    SiteAvailability avail;
+    /// Sites called at least once (the vertex-disjoint dispatch count).
+    std::vector<uint8_t> contacted;
+    ExecutionStats* stats = nullptr;
+  };
+  using VarFilters = std::vector<std::unique_ptr<BloomFilter>>;
+
   Result<store::BindingTable> ExecuteVertexDisjoint(
       const sparql::QueryGraph& query, const QueryPlan* plan,
-      PartialResultPolicy partial_results, ExecutionStats* stats) const;
+      QueryRun* run) const;
   Result<store::BindingTable> ExecuteVp(const sparql::QueryGraph& query,
-                                        PartialResultPolicy partial_results,
-                                        ExecutionStats* stats) const;
+                                        QueryRun* run) const;
+
+  /// The execution primitive of Section V-B2: ships the sub-BGP
+  /// `patterns` to every site in `sites` at once (ParallelFor), then
+  /// unions the replies serially in site order, so the table and every
+  /// stat are identical at any thread count. `step` numbers the call
+  /// for the fault schedule; `filters` are the optional Bloom filters.
+  /// Every site failure — simulated or real — is handled here: under
+  /// kFail the first one in site order is returned; under kBestEffort
+  /// the site is skipped (and marked down when the failure is
+  /// fail-stop). Returns the un-deduplicated union, or the sub-BGP's
+  /// empty schema when no site answered.
+  Result<store::BindingTable> ScatterGather(QueryRun* run,
+                                            std::span<const size_t> patterns,
+                                            std::span<const uint32_t> sites,
+                                            size_t step,
+                                            const VarFilters* filters) const;
+
+  /// The shared tail of every plan: network charges (`messages`
+  /// transfers, `dispatched` query broadcasts on top of the measured
+  /// `plan_millis`), partial-result accounting, canonical column order,
+  /// LIMIT and the totals.
+  store::BindingTable Finish(const sparql::QueryGraph& query, QueryRun* run,
+                             store::BindingTable table, size_t messages,
+                             size_t dispatched, double plan_millis) const;
 
   const ClusterBackend& cluster_;
   const rdf::RdfGraph& graph_;

@@ -1,10 +1,101 @@
 #include "exec/fault_model.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/random.h"
+#include "obs/trace.h"
 
 namespace mpc::exec {
+
+namespace {
+
+/// What the simulated attempts of one site call amount to.
+struct SimulatedAttempts {
+  Status status = Status::Ok();
+  int retries = 0;
+  /// Simulated waiting: backoff between attempts, blown deadlines,
+  /// failure detection.
+  double wait_ms = 0.0;
+  /// Multiplier on the measured eval time (slowdown fault, no deadline).
+  double slowdown = 1.0;
+  bool transient = false;
+};
+
+/// Plays the retry protocol of one (site, step) call against the pure
+/// fault schedule, one exec.rpc.attempt span per simulated attempt.
+SimulatedAttempts Simulate(const FaultModel& faults, const NetworkModel& net,
+                           size_t step, uint32_t site) {
+  SimulatedAttempts out;
+  auto fail = [&](StatusCode code, const char* what) {
+    std::string msg = "site " + std::to_string(site) + " " + what +
+                      " at subquery step " + std::to_string(step);
+    out.status = code == StatusCode::kDeadlineExceeded
+                     ? Status::DeadlineExceeded(std::move(msg))
+                     : Status::Unavailable(std::move(msg));
+    return out;
+  };
+  if (faults.DownBefore(site, step)) {
+    // Crashed at an earlier step while not being contacted (e.g. it was
+    // pruned then); this contact detects it.
+    out.wait_ms = net.FailureDetectMillis();
+    obs::TraceSpan span("exec.rpc.attempt");
+    span.Attr("site", site)
+        .Attr("subquery", static_cast<uint64_t>(step))
+        .Attr("attempt", 0)
+        .Attr("fault", "crash")
+        .Attr("sim_wait_ms", out.wait_ms);
+    return fail(StatusCode::kUnavailable, "is down");
+  }
+  for (int attempt = 0; attempt <= net.max_retries; ++attempt) {
+    obs::TraceSpan span("exec.rpc.attempt");
+    const FaultKind kind = faults.Sample(site, step, attempt);
+    span.Attr("site", site)
+        .Attr("subquery", static_cast<uint64_t>(step))
+        .Attr("attempt", attempt)
+        .Attr("fault", FaultKindName(kind));
+    switch (kind) {
+      case FaultKind::kNone:
+        return out;
+      case FaultKind::kCrash:
+        // Fail-stop: no retry can help; the site is gone for the rest of
+        // the query.
+        out.wait_ms += net.FailureDetectMillis();
+        span.Attr("sim_wait_ms", net.FailureDetectMillis());
+        return fail(StatusCode::kUnavailable, "crashed");
+      case FaultKind::kTransient:
+        out.wait_ms += net.BackoffMillis(attempt);
+        span.Attr("sim_wait_ms", net.BackoffMillis(attempt));
+        if (attempt == net.max_retries) {
+          out.transient = true;
+          return fail(StatusCode::kUnavailable, "exhausted its retries");
+        }
+        ++out.retries;
+        break;
+      case FaultKind::kSlowdown:
+        if (!net.has_deadline()) {
+          // No deadline configured: the slow answer is accepted and its
+          // latency multiplier charged to the simulated clock.
+          out.slowdown = faults.options().slowdown_factor;
+          span.Attr("slowdown", out.slowdown);
+          return out;
+        }
+        // The slow attempt misses the per-site deadline; we waited the
+        // full timeout for nothing.
+        out.wait_ms += net.site_timeout_ms;
+        span.Attr("sim_wait_ms", net.site_timeout_ms);
+        if (attempt == net.max_retries) {
+          return fail(StatusCode::kDeadlineExceeded,
+                      "kept missing its deadline");
+        }
+        ++out.retries;
+        break;
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 const char* FaultKindName(FaultKind kind) {
   switch (kind) {
@@ -64,6 +155,31 @@ bool FaultModel::DownBefore(uint32_t site, size_t step) const {
     if (Sample(site, s, 0) == FaultKind::kCrash) return true;
   }
   return false;
+}
+
+Status FaultModel::EvaluateOnSite(const ClusterBackend& backend,
+                                  const NetworkModel& net, size_t step,
+                                  uint32_t site,
+                                  const store::ResolvedQuery& resolved,
+                                  const SiteEvalRequest& request,
+                                  SiteEvalReply* reply) const {
+  const SiteCallPolicy policy = SiteCallPolicy::FromNetwork(net);
+  if (!enabled()) {
+    return backend.EvaluateOnSite(site, resolved, request, policy, reply);
+  }
+  const SimulatedAttempts attempts = Simulate(*this, net, step, site);
+  if (!attempts.status.ok()) {
+    reply->retries = attempts.retries;
+    reply->wait_millis = attempts.wait_ms;
+    reply->transient = attempts.transient;
+    return attempts.status;
+  }
+  Status status =
+      backend.EvaluateOnSite(site, resolved, request, policy, reply);
+  reply->eval_millis *= attempts.slowdown;
+  reply->retries += attempts.retries;
+  reply->wait_millis += attempts.wait_ms;
+  return status;
 }
 
 }  // namespace mpc::exec

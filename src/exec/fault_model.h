@@ -5,6 +5,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
+#include "exec/cluster.h"
+
 namespace mpc::exec {
 
 /// What the fault model injects for one (site, subquery-step, attempt)
@@ -70,6 +73,25 @@ class FaultModel {
   /// True iff the site is already down when step `step` begins: it is
   /// listed in fail_sites, or a crash was sampled at an earlier step.
   bool DownBefore(uint32_t site, size_t step) const;
+
+  /// The one call-level fault wrapper: evaluates `request` at `site`
+  /// through `backend` for subquery step `step`, with this model's faults
+  /// injected at the call. A simulated fault comes back the way a real
+  /// transport reports a real one — a Status (Unavailable for a crash or
+  /// for transient errors that outlast the retries, DeadlineExceeded for
+  /// slowdowns that keep missing the deadline) with reply->retries and
+  /// reply->wait_millis charged the simulated attempts; a failed site's
+  /// eval_millis stays 0, a tolerated slowdown scales it by
+  /// slowdown_factor. Exhausted transient retries also set
+  /// reply->transient: the site is not down for later steps. `net`
+  /// supplies the deadline, retry and backoff settings, for the
+  /// simulated attempts and for the backend's real ones alike. With
+  /// faults off this forwards straight to the backend.
+  Status EvaluateOnSite(const ClusterBackend& backend,
+                        const NetworkModel& net, size_t step, uint32_t site,
+                        const store::ResolvedQuery& resolved,
+                        const SiteEvalRequest& request,
+                        SiteEvalReply* reply) const;
 
  private:
   double Uniform(uint32_t site, size_t step, int attempt) const;

@@ -9,15 +9,10 @@
 
 namespace mpc::exec {
 
-using store::BgpMatcher;
 using store::BindingTable;
 
 Result<QueryResponse> GStoredExecutor::Execute(
     const QueryRequest& request) const {
-  if (request.options.strategy == ExecStrategy::kDistributed) {
-    return Status::InvalidArgument(
-        "GStoredExecutor cannot serve ExecStrategy::kDistributed");
-  }
   Result<sparql::QueryGraph> query = ResolveRequestQuery(request);
   if (!query.ok()) return query.status();
 
@@ -68,23 +63,25 @@ Result<BindingTable> GStoredExecutor::ExecuteParsed(
   stats->decomposition_millis =
       timer.ElapsedMillis() + options_.network.DispatchMillis(cluster_.k());
 
-  BgpMatcher::Options matcher_options;
-  matcher_options.max_results = options_.max_rows;
+  SiteEvalRequest request;
+  request.max_rows = options_.max_rows;
+  const SiteCallPolicy policy =
+      SiteCallPolicy::FromNetwork(options_.network);
 
   std::vector<BindingTable> fragment_tables;
   fragment_tables.reserve(fragments.size());
   for (const std::vector<size_t>& fragment : fragments) {
+    request.pattern_indices = fragment;
     double slowest = 0.0;
-    BindingTable merged;
+    BindingTable merged = SchemaTable(resolved, fragment);
     for (uint32_t site = 0; site < cluster_.k(); ++site) {
-      Timer site_timer;
-      BindingTable local = BgpMatcher::Evaluate(
-          cluster_.site(site), resolved, fragment, matcher_options);
-      slowest = std::max(slowest, site_timer.ElapsedMillis());
-      stats->local_rows += local.num_rows();
-      stats->shipped_bytes += local.ByteSize();
-      if (merged.var_ids.empty()) merged.var_ids = local.var_ids;
-      for (auto& row : local.rows) merged.rows.push_back(std::move(row));
+      SiteEvalReply reply;
+      MPC_RETURN_IF_ERROR(
+          cluster_.EvaluateOnSite(site, resolved, request, policy, &reply));
+      slowest = std::max(slowest, reply.eval_millis + reply.wait_millis);
+      stats->local_rows += reply.table.num_rows();
+      stats->shipped_bytes += reply.table.ByteSize();
+      for (auto& row : reply.table.rows) merged.rows.push_back(std::move(row));
     }
     stats->local_eval_millis += slowest;
     merged.Deduplicate();

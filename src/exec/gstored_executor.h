@@ -6,7 +6,6 @@
 #include "exec/distributed_executor.h"
 #include "rdf/graph.h"
 #include "sparql/query_graph.h"
-#include "store/bgp_matcher.h"
 
 namespace mpc::exec {
 
@@ -23,18 +22,20 @@ namespace mpc::exec {
 /// wins Fig. 11 regardless of the runtime being partitioning-agnostic.
 class GStoredExecutor {
  public:
-  GStoredExecutor(const Cluster& cluster, const rdf::RdfGraph& graph,
+  /// `cluster` is any ClusterBackend: every fragment is evaluated
+  /// through EvaluateOnSite, in-process or over RPC alike.
+  GStoredExecutor(const ClusterBackend& cluster, const rdf::RdfGraph& graph,
                   DistributedExecutor::Options options = DistributedExecutor::Options())
       : cluster_(cluster), graph_(graph), options_(options) {}
 
-  /// Unified entry point (same contract as DistributedExecutor): strategy
-  /// kAuto/kGstored accepted, kDistributed rejected with InvalidArgument.
+  /// Unified entry point (same contract as DistributedExecutor); the
+  /// request's strategy is not consulted.
   Result<QueryResponse> Execute(const QueryRequest& request) const;
 
  private:
   Result<store::BindingTable> ExecuteParsed(const sparql::QueryGraph& query,
                                             ExecutionStats* stats) const;
-  const Cluster& cluster_;
+  const ClusterBackend& cluster_;
   const rdf::RdfGraph& graph_;
   DistributedExecutor::Options options_;
 };

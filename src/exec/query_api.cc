@@ -8,8 +8,6 @@ const char* ExecStrategyName(ExecStrategy strategy) {
   switch (strategy) {
     case ExecStrategy::kAuto:
       return "auto";
-    case ExecStrategy::kDistributed:
-      return "distributed";
     case ExecStrategy::kGstored:
       return "gstored";
   }

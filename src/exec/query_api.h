@@ -107,8 +107,6 @@ enum class ExecStrategy {
   /// The partitioning-aware default: DistributedExecutor (IEQ shortcut
   /// for vertex-disjoint partitionings, cloud-style plan for VP).
   kAuto,
-  /// Explicitly the DistributedExecutor (same as kAuto today).
-  kDistributed,
   /// The partial-evaluation-and-assembly runtime (GStoredExecutor);
   /// vertex-disjoint partitionings only. Routed by QueryService; the
   /// DistributedExecutor rejects it.

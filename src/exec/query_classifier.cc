@@ -56,21 +56,29 @@ Classification ClassifyQuery(const sparql::QueryGraph& query,
     return result;
   }
 
-  // Count multi-vertex WCCs; Type-II allows at most one (the core q_i).
-  uint32_t core = UINT32_MAX;
-  size_t num_multi = 0;
-  for (uint32_t c = 0; c < components.num_components; ++c) {
-    if (components.component_size[c] >= 2) {
-      core = c;
-      ++num_multi;
+  // Count WCCs that keep an internal edge; Type-II allows at most one
+  // (the core q_i). Satellites are edge-less vertices — a singleton with
+  // an internal self-loop is not one: its loop lives only at its owner.
+  std::vector<uint8_t> has_edge(components.num_components, 0);
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    if (!result.crossing_pattern[i]) {
+      has_edge[components.vertex_component[query.SubjectVertex(i)]] = 1;
     }
   }
-  if (num_multi > 1) {
+  uint32_t core = UINT32_MAX;
+  size_t num_cores = 0;
+  for (uint32_t c = 0; c < components.num_components; ++c) {
+    if (has_edge[c]) {
+      core = c;
+      ++num_cores;
+    }
+  }
+  if (num_cores > 1) {
     result.cls = IeqClass::kNonIeq;
     return result;
   }
 
-  if (num_multi == 1) {
+  if (num_cores == 1) {
     // Every crossing edge must touch the core (condition 2 of
     // Definition 5.3: no crossing edges between two satellites).
     for (size_t i = 0; i < patterns.size(); ++i) {
@@ -86,7 +94,7 @@ Classification ClassifyQuery(const sparql::QueryGraph& query,
     return result;
   }
 
-  // All WCCs are singletons: every pattern is crossing. Type-II holds iff
+  // No WCC keeps an edge: every pattern is crossing. Type-II holds iff
   // some vertex (the chosen core) touches every edge — i.e. the query is
   // a star of crossing edges.
   for (uint32_t candidate :

@@ -200,11 +200,6 @@ Result<exec::QueryResponse> QueryService::Run(
 
   const bool gstored =
       request.options.strategy == exec::ExecStrategy::kGstored;
-  if (gstored && !state->has_gstored()) {
-    return Status::Unsupported(
-        "gstored strategy needs in-process site stores; this state serves "
-        "a remote cluster (query: " + request.text + ")");
-  }
   // Exact-query key; ToString() canonicalizes whitespace and term
   // spelling, so textual variants of one query share an entry. The
   // strategy is part of the key because the two runtimes report

@@ -15,12 +15,8 @@ ServingState::ServingState(rdf::RdfGraph graph,
   exec_options.generation = generation_;
   distributed_ = std::make_unique<exec::DistributedExecutor>(*cluster_, graph_,
                                                              exec_options);
-  // The gStoreD baseline reads per-site stores directly; it exists only
-  // when the backend actually has them in this process.
-  if (const auto* local = dynamic_cast<const exec::Cluster*>(cluster_.get())) {
-    gstored_ =
-        std::make_unique<exec::GStoredExecutor>(*local, graph_, exec_options);
-  }
+  gstored_ = std::make_unique<exec::GStoredExecutor>(*cluster_, graph_,
+                                                     exec_options);
 }
 
 std::shared_ptr<const ServingState> ServingState::Capture(

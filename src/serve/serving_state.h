@@ -64,8 +64,7 @@ class ServingState {
 
   /// Wraps an already-started backend (typically a RemoteCluster over
   /// `mpc site` worker processes) instead of building an in-process
-  /// simulator. The gStoreD baseline needs direct store access and is
-  /// unavailable over RPC, so has_gstored() is false for these states.
+  /// simulator.
   static std::shared_ptr<const ServingState> WrapBackend(
       rdf::RdfGraph graph, std::unique_ptr<exec::ClusterBackend> backend,
       uint64_t generation = 0,
@@ -80,11 +79,7 @@ class ServingState {
   const exec::DistributedExecutor& distributed() const {
     return *distributed_;
   }
-  /// False for remote backends — gStoreD evaluates against in-process
-  /// stores. Callers must check before gstored().
-  bool has_gstored() const { return gstored_ != nullptr; }
-  /// Only usable on vertex-disjoint partitionings (its Execute checks)
-  /// and only when has_gstored().
+  /// Only usable on vertex-disjoint partitionings (its Execute checks).
   const exec::GStoredExecutor& gstored() const { return *gstored_; }
 
  private:

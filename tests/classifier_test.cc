@@ -93,6 +93,31 @@ TEST(ClassifierTest, NonIeqQuery) {
   EXPECT_FALSE(c.independently_executable());
 }
 
+// A singleton WCC with an internal self-loop keeps an edge: it is a
+// second core, not an edge-less satellite, because its loop is stored
+// only at the vertex's owner.
+TEST(ClassifierTest, SelfLoopSingletonIsACoreNotASatellite) {
+  Fixture f;
+  for (const std::string& text :
+       {std::string("SELECT * WHERE { ?v0 <t:in1> ?v0 . ?v0 <t:cross> ?v1 . "
+                    "?v1 <t:in2> ?v2 . }"),
+        std::string("SELECT * WHERE { ?v1 <t:in1> \"c\" . ?v2 <t:cross> "
+                    "?v1 . ?v2 <t:in2> ?v2 . }")}) {
+    sparql::QueryGraph q = testutil::ParseQueryOrDie(text);
+    Classification c = ClassifyQuery(q, f.partitioning, f.graph);
+    EXPECT_EQ(c.cls, IeqClass::kNonIeq) << text;
+    EXPECT_FALSE(c.independently_executable()) << text;
+  }
+}
+
+TEST(ClassifierTest, SelfLoopCoreWithEdgeLessSatelliteIsTypeII) {
+  Fixture f;
+  sparql::QueryGraph q = testutil::ParseQueryOrDie(
+      "SELECT * WHERE { ?v0 <t:in1> ?v0 . ?v0 <t:cross> ?v1 . }");
+  Classification c = ClassifyQuery(q, f.partitioning, f.graph);
+  EXPECT_EQ(c.cls, IeqClass::kExtendedTypeII);
+}
+
 TEST(ClassifierTest, VariablePredicateCountsAsCrossing) {
   Fixture f;
   sparql::QueryGraph q = testutil::ParseQueryOrDie(

@@ -206,6 +206,72 @@ TEST(ExecutorTest, MaxRowsCapsResults) {
   EXPECT_LE(response->bindings.num_rows(), 10u);
 }
 
+// The dbpedia_log query shape `<r> p1 <r> . <r> p2 ?v1 . ?v1 p3 ?v2`
+// with p2 crossing decomposes into a subquery without variables,
+// `<r> p1 <r>`, and one holding the rest. The variable-free subquery
+// answers "true" as one row with no columns and must join as a filter,
+// not as an empty table. Vertices r, x, y live at site 0 and a, b at
+// site 1, so r p2 a is the one crossing edge.
+RdfGraph ZeroVariableGraph() {
+  return testutil::BuildGraph({
+      {"r", "p1", "r"},
+      {"r", "p2", "a"},
+      {"r", "p2", "x"},
+      {"a", "p3", "b"},
+      {"x", "p3", "y"},
+  });
+}
+
+constexpr const char* kZeroVariableQuery =
+    "SELECT * WHERE { <t:r> <t:p1> <t:r> . <t:r> <t:p2> ?v1 . "
+    "?v1 <t:p3> ?v2 . }";
+
+TEST(ExecutorTest, VariableFreeSubqueryJoinsAsFilterOnVertexDisjointPlan) {
+  RdfGraph graph = ZeroVariableGraph();
+  partition::VertexAssignment assignment;
+  assignment.k = 2;
+  assignment.part.resize(graph.num_vertices());
+  for (uint32_t v = 0; v < graph.num_vertices(); ++v) {
+    const std::string& name = graph.VertexName(v);
+    assignment.part[v] = (name == "<t:a>" || name == "<t:b>") ? 1 : 0;
+  }
+  Cluster cluster = Cluster::Build(
+      partition::Partitioning::MaterializeVertexDisjoint(
+          graph, std::move(assignment)));
+  DistributedExecutor executor(cluster, graph);
+  sparql::QueryGraph query = testutil::ParseQueryOrDie(kZeroVariableQuery);
+  Result<QueryResponse> response =
+      executor.Execute(QueryRequest::FromQuery(query));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->stats.cls, IeqClass::kNonIeq);
+  EXPECT_EQ(response->stats.num_subqueries, 2u);
+  EXPECT_EQ(response->bindings.num_rows(), 2u);
+  EXPECT_EQ(testutil::RowSet(response->bindings),
+            testutil::RowSet(testutil::GroundTruth(graph, query)));
+}
+
+TEST(ExecutorTest, VariableFreeSubqueryJoinsAsFilterOnVpPerPatternPlan) {
+  RdfGraph graph = ZeroVariableGraph();
+  // p1 and p3 at site 0, p2 at site 1: the query spans two sites, so it
+  // runs pattern by pattern and `<r> p1 <r>` is scanned on its own.
+  std::vector<uint32_t> triple_part;
+  for (const rdf::Triple& t : graph.triples()) {
+    triple_part.push_back(graph.PropertyName(t.property) == "<t:p2>" ? 1 : 0);
+  }
+  Cluster cluster = Cluster::Build(
+      partition::Partitioning::MaterializeEdgeDisjoint(graph, 2, triple_part));
+  DistributedExecutor executor(cluster, graph);
+  sparql::QueryGraph query = testutil::ParseQueryOrDie(kZeroVariableQuery);
+  Result<QueryResponse> response =
+      executor.Execute(QueryRequest::FromQuery(query));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_FALSE(response->stats.independent);
+  EXPECT_EQ(response->stats.num_subqueries, 3u);
+  EXPECT_EQ(response->bindings.num_rows(), 2u);
+  EXPECT_EQ(testutil::RowSet(response->bindings),
+            testutil::RowSet(testutil::GroundTruth(graph, query)));
+}
+
 // gStoreD-style partial evaluation must agree with ground truth too.
 TEST(GStoredExecutorTest, MatchesGroundTruth) {
   Rng rng(11);

@@ -298,7 +298,6 @@ TEST(BoundaryMigrationTest, MigratedStateMatchesFromScratchPartition) {
       Result<exec::QueryResponse> d = state->distributed().Execute(request);
       ASSERT_TRUE(d.ok()) << q << ": " << d.status().ToString();
       EXPECT_EQ(LexRows(d->bindings, state->graph()), expected) << q;
-      ASSERT_TRUE(state->has_gstored());
       Result<exec::QueryResponse> g = state->gstored().Execute(request);
       ASSERT_TRUE(g.ok()) << q << ": " << g.status().ToString();
       EXPECT_EQ(LexRows(g->bindings, state->graph()), expected) << q;

@@ -20,6 +20,7 @@
 #include "common/random.h"
 #include "exec/cluster.h"
 #include "exec/distributed_executor.h"
+#include "exec/gstored_executor.h"
 #include "exec/remote_cluster.h"
 #include "gtest/gtest.h"
 #include "mpc/mpc_partitioner.h"
@@ -246,6 +247,30 @@ TEST(RemoteClusterTest, FaultFreeMixIsBitIdenticalToSimulator) {
     BindingTable truth = testutil::GroundTruth(d->graph, query);
     EXPECT_EQ(testutil::RowSet(remote_r->bindings), testutil::RowSet(truth))
         << text;
+  }
+}
+
+// The gStoreD baseline reaches the sites only through EvaluateOnSite, so
+// it runs over the real fleet too, with the simulator's bindings and
+// partial-match counts.
+TEST(RemoteClusterTest, GStoredOverRpcMatchesSimulator) {
+  std::unique_ptr<Deployment> d = MakeDeployment(4);
+  if (d == nullptr) GTEST_SKIP() << "worker binary not built";
+
+  Cluster sim = Cluster::Build(d->partitioning);
+  GStoredExecutor sim_exec(sim, d->graph, RemoteExecOptions());
+  GStoredExecutor remote_exec(*d->remote, d->graph, RemoteExecOptions());
+  for (const char* text : kQueryMix) {
+    sparql::QueryGraph query = testutil::ParseQueryOrDie(text);
+    Result<QueryResponse> sim_r =
+        sim_exec.Execute(QueryRequest::FromQuery(query));
+    Result<QueryResponse> remote_r =
+        remote_exec.Execute(QueryRequest::FromQuery(query));
+    ASSERT_TRUE(sim_r.ok()) << sim_r.status().ToString();
+    ASSERT_TRUE(remote_r.ok()) << remote_r.status().ToString() << " " << text;
+    EXPECT_EQ(remote_r->bindings.var_ids, sim_r->bindings.var_ids) << text;
+    EXPECT_EQ(remote_r->bindings.rows, sim_r->bindings.rows) << text;
+    EXPECT_EQ(remote_r->stats.local_rows, sim_r->stats.local_rows) << text;
   }
 }
 
