@@ -15,10 +15,10 @@
 #include <functional>
 
 #include "bench_util.h"
+#include "exec/cluster.h"
 #include "exec/query_api.h"
 #include "partition/partition_io.h"
 #include "rdf/ntriples.h"
-#include "storage/segment_store.h"
 #include "storage/segment_writer.h"
 #include "store/triple_store.h"
 #include "workload/lubm.h"
@@ -78,35 +78,18 @@ int Run(int argc, char** argv) {
     std::cerr << "cannot save partitioning\n";
     return 1;
   }
-  Result<uint64_t> fingerprint = partition::PartitionIo::Fingerprint(dir);
-  if (!fingerprint.ok()) {
-    std::cerr << fingerprint.status().ToString() << "\n";
-    return 1;
-  }
 
   // --- pack -------------------------------------------------------------
   Timer pack_timer;
-  uint64_t packed_bytes = 0;
-  for (uint32_t i = 0; i < partitioning.k(); ++i) {
-    const partition::Partition& p = partitioning.partition(i);
-    std::vector<rdf::Triple> triples = p.internal_edges;
-    triples.insert(triples.end(), p.crossing_edges.begin(),
-                   p.crossing_edges.end());
-    storage::SegmentWriterOptions options;
-    options.site = i;
-    options.k = partitioning.k();
-    options.num_properties = graph.num_properties();
-    options.num_vertices = graph.num_vertices();
-    options.partition_fingerprint = *fingerprint;
-    storage::SegmentWriteStats stats;
-    Status st = storage::WriteSegment(storage::SegmentPath(dir, i),
-                                      std::move(triples), options, &stats);
-    if (!st.ok()) {
-      std::cerr << st.ToString() << "\n";
-      return 1;
-    }
-    packed_bytes += stats.file_bytes;
+  storage::SegmentWriteStats pack_stats;
+  Status pack_status = exec::PackSegments(partitioning, graph, dir,
+                                          storage::kDefaultBlockSize,
+                                          &pack_stats);
+  if (!pack_status.ok()) {
+    std::cerr << pack_status.ToString() << "\n";
+    return 1;
   }
+  const uint64_t packed_bytes = pack_stats.file_bytes;
   const double pack_millis = pack_timer.ElapsedMillis();
 
   // --- cold start: what one site worker pays ----------------------------

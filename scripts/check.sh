@@ -318,7 +318,8 @@ EOF
 # the in-memory backend for the whole query set (only the timing figures
 # may differ). Then serve the query mix with a concurrent update stream
 # on --store=segment (exercises the segment-base + delta-overlay snapshot
-# path) and run the acceptance bench at reduced scale, which asserts the
+# path), require the same serve to refuse segments swapped between two
+# sites, and run the acceptance bench at reduced scale, which asserts the
 # >=5x cold-start and >=2x footprint ratios and query bit-identity on
 # LUBM. (The storage unit/fuzz tests also run under asan/ubsan via the
 # full ctest suites.)
@@ -377,6 +378,22 @@ EOF
   grep -q "^rejected: 0$" <<< "${out}"
   grep -q "^failed:   0$" <<< "${out}"
   grep -q "^served:   200/200" <<< "${out}"
+
+  # Segments swapped between sites carry a valid fingerprint but the
+  # wrong site id: the shared open must refuse them, not serve them.
+  mv "${tmp}/part/partition_0.mpcseg" "${tmp}/swap.mpcseg"
+  mv "${tmp}/part/partition_1.mpcseg" "${tmp}/part/partition_0.mpcseg"
+  mv "${tmp}/swap.mpcseg" "${tmp}/part/partition_1.mpcseg"
+  local rc=0
+  "${dir}/tools/mpc" serve "${tmp}/g.nt" "${tmp}/part" \
+    --queries="${tmp}/q.txt" --updates="${tmp}/updates.ulog" \
+    --store=segment > "${tmp}/swap.out" 2>&1 || rc=$?
+  if [[ "${rc}" -eq 0 ]]; then
+    echo "serve accepted segments swapped between sites" >&2
+    cat "${tmp}/swap.out" >&2
+    return 1
+  fi
+  grep -q "segment is for site" "${tmp}/swap.out"
 
   "${dir}/bench/segment_store" 0.5
   echo "segment-store smoke passed"

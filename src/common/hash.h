@@ -18,7 +18,9 @@ inline uint64_t HashU64(uint64_t x) {
 }
 
 /// FNV-1a for strings; used when hashing raw IRIs before dictionary
-/// encoding is available.
+/// encoding is available, and as the checksum of RPC frames and segment
+/// blocks — so it is part of the wire and file formats and must not
+/// change.
 inline uint64_t HashString(std::string_view s) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : s) {

@@ -6,10 +6,84 @@
 #include "common/timer.h"
 #include "partition/partition_io.h"
 #include "storage/delta_overlay.h"
-#include "storage/segment_store.h"
-#include "storage/segment_writer.h"
 
 namespace mpc::exec {
+
+std::vector<rdf::Triple> SiteTriples(const partition::Partition& partition) {
+  std::vector<rdf::Triple> triples;
+  triples.reserve(partition.num_triples());
+  triples.insert(triples.end(), partition.internal_edges.begin(),
+                 partition.internal_edges.end());
+  triples.insert(triples.end(), partition.crossing_edges.begin(),
+                 partition.crossing_edges.end());
+  return triples;
+}
+
+std::vector<uint8_t> PropertyPresence(const store::TripleSource& source,
+                                      size_t num_properties) {
+  std::vector<uint8_t> row(num_properties, 0);
+  for (size_t p = 0; p < num_properties; ++p) {
+    row[p] = source.PropertyCount(static_cast<rdf::PropertyId>(p)) > 0;
+  }
+  return row;
+}
+
+std::vector<uint8_t> PropertyPresence(const partition::Partition& partition,
+                                      size_t num_properties) {
+  std::vector<uint8_t> row(num_properties, 0);
+  for (const auto* edges : {&partition.internal_edges,
+                            &partition.crossing_edges}) {
+    for (const rdf::Triple& t : *edges) row[t.property] = 1;
+  }
+  return row;
+}
+
+Status PackSegments(const partition::Partitioning& partitioning,
+                    const rdf::RdfGraph& graph, const std::string& dir,
+                    uint32_t block_size, storage::SegmentWriteStats* stats) {
+  Result<uint64_t> fingerprint = partition::PartitionIo::Fingerprint(dir);
+  if (!fingerprint.ok()) return fingerprint.status();
+  storage::SegmentWriterOptions options;
+  options.block_size = block_size;
+  options.k = partitioning.k();
+  options.num_properties = graph.num_properties();
+  options.num_vertices = graph.num_vertices();
+  options.partition_fingerprint = *fingerprint;
+  storage::SegmentWriteStats total;
+  for (uint32_t i = 0; i < partitioning.k(); ++i) {
+    options.site = i;
+    storage::SegmentWriteStats site;
+    MPC_RETURN_IF_ERROR(storage::WriteSegment(
+        storage::SegmentPath(dir, i), SiteTriples(partitioning.partition(i)),
+        options, &site));
+    total.num_triples += site.num_triples;
+    total.file_bytes += site.file_bytes;
+    total.pso_blocks += site.pso_blocks;
+    total.pos_blocks += site.pos_blocks;
+  }
+  if (stats != nullptr) *stats = total;
+  return Status::Ok();
+}
+
+Result<storage::SegmentStore> OpenSiteSegment(const std::string& dir,
+                                              uint32_t site,
+                                              uint64_t fingerprint,
+                                              std::optional<uint32_t> k) {
+  storage::SegmentStore::OpenOptions open_options;
+  open_options.expected_fingerprint = fingerprint;
+  Result<storage::SegmentStore> segment =
+      storage::SegmentStore::Open(storage::SegmentPath(dir, site), open_options);
+  if (!segment.ok()) return segment.status();
+  const storage::SegmentHeader& header = segment->header();
+  if (header.site != site || (k.has_value() && header.k != *k)) {
+    return Status::InvalidArgument(
+        segment->path() + ": segment is for site " +
+        std::to_string(header.site) + "/" + std::to_string(header.k) +
+        ", expected " + std::to_string(site) +
+        (k.has_value() ? "/" + std::to_string(*k) : std::string()));
+  }
+  return segment;
+}
 
 Cluster Cluster::Build(partition::Partitioning partitioning,
                        int num_threads) {
@@ -17,44 +91,29 @@ Cluster Cluster::Build(partition::Partitioning partitioning,
   Cluster cluster;
   cluster.partitioning_ = std::move(partitioning);
   const size_t k = cluster.partitioning_.k();
-  cluster.num_properties_ =
-      cluster.partitioning_.crossing_property_mask().size();
-  cluster.property_present_.assign(k * cluster.num_properties_, 0);
   cluster.stores_.resize(k);
   std::vector<double> site_millis(k, 0.0);
-  // Sites touch disjoint store slots and disjoint presence-map rows, so
-  // they build independently; every output lands in a per-site slot.
+  // Sites touch disjoint store slots, so they build independently.
   ParallelFor(0, k, 1, threads, [&](size_t i) {
-    const partition::Partition& p =
-        cluster.partitioning_.partition(static_cast<uint32_t>(i));
-    std::vector<rdf::Triple> triples = p.internal_edges;
-    triples.insert(triples.end(), p.crossing_edges.begin(),
-                   p.crossing_edges.end());
-    for (const rdf::Triple& t : triples) {
-      cluster.property_present_[i * cluster.num_properties_ + t.property] = 1;
-    }
+    std::vector<rdf::Triple> triples = SiteTriples(
+        cluster.partitioning_.partition(static_cast<uint32_t>(i)));
     Timer timer;
     cluster.stores_[i] =
         std::make_shared<const store::TripleStore>(std::move(triples));
     site_millis[i] = timer.ElapsedMillis();
   });
-  cluster.loading_millis_ =
-      site_millis.empty()
-          ? 0.0
-          : *std::max_element(site_millis.begin(), site_millis.end());
+  cluster.FillPropertyPresence();
+  for (double ms : site_millis) {
+    cluster.loading_millis_ = std::max(cluster.loading_millis_, ms);
+  }
   return cluster;
 }
 
 void Cluster::FillPropertyPresence() {
-  const size_t k = partitioning_.k();
-  num_properties_ = partitioning_.crossing_property_mask().size();
-  property_present_.assign(k * num_properties_, 0);
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t p = 0; p < num_properties_; ++p) {
-      if (stores_[i]->PropertyCount(static_cast<rdf::PropertyId>(p)) > 0) {
-        property_present_[i * num_properties_ + p] = 1;
-      }
-    }
+  const size_t num_properties = partitioning_.crossing_property_mask().size();
+  property_present_.clear();
+  for (const auto& source : stores_) {
+    property_present_.push_back(PropertyPresence(*source, num_properties));
   }
 }
 
@@ -67,26 +126,16 @@ Result<Cluster> Cluster::BuildFromSegments(partition::Partitioning partitioning,
 
   Cluster cluster;
   cluster.partitioning_ = std::move(partitioning);
-  const size_t k = cluster.partitioning_.k();
+  const uint32_t k = cluster.partitioning_.k();
   cluster.stores_.resize(k);
   std::vector<double> site_millis(k, 0.0);
   std::vector<Status> site_status(k);
   ParallelFor(0, k, 1, threads, [&](size_t i) {
     Timer timer;
-    storage::SegmentStore::OpenOptions open_options;
-    open_options.expected_fingerprint = *fingerprint;
-    Result<storage::SegmentStore> segment = storage::SegmentStore::Open(
-        storage::SegmentPath(dir, static_cast<uint32_t>(i)), open_options);
+    Result<storage::SegmentStore> segment =
+        OpenSiteSegment(dir, static_cast<uint32_t>(i), *fingerprint, k);
     if (!segment.ok()) {
       site_status[i] = segment.status();
-      return;
-    }
-    if (segment->header().site != i || segment->header().k != k) {
-      site_status[i] = Status::InvalidArgument(
-          segment->path() + ": segment is for site " +
-          std::to_string(segment->header().site) + "/" +
-          std::to_string(segment->header().k) + ", expected " +
-          std::to_string(i) + "/" + std::to_string(k));
       return;
     }
     cluster.stores_[i] =
@@ -97,10 +146,9 @@ Result<Cluster> Cluster::BuildFromSegments(partition::Partitioning partitioning,
     if (!st.ok()) return st;
   }
   cluster.FillPropertyPresence();
-  cluster.loading_millis_ =
-      site_millis.empty()
-          ? 0.0
-          : *std::max_element(site_millis.begin(), site_millis.end());
+  for (double ms : site_millis) {
+    cluster.loading_millis_ = std::max(cluster.loading_millis_, ms);
+  }
   return cluster;
 }
 

@@ -2,7 +2,9 @@
 #define MPC_EXEC_CLUSTER_H_
 
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -10,11 +12,49 @@
 #include "exec/network_model.h"
 #include "partition/partitioning.h"
 #include "rdf/graph.h"
+#include "storage/segment_store.h"
+#include "storage/segment_writer.h"
 #include "store/bgp_matcher.h"
 #include "store/triple_source.h"
 #include "store/triple_store.h"
 
 namespace mpc::exec {
+
+// --- How a site's store comes into being -------------------------------
+// Every backend (in-process Cluster, `mpc site` worker, `mpc pack`) builds
+// a site from these, so the stored triples, the property-presence rule
+// and the segment checks are the same everywhere.
+
+/// The triples a site stores (Def. 3.3-3.4): its partition's internal
+/// edges followed by the 1-hop crossing-edge replicas.
+std::vector<rdf::Triple> SiteTriples(const partition::Partition& partition);
+
+/// One site's property-presence row: entry p is 1 iff the site stores a
+/// triple with property p, for p < num_properties. From the site's
+/// store (in-process backends and workers) ...
+std::vector<uint8_t> PropertyPresence(const store::TripleSource& source,
+                                      size_t num_properties);
+/// ... or from its partition, for a coordinator that holds no stores.
+std::vector<uint8_t> PropertyPresence(const partition::Partition& partition,
+                                      size_t num_properties);
+
+/// Writes every site's SiteTriples as `partition_<i>.mpcseg` into `dir`
+/// (where `partitioning` over `graph` was saved), each stamped with the
+/// directory's PartitionIo fingerprint. `stats`, if given, receives the
+/// totals over all sites.
+Status PackSegments(const partition::Partitioning& partitioning,
+                    const rdf::RdfGraph& graph, const std::string& dir,
+                    uint32_t block_size = storage::kDefaultBlockSize,
+                    storage::SegmentWriteStats* stats = nullptr);
+
+/// Opens site `site`'s segment in `dir`. Refuses (InvalidArgument) a
+/// segment packed for another partitioning (`fingerprint` is
+/// PartitionIo::Fingerprint(dir)), for another site, or — when `k` is
+/// given — for another site count.
+Result<storage::SegmentStore> OpenSiteSegment(const std::string& dir,
+                                              uint32_t site,
+                                              uint64_t fingerprint,
+                                              std::optional<uint32_t> k);
 
 /// The coordinator's per-query view of which sites are reachable. A
 /// crash marks the site down for the rest of the query (fail-stop); the
@@ -136,7 +176,7 @@ class ClusterBackend {
   /// contacted at all (the "localization" the paper defers as future
   /// work, in its simplest sound form).
   bool SiteHasProperty(uint32_t i, rdf::PropertyId p) const {
-    return p < num_properties_ && property_present_[i * num_properties_ + p];
+    return p < property_present_[i].size() && property_present_[i][p] != 0;
   }
 
   /// Fresh availability view with every site up.
@@ -183,12 +223,8 @@ class ClusterBackend {
   ClusterBackend& operator=(ClusterBackend&&) = default;
 
   partition::Partitioning partitioning_;
-  /// Row-major [site][property] presence map. One byte per entry (not
-  /// vector<bool>): sites fill their rows concurrently, and distinct
-  /// bytes can be written from different threads while distinct bits of
-  /// one byte cannot.
-  std::vector<uint8_t> property_present_;
-  size_t num_properties_ = 0;
+  /// Per-site PropertyPresence rows.
+  std::vector<std::vector<uint8_t>> property_present_;
   double loading_millis_ = 0.0;
 };
 
@@ -224,11 +260,11 @@ class Cluster final : public ClusterBackend {
   static Cluster Build(partition::Partitioning partitioning,
                        int num_threads = 1);
 
-  /// Opens `mpc pack`'s per-site segments from `dir` instead of
-  /// building in-memory indexes: cold start maps files and reads TOCs
-  /// rather than sorting four copies per site. Each segment's stamped
-  /// fingerprint must match the partition directory's. The partitioning
-  /// is still moved in for the executor's metadata (masks, ownership).
+  /// Opens `mpc pack`'s per-site segments from `dir` (OpenSiteSegment,
+  /// with the site count checked) instead of building in-memory
+  /// indexes: cold start maps files and reads TOCs rather than sorting
+  /// four copies per site. The partitioning is still moved in for the
+  /// executor's metadata (masks, ownership).
   static Result<Cluster> BuildFromSegments(
       partition::Partitioning partitioning, const std::string& dir,
       int num_threads = 1);
@@ -265,8 +301,7 @@ class Cluster final : public ClusterBackend {
                         SiteEvalReply* reply) const override;
 
  private:
-  /// Derives property_present_/num_properties_/loading bookkeeping from
-  /// already-constructed sources.
+  /// Derives property_present_ from the constructed sources.
   void FillPropertyPresence();
 
   // shared_ptr, not unique_ptr: Cluster stays copyable (copies share

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <utility>
 
 #include "common/timer.h"
@@ -53,6 +54,13 @@ void IngestRemoteSpans(std::vector<obs::TraceEvent> spans, uint64_t trace_id,
 
 Result<std::unique_ptr<RemoteCluster>> RemoteCluster::Start(
     partition::Partitioning partitioning, Options options) {
+  // Checked before any spawn: a worker that cannot bind its socket dies
+  // at once, and respawning it would only burn the restart budget.
+  std::error_code ec;
+  if (!std::filesystem::is_directory(options.socket_dir, ec)) {
+    return Status::NotFound("socket directory '" + options.socket_dir +
+                            "' does not exist");
+  }
   std::unique_ptr<RemoteCluster> cluster(new RemoteCluster());
   cluster->partitioning_ = std::move(partitioning);
   cluster->options_ = std::move(options);
@@ -137,17 +145,11 @@ std::string RemoteCluster::ConnectPath(uint32_t i) const {
 }
 
 void RemoteCluster::RecomputePresence() {
-  const uint32_t k = partitioning_.k();
-  num_properties_ = partitioning_.crossing_property_mask().size();
-  property_present_.assign(static_cast<size_t>(k) * num_properties_, 0);
-  for (uint32_t i = 0; i < k; ++i) {
-    const partition::Partition& p = partitioning_.partition(i);
-    for (const rdf::Triple& t : p.internal_edges) {
-      property_present_[i * num_properties_ + t.property] = 1;
-    }
-    for (const rdf::Triple& t : p.crossing_edges) {
-      property_present_[i * num_properties_ + t.property] = 1;
-    }
+  const size_t num_properties = partitioning_.crossing_property_mask().size();
+  property_present_.clear();
+  for (uint32_t i = 0; i < partitioning_.k(); ++i) {
+    property_present_.push_back(
+        PropertyPresence(partitioning_.partition(i), num_properties));
   }
 }
 
@@ -164,10 +166,7 @@ Status RemoteCluster::AcceptHello(uint32_t i, const std::string& payload,
   // The worker derives its presence row from the same partition files;
   // disagreement means it loaded different data than the coordinator
   // believes it serves — refuse before wrong answers become possible.
-  const uint8_t* row = property_present_.data() + i * num_properties_;
-  if (hello->property_present.size() != num_properties_ ||
-      !std::equal(hello->property_present.begin(),
-                  hello->property_present.end(), row)) {
+  if (hello->property_present != property_present_[i]) {
     return Status::Internal("worker " + std::to_string(i) +
                             " property-presence row disagrees with the "
                             "coordinator's partitioning");

@@ -16,8 +16,6 @@
 #include "obs/trace.h"
 #include "partition/partition_io.h"
 #include "rdf/ntriples.h"
-#include "storage/segment_store.h"
-#include "storage/segment_writer.h"
 #include "store/triple_store.h"
 
 namespace mpc::exec {
@@ -69,16 +67,11 @@ Status LoadMemorySiteData(const std::string& graph_path,
         "site " + std::to_string(site) + " out of range: partitioning has " +
         std::to_string(partitioning->k()) + " sites");
   }
-  const partition::Partition& p = partitioning->partition(site);
-  std::vector<rdf::Triple> triples = p.internal_edges;
-  triples.insert(triples.end(), p.crossing_edges.begin(),
-                 p.crossing_edges.end());
-  const size_t num_properties = partitioning->crossing_property_mask().size();
-  data->property_present.assign(num_properties, 0);
-  for (const rdf::Triple& t : triples) {
-    data->property_present[t.property] = 1;
-  }
-  data->store = std::make_unique<store::TripleStore>(std::move(triples));
+  auto store = std::make_unique<store::TripleStore>(
+      SiteTriples(partitioning->partition(site)));
+  data->property_present = PropertyPresence(
+      *store, partitioning->crossing_property_mask().size());
+  data->store = std::move(store);
   data->k = partitioning->k();
   data->generation = generation;
   data->load_millis = timer.ElapsedMillis();
@@ -96,25 +89,13 @@ Status LoadSegmentSiteData(const std::string& partition_dir, uint32_t site,
   Result<uint64_t> fingerprint =
       partition::PartitionIo::Fingerprint(partition_dir);
   if (!fingerprint.ok()) return fingerprint.status();
-  storage::SegmentStore::OpenOptions open_options;
-  open_options.expected_fingerprint = *fingerprint;
-  Result<storage::SegmentStore> segment = storage::SegmentStore::Open(
-      storage::SegmentPath(partition_dir, site), open_options);
+  // k is not known here without the manifest; the coordinator checks
+  // the Hello's k instead.
+  Result<storage::SegmentStore> segment = OpenSiteSegment(
+      partition_dir, site, *fingerprint, /*k=*/std::nullopt);
   if (!segment.ok()) return segment.status();
-  if (segment->header().site != site) {
-    return Status::InvalidArgument(
-        segment->path() + ": segment is for site " +
-        std::to_string(segment->header().site) + ", expected " +
-        std::to_string(site));
-  }
-  const size_t num_properties =
-      static_cast<size_t>(segment->header().num_properties);
-  data->property_present.assign(num_properties, 0);
-  for (size_t p = 0; p < num_properties; ++p) {
-    if (segment->PropertyCount(static_cast<rdf::PropertyId>(p)) > 0) {
-      data->property_present[p] = 1;
-    }
-  }
+  data->property_present = PropertyPresence(
+      *segment, static_cast<size_t>(segment->header().num_properties));
   data->k = segment->header().k;
   data->store =
       std::make_unique<storage::SegmentStore>(std::move(*segment));

@@ -2,18 +2,10 @@
 
 #include <cstdio>
 
+#include "common/hash.h"
 #include "net/bytes.h"
 
 namespace mpc::net {
-
-uint64_t FrameChecksum(std::string_view payload) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : payload) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 std::string EncodeFrame(uint16_t type, std::string_view payload) {
   ByteWriter w;
@@ -21,7 +13,7 @@ std::string EncodeFrame(uint16_t type, std::string_view payload) {
   w.U16(kProtocolVersion);
   w.U16(type);
   w.U32(static_cast<uint32_t>(payload.size()));
-  w.U64(FrameChecksum(payload));
+  w.U64(HashString(payload));
   w.Bytes(payload);
   return w.Take();
 }
@@ -66,7 +58,7 @@ Status VerifyFramePayload(const FrameHeader& header,
   if (payload.size() != header.payload_len) {
     return Status::ParseError("frame payload size mismatch");
   }
-  if (FrameChecksum(payload) != header.checksum) {
+  if (HashString(payload) != header.checksum) {
     return Status::ParseError(
         "frame checksum mismatch: payload corrupted in transit");
   }

@@ -53,9 +53,6 @@ struct Frame {
   std::string payload;
 };
 
-/// FNV-1a over raw bytes — the frame checksum. Stable across platforms.
-uint64_t FrameChecksum(std::string_view payload);
-
 /// A complete frame (header + payload), ready to send.
 std::string EncodeFrame(uint16_t type, std::string_view payload);
 

@@ -1,6 +1,7 @@
 #include "sparql/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <string>
 #include <unordered_map>
 
@@ -163,8 +164,11 @@ class ParserImpl {
         ++pos_;
       }
       if (pos_ == start) return Error("LIMIT requires a number");
-      builder_.Limit(static_cast<size_t>(std::stoull(
-          std::string(text_.substr(start, pos_ - start)))));
+      size_t limit = 0;
+      const std::from_chars_result parsed =
+          std::from_chars(text_.data() + start, text_.data() + pos_, limit);
+      if (parsed.ec != std::errc()) return Error("LIMIT out of range");
+      builder_.Limit(limit);
     }
     return Status::Ok();
   }

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/hash.h"
 #include "storage/varint.h"
 
 namespace mpc::storage {
@@ -36,15 +37,6 @@ bool IsPow2(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 }  // namespace
 
-uint64_t SegmentChecksum(std::string_view bytes) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (char c : bytes) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 Key3 KeyOf(RunOrder order, const rdf::Triple& t) {
   if (order == RunOrder::kPso) return {t.property, t.subject, t.object};
   return {t.property, t.object, t.subject};
@@ -75,7 +67,7 @@ std::string EncodeSegmentHeader(const SegmentHeader& header) {
   AppendU64(header.toc_offset, &out);
   AppendU64(header.toc_size, &out);
   AppendU64(header.toc_checksum, &out);
-  AppendU64(SegmentChecksum(out), &out);
+  AppendU64(HashString(out), &out);
   return out;
 }
 
@@ -86,7 +78,7 @@ Result<SegmentHeader> DecodeSegmentHeader(const uint8_t* data, size_t len,
                               std::to_string(len) + " bytes");
   }
   const uint64_t stored_checksum = ReadU64(data + kSegmentHeaderSize - 8);
-  const uint64_t computed = SegmentChecksum(std::string_view(
+  const uint64_t computed = HashString(std::string_view(
       reinterpret_cast<const char*>(data), kSegmentHeaderSize - 8));
   if (stored_checksum != computed) {
     return Status::ParseError("segment header checksum mismatch");

@@ -45,10 +45,6 @@ inline constexpr size_t kPropertyEntrySize = 24;
 inline constexpr uint64_t kMaxProperties = uint64_t{1} << 28;
 inline constexpr uint64_t kMaxBlocksPerRun = uint64_t{1} << 26;
 
-/// FNV-1a over raw bytes; same function the RPC frames use, duplicated
-/// here so storage does not depend on the transport layer.
-uint64_t SegmentChecksum(std::string_view bytes);
-
 /// Which sort order a run of blocks holds. The key of a triple in index
 /// order: PSO → (property, subject, object), POS → (property, object,
 /// subject).

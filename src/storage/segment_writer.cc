@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "common/fsio.h"
+#include "common/hash.h"
 
 namespace mpc::storage {
 
@@ -50,7 +51,7 @@ Run BuildRun(RunOrder order, const std::vector<rdf::Triple>& triples,
     }
     meta.num_triples = static_cast<uint32_t>(i - block_start);
     meta.payload_len = static_cast<uint32_t>(payload.size());
-    meta.checksum = SegmentChecksum(payload);
+    meta.checksum = HashString(payload);
     meta.min_mid = min_mid;
     meta.max_mid = max_mid;
     meta.min_minor = min_minor;
@@ -180,7 +181,7 @@ Status WriteSegment(const std::string& path, std::vector<rdf::Triple> triples,
   header.toc_offset =
       bs * (1 + uint64_t{header.pso_num_blocks} + header.pos_num_blocks);
   header.toc_size = toc.size();
-  header.toc_checksum = SegmentChecksum(toc);
+  header.toc_checksum = HashString(toc);
 
   std::string file = EncodeSegmentHeader(header);
   file.resize(bs, '\0');  // header page

@@ -53,13 +53,8 @@ BindingTable LiveUnionTruth(const Cluster& cluster,
   bool first = true;
   for (uint32_t site = 0; site < cluster.k(); ++site) {
     if (std::find(down.begin(), down.end(), site) != down.end()) continue;
-    const partition::Partition& p =
-        cluster.partitioning().partition(site);
-    std::vector<rdf::Triple> triples(p.internal_edges.begin(),
-                                     p.internal_edges.end());
-    triples.insert(triples.end(), p.crossing_edges.begin(),
-                   p.crossing_edges.end());
-    store::TripleStore store(std::move(triples));
+    store::TripleStore store(
+        SiteTriples(cluster.partitioning().partition(site)));
     BindingTable table = store::BgpMatcher::EvaluateAll(store, resolved);
     if (first) {
       merged = std::move(table);

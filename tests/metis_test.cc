@@ -179,6 +179,13 @@ struct MlpCase {
   uint64_t seed;
 };
 
+/// Readable case name, e.g. k8_seed3: the test name and the printed
+/// parameter (gtest's default prints the raw bytes, padding included).
+std::string CaseName(const MlpCase& c) {
+  return "k" + std::to_string(c.k) + "_seed" + std::to_string(c.seed);
+}
+void PrintTo(const MlpCase& c, std::ostream* os) { *os << CaseName(c); }
+
 class MultilevelPartitionerTest : public ::testing::TestWithParam<MlpCase> {};
 
 TEST_P(MultilevelPartitionerTest, ValidBalancedAndBeatsRandom) {
@@ -221,7 +228,8 @@ TEST_P(MultilevelPartitionerTest, ValidBalancedAndBeatsRandom) {
 INSTANTIATE_TEST_SUITE_P(Sweep, MultilevelPartitionerTest,
                          ::testing::Values(MlpCase{2, 1}, MlpCase{4, 2},
                                            MlpCase{8, 3}, MlpCase{8, 99},
-                                           MlpCase{16, 4}));
+                                           MlpCase{16, 4}),
+                         [](const auto& info) { return CaseName(info.param); });
 
 TEST(MultilevelPartitionerTest, KEqualsOne) {
   CsrGraph g = Ring(10);

@@ -20,6 +20,24 @@ struct MpcCase {
   uint64_t seed;
 };
 
+/// Readable case name, e.g. k4_eps10pct_Greedy_seed2: the test name and
+/// the printed parameter (gtest's default prints the raw bytes,
+/// struct padding included).
+std::string CaseName(const MpcCase& c) {
+  const char* strategy = "Auto";
+  switch (c.strategy) {
+    case SelectionStrategy::kGreedy: strategy = "Greedy"; break;
+    case SelectionStrategy::kBackward: strategy = "Backward"; break;
+    case SelectionStrategy::kExact: strategy = "Exact"; break;
+    case SelectionStrategy::kWeighted: strategy = "Weighted"; break;
+    case SelectionStrategy::kAuto: break;
+  }
+  return "k" + std::to_string(c.k) + "_eps" +
+         std::to_string(static_cast<int>(c.epsilon * 100 + 0.5)) + "pct_" +
+         strategy + "_seed" + std::to_string(c.seed);
+}
+void PrintTo(const MpcCase& c, std::ostream* os) { *os << CaseName(c); }
+
 class MpcPartitionerTest : public ::testing::TestWithParam<MpcCase> {};
 
 TEST_P(MpcPartitionerTest, InvariantsHold) {
@@ -72,7 +90,8 @@ INSTANTIATE_TEST_SUITE_P(
         MpcCase{8, 0.5, SelectionStrategy::kGreedy, 4},
         MpcCase{4, 0.1, SelectionStrategy::kBackward, 5},
         MpcCase{4, 0.1, SelectionStrategy::kAuto, 6},
-        MpcCase{3, 0.2, SelectionStrategy::kExact, 7}));
+        MpcCase{3, 0.2, SelectionStrategy::kExact, 7}),
+    [](const auto& info) { return CaseName(info.param); });
 
 TEST(MpcPartitionerTest, FewerCrossingPropertiesThanBaselines) {
   // Community graph: the regime where the paper's Table II shape holds.

@@ -182,12 +182,7 @@ BindingTable DegradedUnionTruth(const partition::Partitioning& partitioning,
   bool first = true;
   for (uint32_t site = 0; site < partitioning.k(); ++site) {
     if (std::find(down.begin(), down.end(), site) != down.end()) continue;
-    const partition::Partition& p = partitioning.partition(site);
-    std::vector<rdf::Triple> triples(p.internal_edges.begin(),
-                                     p.internal_edges.end());
-    triples.insert(triples.end(), p.crossing_edges.begin(),
-                   p.crossing_edges.end());
-    store::TripleStore store(std::move(triples));
+    store::TripleStore store(SiteTriples(partitioning.partition(site)));
     BindingTable table = store::BgpMatcher::EvaluateAll(store, resolved);
     if (first) {
       merged = std::move(table);
@@ -272,6 +267,70 @@ TEST(RemoteClusterTest, GStoredOverRpcMatchesSimulator) {
     EXPECT_EQ(remote_r->bindings.rows, sim_r->bindings.rows) << text;
     EXPECT_EQ(remote_r->stats.local_rows, sim_r->stats.local_rows) << text;
   }
+}
+
+// Workers started with --store=segment open `mpc pack` output instead
+// of re-parsing the graph; the bindings must not change.
+TEST(RemoteClusterTest, SegmentWorkersMatchSimulator) {
+  std::unique_ptr<Deployment> d =
+      MakeDeployment(4, [](RemoteCluster::Options* options) {
+        options->store_kind = "segment";
+        // Pack before the workers spawn, from the files they read.
+        rdf::GraphBuilder builder;
+        ASSERT_TRUE(
+            rdf::NTriplesParser::ParseFile(options->graph_path, &builder).ok());
+        RdfGraph graph = builder.Build();
+        Result<partition::Partitioning> loaded =
+            partition::PartitionIo::Load(graph, options->partition_dir);
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        ASSERT_TRUE(
+            PackSegments(*loaded, graph, options->partition_dir).ok());
+      });
+  if (d == nullptr) GTEST_SKIP() << "worker binary not built";
+  // The workers' reported footprints are their segments', not in-memory
+  // indexes: they really opened the packed files.
+  Result<Cluster> segments =
+      Cluster::BuildFromSegments(d->partitioning, d->partition_dir);
+  ASSERT_TRUE(segments.ok()) << segments.status().ToString();
+  EXPECT_EQ(d->remote->MemoryUsage(), segments->MemoryUsage());
+
+  Cluster sim = Cluster::Build(d->partitioning);
+  EXPECT_NE(d->remote->MemoryUsage(), sim.MemoryUsage());
+  DistributedExecutor sim_exec(sim, d->graph, RemoteExecOptions());
+  DistributedExecutor remote_exec(*d->remote, d->graph, RemoteExecOptions());
+  for (const char* text : kQueryMix) {
+    sparql::QueryGraph query = testutil::ParseQueryOrDie(text);
+    Result<QueryResponse> sim_r =
+        sim_exec.Execute(QueryRequest::FromQuery(query));
+    Result<QueryResponse> remote_r =
+        remote_exec.Execute(QueryRequest::FromQuery(query));
+    ASSERT_TRUE(sim_r.ok()) << sim_r.status().ToString();
+    ASSERT_TRUE(remote_r.ok()) << remote_r.status().ToString() << " " << text;
+    EXPECT_EQ(remote_r->bindings.var_ids, sim_r->bindings.var_ids) << text;
+    EXPECT_EQ(remote_r->bindings.rows, sim_r->bindings.rows) << text;
+    EXPECT_EQ(remote_r->stats.sites_pruned, sim_r->stats.sites_pruned);
+  }
+}
+
+// A socket directory that does not exist is a deployment error: Start
+// reports it at once instead of spawning workers that cannot bind and
+// spending the restart budget on them.
+TEST(RemoteClusterTest, MissingSocketDirFailsBeforeSpawning) {
+  Rng rng(5);
+  RdfGraph graph = testutil::RandomGraph(rng, 30, 90, 4);
+  core::MpcOptions mpc;
+  mpc.base.k = 2;
+  RemoteCluster::Options options;
+  options.worker_binary = "/nonexistent/mpc";
+  options.socket_dir = "/nonexistent/mpc_sockets";
+  options.supervisor.max_restarts = 0;
+  Result<std::unique_ptr<RemoteCluster>> remote = RemoteCluster::Start(
+      core::MpcPartitioner(mpc).Partition(graph), options);
+  ASSERT_FALSE(remote.ok());
+  EXPECT_EQ(remote.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(remote.status().message().find("/nonexistent/mpc_sockets"),
+            std::string::npos)
+      << remote.status().ToString();
 }
 
 // --- Acceptance: SIGKILL a site mid-stream; the supervisor respawns it

@@ -445,6 +445,43 @@ TEST(SegmentStoreTest, LazyModeFlagsCorruptBlocksAtScanTime) {
 }
 
 // ---------------------------------------------------------------------------
+// The shared pack/open path refuses a segment swapped onto another site.
+
+TEST(SegmentClusterTest, SwappedSiteSegmentsAreRefused) {
+  Rng rng(17);
+  rdf::RdfGraph graph = testutil::RandomGraph(rng, 80, 300, 6);
+  partition::PartitionerOptions popt{.k = 3, .epsilon = 0.1, .seed = 1};
+  partition::Partitioning partitioning =
+      partition::SubjectHashPartitioner(popt).Partition(graph);
+  const std::string dir = TempDir("seg_swap");
+  ASSERT_TRUE(partition::PartitionIo::Save(graph, partitioning, dir).ok());
+  ASSERT_TRUE(exec::PackSegments(partitioning, graph, dir).ok());
+  ASSERT_TRUE(exec::Cluster::BuildFromSegments(partitioning, dir).ok());
+
+  // Same fingerprint, wrong site: only the header's site id tells them
+  // apart.
+  const std::string tmp = dir + "/swap.tmp";
+  std::filesystem::rename(SegmentPath(dir, 0), tmp);
+  std::filesystem::rename(SegmentPath(dir, 1), SegmentPath(dir, 0));
+  std::filesystem::rename(tmp, SegmentPath(dir, 1));
+  Result<exec::Cluster> swapped =
+      exec::Cluster::BuildFromSegments(partitioning, dir);
+  ASSERT_FALSE(swapped.ok());
+  EXPECT_EQ(swapped.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(swapped.status().message().find("segment is for site"),
+            std::string::npos)
+      << swapped.status().ToString();
+
+  // The worker's open (no k known) refuses it the same way.
+  Result<uint64_t> fingerprint = partition::PartitionIo::Fingerprint(dir);
+  ASSERT_TRUE(fingerprint.ok());
+  EXPECT_FALSE(
+      exec::OpenSiteSegment(dir, 0, *fingerprint, std::nullopt).ok());
+  EXPECT_TRUE(exec::OpenSiteSegment(dir, 2, *fingerprint, 3).ok());
+  EXPECT_FALSE(exec::OpenSiteSegment(dir, 2, *fingerprint, 4).ok());
+}
+
+// ---------------------------------------------------------------------------
 // Executor-level equivalence on the LUBM mix.
 
 TEST(SegmentClusterTest, LubmQueryMixIsBitIdenticalAcrossBackends) {
@@ -459,22 +496,7 @@ TEST(SegmentClusterTest, LubmQueryMixIsBitIdenticalAcrossBackends) {
   const std::string dir = TempDir("seg_lubm");
   ASSERT_TRUE(
       partition::PartitionIo::Save(dataset.graph, partitioning, dir).ok());
-  Result<uint64_t> fingerprint = partition::PartitionIo::Fingerprint(dir);
-  ASSERT_TRUE(fingerprint.ok());
-  for (uint32_t i = 0; i < partitioning.k(); ++i) {
-    const partition::Partition& p = partitioning.partition(i);
-    std::vector<Triple> triples = p.internal_edges;
-    triples.insert(triples.end(), p.crossing_edges.begin(),
-                   p.crossing_edges.end());
-    SegmentWriterOptions options;
-    options.site = i;
-    options.k = partitioning.k();
-    options.num_properties = dataset.graph.num_properties();
-    options.num_vertices = dataset.graph.num_vertices();
-    options.partition_fingerprint = *fingerprint;
-    ASSERT_TRUE(
-        WriteSegment(SegmentPath(dir, i), std::move(triples), options).ok());
-  }
+  ASSERT_TRUE(exec::PackSegments(partitioning, dataset.graph, dir).ok());
 
   exec::Cluster memory_cluster = exec::Cluster::Build(partitioning);
   Result<exec::Cluster> segment_cluster =

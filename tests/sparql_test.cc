@@ -113,6 +113,11 @@ TEST(ParserTest, LimitClause) {
   EXPECT_FALSE(
       SparqlParser::Parse("SELECT * WHERE { ?x <http://p> ?y . } LIMIT x")
           .ok());
+  // Past size_t: a ParseError, not an uncaught exception.
+  Result<QueryGraph> overflow = SparqlParser::Parse(
+      "SELECT * WHERE { ?x <http://p> ?y . } LIMIT 99999999999999999999999");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kParseError);
 }
 
 TEST(ParserTest, ErrorCases) {

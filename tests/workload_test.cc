@@ -73,6 +73,12 @@ struct DatasetCase {
   size_t max_properties;
 };
 
+/// Prints the dataset name rather than gtest's raw bytes (which include
+/// the struct's padding).
+void PrintTo(const DatasetCase& c, std::ostream* os) {
+  *os << DatasetName(c.id);
+}
+
 class DatasetShapeTest : public ::testing::TestWithParam<DatasetCase> {};
 
 TEST_P(DatasetShapeTest, PropertyCountMatchesTableI) {
@@ -91,7 +97,8 @@ INSTANTIATE_TEST_SUITE_P(
                       DatasetCase{DatasetId::kYago2, 98, 98},
                       DatasetCase{DatasetId::kBio2rdf, 1500, 1581},
                       DatasetCase{DatasetId::kDbpedia, 2000, 12064},
-                      DatasetCase{DatasetId::kLgd, 1500, 4006}));
+                      DatasetCase{DatasetId::kLgd, 1500, 4006}),
+    [](const auto& info) { return std::string(DatasetName(info.param.id)); });
 
 TEST(BenchmarkQueriesTest, AllParseAndShapesMatch) {
   for (DatasetId id :

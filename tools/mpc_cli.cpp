@@ -69,7 +69,11 @@
 // --store=segment, query/serve/site then mmap those segments instead of
 // re-parsing and re-indexing — cold start becomes a file map plus a TOC
 // read, and resident memory is bounded by the pages queries touch.
-// Results are bit-identical between the two backends.
+// Results are bit-identical between the two backends. Packing and
+// opening go through the shared site loader in exec/cluster.h
+// (PackSegments; Cluster::BuildFromSegments, which `serve --updates`
+// also uses for its overlay bases), so every command refuses a segment
+// packed for another partitioning or another site the same way.
 //
 // The SPARQL argument may be a file path or an inline query string.
 // --threads=0 (the default) uses every hardware thread; --threads=1 runs
@@ -100,6 +104,7 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -135,7 +140,6 @@
 #include "serve/query_service.h"
 #include "serve/serving_state.h"
 #include "sparql/parser.h"
-#include "storage/segment_store.h"
 #include "storage/segment_writer.h"
 
 namespace {
@@ -380,6 +384,50 @@ Result<rdf::RdfGraph> LoadGraph(const std::string& path, int threads) {
   return builder.Build();
 }
 
+/// A graph and the partitioning saved for it.
+struct LoadedPartition {
+  rdf::RdfGraph graph;
+  partition::Partitioning partitioning;
+};
+
+/// The preamble of every command that works on a partition directory:
+/// parses positional[0] and reloads the partitioning saved in
+/// positional[1] against it. Prints the error and returns nullopt on
+/// failure.
+std::optional<LoadedPartition> LoadPartition(const Flags& flags) {
+  Result<rdf::RdfGraph> graph = LoadGraph(flags.positional[0], flags.threads);
+  if (!graph.ok()) {
+    std::cerr << graph.status().ToString() << "\n";
+    return std::nullopt;
+  }
+  Result<partition::Partitioning> partitioning =
+      partition::PartitionIo::Load(*graph, flags.positional[1]);
+  if (!partitioning.ok()) {
+    std::cerr << partitioning.status().ToString() << "\n";
+    return std::nullopt;
+  }
+  return LoadedPartition{std::move(*graph), std::move(*partitioning)};
+}
+
+/// The in-process cluster over `partitioning` on the --store backend:
+/// in-memory indexes, or `mpc pack`'s segments. Prints the error and
+/// returns nullopt on failure.
+std::optional<exec::Cluster> OpenCluster(const Flags& flags,
+                                         partition::Partitioning partitioning) {
+  if (flags.store != "segment") {
+    return exec::Cluster::Build(std::move(partitioning), flags.threads);
+  }
+  Result<exec::Cluster> opened = exec::Cluster::BuildFromSegments(
+      std::move(partitioning), flags.positional[1], flags.threads);
+  if (!opened.ok()) {
+    std::cerr << opened.status().ToString()
+              << "\n(--store=segment needs `mpc pack " << flags.positional[0]
+              << " " << flags.positional[1] << "` first)\n";
+    return std::nullopt;
+  }
+  return std::move(*opened);
+}
+
 /// Graceful-drain flag for `serve` and `site`: SIGINT/SIGTERM stop
 /// admission, in-flight work finishes, metrics/trace flush, exit 0.
 std::atomic<bool> g_drain{false};
@@ -561,47 +609,33 @@ int CmdPartition(const Flags& flags) {
 
 int CmdExplain(const Flags& flags) {
   if (flags.positional.size() != 3) return Usage();
-  Result<rdf::RdfGraph> graph = LoadGraph(flags.positional[0], flags.threads);
-  if (!graph.ok()) {
-    std::cerr << graph.status().ToString() << "\n";
-    return 1;
-  }
-  Result<partition::Partitioning> partitioning =
-      partition::PartitionIo::Load(*graph, flags.positional[1]);
-  if (!partitioning.ok()) {
-    std::cerr << partitioning.status().ToString() << "\n";
-    return 1;
-  }
+  std::optional<LoadedPartition> loaded = LoadPartition(flags);
+  if (!loaded) return 1;
+  rdf::RdfGraph& graph = loaded->graph;
+  partition::Partitioning& partitioning = loaded->partitioning;
   Result<sparql::QueryGraph> query =
       sparql::SparqlParser::Parse(LoadQueryText(flags.positional[2]));
   if (!query.ok()) {
     std::cerr << query.status().ToString() << "\n";
     return 1;
   }
-  if (partitioning->kind() != partition::PartitioningKind::kVertexDisjoint) {
+  if (partitioning.kind() != partition::PartitioningKind::kVertexDisjoint) {
     std::cerr << "explain requires a vertex-disjoint partitioning\n";
     return 1;
   }
   exec::Cluster cluster =
-      exec::Cluster::Build(std::move(*partitioning), flags.threads);
-  std::cout << exec::ExplainQuery(*query, cluster.partitioning(), *graph,
+      exec::Cluster::Build(std::move(partitioning), flags.threads);
+  std::cout << exec::ExplainQuery(*query, cluster.partitioning(), graph,
                                   &cluster);
   return 0;
 }
 
 int CmdClassifyOrQuery(const Flags& flags, bool execute) {
   if (flags.positional.size() != 3) return Usage();
-  Result<rdf::RdfGraph> graph = LoadGraph(flags.positional[0], flags.threads);
-  if (!graph.ok()) {
-    std::cerr << graph.status().ToString() << "\n";
-    return 1;
-  }
-  Result<partition::Partitioning> partitioning =
-      partition::PartitionIo::Load(*graph, flags.positional[1]);
-  if (!partitioning.ok()) {
-    std::cerr << partitioning.status().ToString() << "\n";
-    return 1;
-  }
+  std::optional<LoadedPartition> loaded = LoadPartition(flags);
+  if (!loaded) return 1;
+  rdf::RdfGraph& graph = loaded->graph;
+  partition::Partitioning& partitioning = loaded->partitioning;
   Result<sparql::QueryGraph> query =
       sparql::SparqlParser::Parse(LoadQueryText(flags.positional[2]));
   if (!query.ok()) {
@@ -609,9 +643,9 @@ int CmdClassifyOrQuery(const Flags& flags, bool execute) {
     return 1;
   }
 
-  if (partitioning->kind() == partition::PartitioningKind::kVertexDisjoint) {
+  if (partitioning.kind() == partition::PartitioningKind::kVertexDisjoint) {
     exec::Classification cls =
-        exec::ClassifyQuery(*query, *partitioning, *graph);
+        exec::ClassifyQuery(*query, partitioning, graph);
     std::cout << "class:      " << exec::IeqClassName(cls.cls) << "\n"
               << "independent: "
               << (cls.independently_executable() ? "yes (union only)"
@@ -626,28 +660,17 @@ int CmdClassifyOrQuery(const Flags& flags, bool execute) {
     }
   } else {
     std::cout << "edge-disjoint (VP) partitioning; local: "
-              << (exec::IsVpLocalQuery(*query, *partitioning, *graph)
+              << (exec::IsVpLocalQuery(*query, partitioning, graph)
                       ? "yes"
                       : "no")
               << "\n";
   }
   if (!execute) return 0;
 
-  exec::Cluster cluster;
-  if (flags.store == "segment") {
-    Result<exec::Cluster> opened = exec::Cluster::BuildFromSegments(
-        std::move(*partitioning), flags.positional[1], flags.threads);
-    if (!opened.ok()) {
-      std::cerr << opened.status().ToString()
-                << "\n(--store=segment needs `mpc pack " << flags.positional[0]
-                << " " << flags.positional[1] << "` first)\n";
-      return 1;
-    }
-    cluster = std::move(*opened);
-  } else {
-    cluster = exec::Cluster::Build(std::move(*partitioning), flags.threads);
-  }
-  exec::DistributedExecutor executor(cluster, *graph, flags.ExecutorOpts());
+  std::optional<exec::Cluster> cluster =
+      OpenCluster(flags, std::move(partitioning));
+  if (!cluster) return 1;
+  exec::DistributedExecutor executor(*cluster, graph, flags.ExecutorOpts());
   Result<exec::QueryResponse> response =
       executor.Execute(exec::QueryRequest::FromQuery(*query));
   if (!response.ok()) {
@@ -682,7 +705,7 @@ int CmdClassifyOrQuery(const Flags& flags, bool execute) {
   for (size_t r = 0; r < std::min(limit, result.rows.size()); ++r) {
     for (size_t c = 0; c < result.var_ids.size(); ++c) {
       std::cout << (c ? " " : "  ")
-                << graph->VertexName(result.rows[r][c]);
+                << graph.VertexName(result.rows[r][c]);
     }
     std::cout << "\n";
   }
@@ -698,65 +721,30 @@ int CmdClassifyOrQuery(const Flags& flags, bool execute) {
 /// re-parsing the graph.
 int CmdPack(const Flags& flags) {
   if (flags.positional.size() != 2) return Usage();
-  Result<rdf::RdfGraph> graph = LoadGraph(flags.positional[0], flags.threads);
-  if (!graph.ok()) {
-    std::cerr << graph.status().ToString() << "\n";
-    return 1;
-  }
-  Result<partition::Partitioning> partitioning =
-      partition::PartitionIo::Load(*graph, flags.positional[1]);
-  if (!partitioning.ok()) {
-    std::cerr << partitioning.status().ToString() << "\n";
-    return 1;
-  }
-  Result<uint64_t> fingerprint =
-      partition::PartitionIo::Fingerprint(flags.positional[1]);
-  if (!fingerprint.ok()) {
-    std::cerr << fingerprint.status().ToString() << "\n";
-    return 1;
-  }
-
+  std::optional<LoadedPartition> loaded = LoadPartition(flags);
+  if (!loaded) return 1;
   const auto start = std::chrono::steady_clock::now();
-  uint64_t total_triples = 0;
-  uint64_t total_bytes = 0;
-  uint32_t total_blocks = 0;
-  for (uint32_t i = 0; i < partitioning->k(); ++i) {
-    const partition::Partition& p = partitioning->partition(i);
-    std::vector<rdf::Triple> triples = p.internal_edges;
-    triples.insert(triples.end(), p.crossing_edges.begin(),
-                   p.crossing_edges.end());
-    storage::SegmentWriterOptions options;
-    options.block_size = flags.block_size;
-    options.site = i;
-    options.k = partitioning->k();
-    options.num_properties = graph->num_properties();
-    options.num_vertices = graph->num_vertices();
-    options.partition_fingerprint = *fingerprint;
-    storage::SegmentWriteStats stats;
-    Status st = storage::WriteSegment(
-        storage::SegmentPath(flags.positional[1], i), std::move(triples),
-        options, &stats);
-    if (!st.ok()) {
-      std::cerr << "site " << i << ": " << st.ToString() << "\n";
-      return 1;
-    }
-    total_triples += stats.num_triples;
-    total_bytes += stats.file_bytes;
-    total_blocks += stats.pso_blocks + stats.pos_blocks;
+  storage::SegmentWriteStats stats;
+  Status st = exec::PackSegments(loaded->partitioning, loaded->graph,
+                                 flags.positional[1], flags.block_size, &stats);
+  if (!st.ok()) {
+    std::cerr << st.ToString() << "\n";
+    return 1;
   }
   const double millis =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)
           .count();
-  std::cout << "packed:     " << partitioning->k() << " segments, "
-            << FormatWithCommas(total_triples) << " stored triples, "
-            << FormatWithCommas(total_blocks) << " blocks ("
+  std::cout << "packed:     " << loaded->partitioning.k() << " segments, "
+            << FormatWithCommas(stats.num_triples) << " stored triples, "
+            << FormatWithCommas(stats.pso_blocks + stats.pos_blocks)
+            << " blocks ("
             << FormatWithCommas(flags.block_size) << " B each)\n"
-            << "bytes:      " << FormatWithCommas(total_bytes) << " ("
-            << FormatDouble(total_triples == 0
+            << "bytes:      " << FormatWithCommas(stats.file_bytes) << " ("
+            << FormatDouble(stats.num_triples == 0
                                 ? 0.0
-                                : static_cast<double>(total_bytes) /
-                                      static_cast<double>(total_triples),
+                                : static_cast<double>(stats.file_bytes) /
+                                      static_cast<double>(stats.num_triples),
                             2)
             << " B/triple vs " << sizeof(rdf::Triple) * 4
             << " B/triple resident in memory)\n"
@@ -767,18 +755,11 @@ int CmdPack(const Flags& flags) {
 
 int CmdUpdate(const Flags& flags) {
   if (flags.positional.size() != 3) return Usage();
-  Result<rdf::RdfGraph> graph = LoadGraph(flags.positional[0], flags.threads);
-  if (!graph.ok()) {
-    std::cerr << graph.status().ToString() << "\n";
-    return 1;
-  }
-  Result<partition::Partitioning> partitioning =
-      partition::PartitionIo::Load(*graph, flags.positional[1]);
-  if (!partitioning.ok()) {
-    std::cerr << partitioning.status().ToString() << "\n";
-    return 1;
-  }
-  if (partitioning->kind() != partition::PartitioningKind::kVertexDisjoint) {
+  std::optional<LoadedPartition> loaded = LoadPartition(flags);
+  if (!loaded) return 1;
+  rdf::RdfGraph& graph = loaded->graph;
+  partition::Partitioning& partitioning = loaded->partitioning;
+  if (partitioning.kind() != partition::PartitioningKind::kVertexDisjoint) {
     std::cerr << "update requires a vertex-disjoint partitioning\n";
     return 1;
   }
@@ -797,7 +778,7 @@ int CmdUpdate(const Flags& flags) {
   ApplyPolicyFlags(flags, /*fallback=*/"threshold", &options);
   if (!flags.workload_file.empty()) {
     Result<std::vector<double>> weights =
-        LoadWorkloadWeights(flags.workload_file, *graph);
+        LoadWorkloadWeights(flags.workload_file, graph);
     if (!weights.ok()) {
       std::cerr << weights.status().ToString() << "\n";
       return 1;
@@ -836,7 +817,7 @@ int CmdUpdate(const Flags& flags) {
     }
     Result<std::unique_ptr<dynamic::IncrementalMaintainer>> opened =
         dynamic::IncrementalMaintainer::OpenDurable(
-            std::move(*graph), std::move(*partitioning), options,
+            std::move(graph), std::move(partitioning), options,
             *fingerprint);
     if (!opened.ok()) {
       std::cerr << opened.status().ToString() << "\n";
@@ -854,7 +835,7 @@ int CmdUpdate(const Flags& flags) {
       return 1;
     }
     maintainer = std::make_unique<dynamic::IncrementalMaintainer>(
-        std::move(*graph), std::move(*partitioning), options);
+        std::move(graph), std::move(partitioning), options);
   }
   if (skip > batches->size()) {
     std::cerr << "journal holds " << skip
@@ -1031,17 +1012,10 @@ int CmdServe(const Flags& flags) {
   if (flags.slow_query_ms > 0.0 && !obs::TracingEnabled()) {
     obs::StartTracing();
   }
-  Result<rdf::RdfGraph> graph = LoadGraph(flags.positional[0], flags.threads);
-  if (!graph.ok()) {
-    std::cerr << graph.status().ToString() << "\n";
-    return 1;
-  }
-  Result<partition::Partitioning> partitioning =
-      partition::PartitionIo::Load(*graph, flags.positional[1]);
-  if (!partitioning.ok()) {
-    std::cerr << partitioning.status().ToString() << "\n";
-    return 1;
-  }
+  std::optional<LoadedPartition> loaded = LoadPartition(flags);
+  if (!loaded) return 1;
+  rdf::RdfGraph& graph = loaded->graph;
+  partition::Partitioning& partitioning = loaded->partitioning;
 
   std::vector<std::string> queries;
   {
@@ -1097,7 +1071,7 @@ int CmdServe(const Flags& flags) {
     ropt.kill_after_queries = flags.kill_after_queries;
     ropt.supervisor.max_restarts = flags.max_restarts;
     Result<std::unique_ptr<exec::RemoteCluster>> remote =
-        exec::RemoteCluster::Start(std::move(*partitioning), ropt);
+        exec::RemoteCluster::Start(std::move(partitioning), ropt);
     if (!remote.ok()) {
       std::cerr << remote.status().ToString() << "\n";
       return 1;
@@ -1106,11 +1080,11 @@ int CmdServe(const Flags& flags) {
     std::cout << "remote cluster: " << num_sites << " site processes up ("
               << FormatMillis((*remote)->loading_millis())
               << " ms max site load)\n";
-    state = serve::ServingState::WrapBackend(std::move(*graph),
+    state = serve::ServingState::WrapBackend(std::move(graph),
                                              std::move(*remote),
                                              /*generation=*/0, state_options);
   } else if (!flags.updates_file.empty()) {
-    if (partitioning->kind() !=
+    if (partitioning.kind() !=
         partition::PartitioningKind::kVertexDisjoint) {
       std::cerr << "--updates requires a vertex-disjoint partitioning\n";
       return 1;
@@ -1126,26 +1100,9 @@ int CmdServe(const Flags& flags) {
       // Out-of-core dynamic serving: every Capture composes these
       // immutable pack-time segments with the maintainer's delta sets
       // instead of rebuilding per-site indexes per published batch.
-      Result<uint64_t> fingerprint =
-          partition::PartitionIo::Fingerprint(flags.positional[1]);
-      if (!fingerprint.ok()) {
-        std::cerr << fingerprint.status().ToString() << "\n";
-        return 1;
-      }
-      for (uint32_t i = 0; i < partitioning->k(); ++i) {
-        storage::SegmentStore::OpenOptions open_options;
-        open_options.expected_fingerprint = *fingerprint;
-        Result<storage::SegmentStore> segment = storage::SegmentStore::Open(
-            storage::SegmentPath(flags.positional[1], i), open_options);
-        if (!segment.ok()) {
-          std::cerr << segment.status().ToString()
-                    << "\n(--store=segment needs `mpc pack` first)\n";
-          return 1;
-        }
-        state_options.base_sources.push_back(
-            std::make_shared<const storage::SegmentStore>(
-                std::move(*segment)));
-      }
+      std::optional<exec::Cluster> opened = OpenCluster(flags, partitioning);
+      if (!opened) return 1;
+      state_options.base_sources = opened->sources();
     }
     dynamic::MaintainerOptions moptions;
     moptions.num_threads = flags.threads;
@@ -1155,7 +1112,7 @@ int CmdServe(const Flags& flags) {
     moptions.executor = state_options.executor;
     if (!flags.workload_file.empty()) {
       Result<std::vector<double>> weights =
-          LoadWorkloadWeights(flags.workload_file, *graph);
+          LoadWorkloadWeights(flags.workload_file, graph);
       if (!weights.ok()) {
         std::cerr << weights.status().ToString() << "\n";
         return 1;
@@ -1163,32 +1120,23 @@ int CmdServe(const Flags& flags) {
       moptions.property_weights = std::move(*weights);
     }
     base_weights = moptions.property_weights;
-    seed_properties.reserve(graph->num_properties());
-    for (size_t p = 0; p < graph->num_properties(); ++p) {
-      seed_properties.emplace(graph->PropertyName(
+    seed_properties.reserve(graph.num_properties());
+    for (size_t p = 0; p < graph.num_properties(); ++p) {
+      seed_properties.emplace(graph.PropertyName(
                                   static_cast<rdf::PropertyId>(p)),
                               static_cast<rdf::PropertyId>(p));
     }
-    workload_counts.assign(graph->num_properties(), 0.0);
+    workload_counts.assign(graph.num_properties(), 0.0);
     maintainer = std::make_unique<dynamic::IncrementalMaintainer>(
-        std::move(*graph), std::move(*partitioning), moptions);
+        std::move(graph), std::move(partitioning), moptions);
     state = serve::ServingState::Capture(*maintainer, state_options);
-  } else if (flags.store == "segment") {
-    Result<exec::Cluster> opened = exec::Cluster::BuildFromSegments(
-        std::move(*partitioning), flags.positional[1], flags.threads);
-    if (!opened.ok()) {
-      std::cerr << opened.status().ToString()
-                << "\n(--store=segment needs `mpc pack` first)\n";
-      return 1;
-    }
-    state = serve::ServingState::WrapBackend(
-        std::move(*graph),
-        std::make_unique<exec::Cluster>(std::move(*opened)),
-        /*generation=*/0, state_options);
   } else {
-    state = serve::ServingState::Build(std::move(*graph),
-                                       std::move(*partitioning),
-                                       /*generation=*/0, state_options);
+    std::optional<exec::Cluster> cluster =
+        OpenCluster(flags, std::move(partitioning));
+    if (!cluster) return 1;
+    state = serve::ServingState::WrapBackend(
+        std::move(graph), std::make_unique<exec::Cluster>(std::move(*cluster)),
+        /*generation=*/0, state_options);
   }
 
   serve::QueryServiceOptions service_options;
