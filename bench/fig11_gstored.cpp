@@ -1,11 +1,12 @@
 // Fig. 11: partitioning-agnostic system experiment — gStoreD-style
-// partial-evaluation-and-assembly runtime under the three vertex-disjoint
-// partitionings, on LUBM's non-star queries and all YAGO2 queries. Fewer
-// crossing properties => fewer local partial matches => faster.
+// partial-evaluation-and-assembly plan (ExecStrategy::kGstored) under the
+// three vertex-disjoint partitionings, on LUBM's non-star queries and all
+// YAGO2 queries. Fewer crossing properties => fewer local partial
+// matches => faster.
 
 #include "bench_util.h"
 
-#include "exec/gstored_executor.h"
+#include "exec/distributed_executor.h"
 
 namespace {
 
@@ -28,13 +29,17 @@ void RunDataset(mpc::workload::DatasetId id, double scale,
   for (const std::string& s : strategies) bench::Cell(s, 22);
   std::cout << "\n";
 
+  // gStoreD dispatches every fragment to every site.
+  exec::ExecutorOptions options;
+  options.site_pruning = false;
   for (const workload::NamedQuery& nq : d.benchmark_queries) {
     if (non_star_only && nq.is_star) continue;
     sparql::QueryGraph q = bench::MustParse(nq.sparql);
     bench::LeftCell(nq.name, 7);
     for (exec::Cluster& cluster : clusters) {
-      exec::GStoredExecutor executor(cluster, d.graph);
-      auto response = executor.Execute(exec::QueryRequest::FromQuery(q));
+      exec::DistributedExecutor executor(cluster, d.graph, options);
+      auto response = executor.Execute(exec::QueryRequest::FromQuery(
+          q, {.strategy = exec::ExecStrategy::kGstored}));
       if (!response.ok()) {
         std::cerr << nq.name << " failed: " << response.status().ToString()
                   << "\n";

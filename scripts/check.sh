@@ -629,8 +629,8 @@ cmake -B build-tsan -S . -DMPC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${JOBS}" \
   --target obs_trace_test obs_metrics_test obs_snapshot_test \
   trace_context_test serve_test dynamic_test migration_test \
-  mpc_cli trace_check
-echo "=== tracer/metrics/serving tests under tsan ==="
+  executor_test fault_tolerance_test mpc_cli trace_check
+echo "=== tracer/metrics/serving/executor tests under tsan ==="
 ./build-tsan/tests/obs_trace_test
 ./build-tsan/tests/obs_metrics_test
 ./build-tsan/tests/obs_snapshot_test
@@ -638,6 +638,8 @@ echo "=== tracer/metrics/serving tests under tsan ==="
 ./build-tsan/tests/serve_test
 ./build-tsan/tests/dynamic_test
 ./build-tsan/tests/migration_test
+./build-tsan/tests/executor_test
+./build-tsan/tests/fault_tolerance_test
 serve_smoke build-tsan
 adaptive_smoke build-tsan
 obs_smoke build-tsan

@@ -646,26 +646,6 @@ rdf::RdfGraph IncrementalMaintainer::MaterializeGraph() const {
   return builder.Build();
 }
 
-const exec::Cluster& IncrementalMaintainer::cluster() {
-  if (!cluster_ || cluster_generation_ != generation_) {
-    executor_.reset();
-    cluster_ = std::make_unique<exec::Cluster>(
-        exec::Cluster::Build(CompactPartitioning(), options_.num_threads));
-    exec::ExecutorOptions exec_options = options_.executor;
-    exec_options.generation = generation_;
-    executor_ = std::make_unique<exec::DistributedExecutor>(
-        *cluster_, graph_, exec_options);
-    cluster_generation_ = generation_;
-  }
-  return *cluster_;
-}
-
-Result<exec::QueryResponse> IncrementalMaintainer::Execute(
-    const exec::QueryRequest& request) {
-  cluster();  // refresh the cached view
-  return executor_->Execute(request);
-}
-
 void IncrementalMaintainer::RepartitionNow() {
   MPC_TRACE_SPAN("dynamic.repartition");
   obs::MetricsRegistry::Default().CounterRef("dynamic.repartitions").Inc();

@@ -13,8 +13,6 @@
 #include "dynamic/drift_tracker.h"
 #include "dynamic/update_journal.h"
 #include "dynamic/update_log.h"
-#include "exec/cluster.h"
-#include "exec/distributed_executor.h"
 #include "mpc/mpc_partitioner.h"
 #include "partition/partitioning.h"
 #include "rdf/graph.h"
@@ -40,8 +38,6 @@ struct MaintainerOptions {
   /// Options for those re-runs; base.k is forced to the attached
   /// partitioning's k (the cluster does not resize mid-stream).
   core::MpcOptions mpc;
-  /// Executor options for mid-stream queries (Execute).
-  exec::ExecutorOptions executor;
   /// Worker threads for compaction, cluster builds and repartition runs
   /// (0 = hardware_concurrency). Update application itself is serial, so
   /// all maintained state is bit-identical at any value.
@@ -146,6 +142,8 @@ struct ApplyResult {
 /// Thread contract: single writer. All public methods must be called
 /// from one thread; the only internal concurrency is the background
 /// repartition job, which works exclusively on a private snapshot.
+/// Queries run on a snapshot taken on that thread
+/// (serve::ServingState::Capture).
 class IncrementalMaintainer {
  public:
   /// Takes ownership of the graph snapshot and its vertex-disjoint
@@ -211,19 +209,6 @@ class IncrementalMaintainer {
 
   /// Fresh, compacted graph of the live triples (new dense ids).
   rdf::RdfGraph MaterializeGraph() const;
-
-  /// Cached cluster over CompactPartitioning(); rebuilt only after the
-  /// state changed. Invalidated by ApplyBatch and repartition swaps.
-  const exec::Cluster& cluster();
-
-  /// Runs a query against the current state (classification sees the
-  /// up-to-date crossing set, so a query whose property went crossing
-  /// mid-stream is decomposed, and one whose property retired from
-  /// L_cross unions without joins). The response carries generation()
-  /// so callers can tell exactly which state answered. Single-writer
-  /// contract applies: call from the update thread, or snapshot with a
-  /// serve::ServingState for concurrent queries.
-  Result<exec::QueryResponse> Execute(const exec::QueryRequest& request);
 
   /// Monotone state-version counter: bumped by Attach, every ApplyBatch,
   /// and every repartition swap. Equal generations imply identical live
@@ -389,11 +374,7 @@ class IncrementalMaintainer {
   std::unique_ptr<UpdateJournal> journal_;
   uint64_t journal_fingerprint_ = 0;
 
-  // Cached query view.
-  std::unique_ptr<exec::Cluster> cluster_;
-  std::unique_ptr<exec::DistributedExecutor> executor_;
   uint64_t generation_ = 0;
-  uint64_t cluster_generation_ = ~0ULL;
 
   // Background repartition job. The job thread only touches pending_*;
   // pending_ready_ (release/acquire) publishes them to the main thread.

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "exec/query_api.h"
 #include "exec/query_classifier.h"
 #include "sparql/query_graph.h"
 
@@ -31,23 +32,33 @@ struct Decomposition {
 Decomposition DecomposeQuery(const sparql::QueryGraph& query,
                              const std::vector<bool>& crossing_pattern);
 
-/// The reusable per-query plan for vertex-disjoint execution:
+/// The reusable per-query plan for vertex-disjoint execution: the
 /// classification against the partitioning's crossing set plus the
-/// Algorithm 2 decomposition (a single all-pattern subquery for IEQs).
-/// A plan is valid for every query with the same canonical shape
-/// (sparql::CanonicalShapeKey) against the same crossing-property set —
-/// the QueryService's plan cache keys on exactly that pair, with the
-/// maintainer generation standing in for the crossing set.
+/// subqueries the executor ships to the sites. A plan is valid for every
+/// query with the same canonical shape (sparql::CanonicalShapeKey)
+/// against the same crossing-property set and strategy — the
+/// QueryService's plan cache keys on exactly that, with the maintainer
+/// generation standing in for the crossing set.
 struct QueryPlan {
   Classification classification;
   Decomposition decomposition;
+  /// The per-site answers need only a union, no coordinator join.
+  bool union_only = false;
 };
 
-/// Builds the plan the executor would otherwise compute inline
-/// (classify, then decompose or wrap all patterns into one subquery).
+/// Builds the plan the executor would otherwise compute inline.
+///  - kAuto: Section V-B2 — one all-pattern subquery for an IEQ
+///    (union-only), the Algorithm 2 decomposition otherwise.
+///  - kGstored: partial evaluation in the style of gStoreD [28][29], the
+///    runtime of the partitioning-agnostic experiment (Fig. 11). The
+///    query is cut at every crossing-property / variable-predicate edge:
+///    each non-empty WCC left is one subquery, and so is each crossing
+///    edge on its own, whatever the IEQ class. Union-only iff that leaves
+///    a single subquery.
 QueryPlan PlanQuery(const sparql::QueryGraph& query,
                     const partition::Partitioning& partitioning,
-                    const rdf::RdfGraph& graph);
+                    const rdf::RdfGraph& graph,
+                    ExecStrategy strategy = ExecStrategy::kAuto);
 
 }  // namespace mpc::exec
 

@@ -90,13 +90,18 @@ Result<QueryResponse> DistributedExecutor::Execute(
 
 Result<QueryResponse> DistributedExecutor::Execute(
     const QueryRequest& request, const QueryPlan* plan) const {
-  if (request.options.strategy == ExecStrategy::kGstored) {
-    return Status::InvalidArgument(
-        "DistributedExecutor cannot serve ExecStrategy::kGstored; route "
-        "the request through a QueryService or GStoredExecutor");
-  }
   Result<sparql::QueryGraph> query = ResolveRequestQuery(request);
   if (!query.ok()) return query.status();
+  const ExecStrategy strategy = request.options.strategy;
+  const bool vp = cluster_.partitioning().kind() ==
+                  partition::PartitioningKind::kEdgeDisjoint;
+  if (vp && strategy == ExecStrategy::kGstored) {
+    return AttachQueryText(
+        Status::InvalidArgument(
+            "gStoreD-style execution requires a vertex-disjoint "
+            "partitioning"),
+        request.text);
+  }
 
   QueryResponse response;
   response.generation = options_.generation;
@@ -107,8 +112,6 @@ Result<QueryResponse> DistributedExecutor::Execute(
   run.avail = cluster_.AllUp();
   run.contacted.assign(cluster_.k(), 0);
   run.stats = stats;
-  const bool vp = cluster_.partitioning().kind() ==
-                  partition::PartitioningKind::kEdgeDisjoint;
   obs::TraceSpan span("exec.query");
   span.Attr("kind", vp ? "vp" : "vertex_disjoint")
       .Attr("patterns", static_cast<uint64_t>(query->num_patterns()));
@@ -119,7 +122,8 @@ Result<QueryResponse> DistributedExecutor::Execute(
   // serving-layer span, or freshly rooted here); 0 when tracing is off.
   stats->trace_id = obs::CurrentTraceContext().trace_id;
   Result<BindingTable> result =
-      vp ? ExecuteVp(*query, &run) : ExecuteVertexDisjoint(*query, plan, &run);
+      vp ? ExecuteVp(*query, &run)
+         : ExecuteVertexDisjoint(*query, strategy, plan, &run);
   span.Attr("subqueries", static_cast<uint64_t>(stats->num_subqueries))
       .Attr("sites_evaluated", static_cast<uint64_t>(stats->sites_evaluated))
       .Attr("sites_pruned", static_cast<uint64_t>(stats->sites_pruned))
@@ -135,8 +139,8 @@ Result<QueryResponse> DistributedExecutor::Execute(
 }
 
 Result<BindingTable> DistributedExecutor::ExecuteVertexDisjoint(
-    const sparql::QueryGraph& query, const QueryPlan* plan,
-    QueryRun* run) const {
+    const sparql::QueryGraph& query, ExecStrategy strategy,
+    const QueryPlan* plan, QueryRun* run) const {
   ExecutionStats* stats = run->stats;
   // --- QDT: classify + decompose (or reuse the caller's cached plan),
   // resolve, dispatch. ---
@@ -145,13 +149,13 @@ Result<BindingTable> DistributedExecutor::ExecuteVertexDisjoint(
   {
     obs::TraceSpan qdt_span("exec.decompose");
     if (plan == nullptr) {
-      local_plan = PlanQuery(query, cluster_.partitioning(), graph_);
+      local_plan = PlanQuery(query, cluster_.partitioning(), graph_, strategy);
       plan = &local_plan;
     } else {
       stats->plan_cache_hit = true;
     }
     stats->cls = plan->classification.cls;
-    stats->independent = plan->classification.independently_executable();
+    stats->independent = plan->union_only;
     stats->num_subqueries = plan->decomposition.num_subqueries();
 
     run->resolved = store::ResolveQuery(query, graph_);
@@ -276,7 +280,7 @@ Result<BindingTable> DistributedExecutor::ExecuteVertexDisjoint(
     subquery_results[subquery_index] = std::move(*merged);
   }
 
-  // --- JT: coordinator-side join (none for IEQs). ---
+  // --- JT: coordinator-side join (none for union-only plans). ---
   BindingTable final_table =
       stats->independent
           ? std::move(subquery_results.front())

@@ -27,6 +27,8 @@ namespace mpc::exec {
 ///    locally, union with set semantics. No join.
 ///  - non-IEQs: decompose with Algorithm 2, evaluate every subquery on
 ///    every site, union per subquery, hash-join at the coordinator.
+///  - ExecStrategy::kGstored: the same loop over gStoreD's partial-
+///    evaluation fragments instead (PlanQuery), the Fig. 11 baseline.
 ///  - VP clusters: a query local to one site runs there; otherwise each
 ///    pattern is scanned at its property's home site and everything is
 ///    joined at the coordinator (the cloud-style plan of Section II).
@@ -85,16 +87,17 @@ class DistributedExecutor {
   /// `text` when no parsed query is attached — parse errors carry the
   /// offending text), honours the per-request options, and returns the
   /// bindings together with the per-query stats and the executor's
-  /// generation. ExecStrategy::kGstored is rejected with
-  /// InvalidArgument (the QueryService routes it to a GStoredExecutor).
+  /// generation. ExecStrategy::kGstored on an edge-disjoint (VP)
+  /// partitioning is rejected with InvalidArgument.
   Result<QueryResponse> Execute(const QueryRequest& request) const;
 
   /// Same, but reuses a precomputed plan (classification +
   /// decomposition) instead of planning inline — the plan-cache fast
   /// path. `plan` may be null (plans inline); when non-null it must
-  /// have been built by PlanQuery for a query of the same canonical
-  /// shape against this executor's partitioning. Only consulted on the
-  /// vertex-disjoint path; VP planning is per-pattern and cheap.
+  /// have been built by PlanQuery, with the request's strategy, for a
+  /// query of the same canonical shape against this executor's
+  /// partitioning. Only consulted on the vertex-disjoint path; VP
+  /// planning is per-pattern and cheap.
   Result<QueryResponse> Execute(const QueryRequest& request,
                                 const QueryPlan* plan) const;
 
@@ -112,8 +115,8 @@ class DistributedExecutor {
   using VarFilters = std::vector<std::unique_ptr<BloomFilter>>;
 
   Result<store::BindingTable> ExecuteVertexDisjoint(
-      const sparql::QueryGraph& query, const QueryPlan* plan,
-      QueryRun* run) const;
+      const sparql::QueryGraph& query, ExecStrategy strategy,
+      const QueryPlan* plan, QueryRun* run) const;
   Result<store::BindingTable> ExecuteVp(const sparql::QueryGraph& query,
                                         QueryRun* run) const;
 

@@ -25,13 +25,15 @@ std::string ExplainQuery(const sparql::QueryGraph& query,
                          const rdf::RdfGraph& graph,
                          const Cluster* cluster) {
   std::ostringstream out;
-  Classification cls = ClassifyQuery(query, partitioning, graph);
+  const QueryPlan plan = PlanQuery(query, partitioning, graph);
+  const Classification& cls = plan.classification;
+  const Decomposition& decomposition = plan.decomposition;
 
   out << "query: " << query.num_patterns() << " patterns, "
       << query.num_variables() << " variables, "
       << (sparql::IsStarQuery(query) ? "star" : "non-star") << "\n";
   out << "class: " << IeqClassName(cls.cls) << " -> "
-      << (cls.independently_executable()
+      << (plan.union_only
               ? "independent execution (per-site union, no join)"
               : "decompose + inter-partition join")
       << "\n";
@@ -45,14 +47,7 @@ std::string ExplainQuery(const sparql::QueryGraph& query,
     }
   }
 
-  Decomposition decomposition;
-  if (cls.independently_executable()) {
-    decomposition.subqueries.emplace_back();
-    for (size_t i = 0; i < query.num_patterns(); ++i) {
-      decomposition.subqueries.back().push_back(i);
-    }
-  } else {
-    decomposition = DecomposeQuery(query, cls.crossing_pattern);
+  if (!plan.union_only) {
     out << "decomposition: " << decomposition.num_subqueries()
         << " subqueries\n";
   }

@@ -102,14 +102,13 @@ enum class PartialResultPolicy {
   kBestEffort,
 };
 
-/// Which runtime answers the query.
+/// Which plan the DistributedExecutor runs (see PlanQuery).
 enum class ExecStrategy {
-  /// The partitioning-aware default: DistributedExecutor (IEQ shortcut
-  /// for vertex-disjoint partitionings, cloud-style plan for VP).
+  /// The partitioning-aware default: the IEQ shortcut for vertex-disjoint
+  /// partitionings, the cloud-style plan for VP.
   kAuto,
-  /// The partial-evaluation-and-assembly runtime (GStoredExecutor);
-  /// vertex-disjoint partitionings only. Routed by QueryService; the
-  /// DistributedExecutor rejects it.
+  /// gStoreD-style partial evaluation and assembly, the Fig. 11
+  /// baseline; vertex-disjoint partitionings only.
   kGstored,
 };
 
@@ -127,11 +126,11 @@ struct ExecOptions {
   double deadline_ms = 0.0;
   /// Per-query override of ExecutorOptions::partial_results; nullopt
   /// inherits the executor default.
-  std::optional<PartialResultPolicy> partial_results;
+  std::optional<PartialResultPolicy> partial_results = std::nullopt;
   /// Free-form tag attached to the exec.query trace span ("tenant-7",
   /// "replay:LQ2", ...) so per-caller latency can be sliced out of one
   /// trace.
-  std::string trace_tag;
+  std::string trace_tag = "";
 };
 
 /// One query, parsed or text, plus its options — the single argument of

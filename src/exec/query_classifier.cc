@@ -44,7 +44,11 @@ Classification ClassifyQuery(const sparql::QueryGraph& query,
   }
 
   if (result.num_crossing_patterns == 0) {
-    result.cls = IeqClass::kInternal;
+    // A disconnected BGP is no IEQ even without crossing edges: its WCCs
+    // may match at different sites, so they are evaluated apart and
+    // cross-joined. (The classes below all imply a connected query.)
+    result.cls = sparql::IsWeaklyConnected(query) ? IeqClass::kInternal
+                                                  : IeqClass::kNonIeq;
     return result;
   }
 

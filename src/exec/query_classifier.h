@@ -11,7 +11,8 @@ namespace mpc::exec {
 
 /// The independently-executable-query taxonomy of Section V-A.
 enum class IeqClass {
-  /// Definition 5.1: no crossing-property edges at all.
+  /// Definition 5.1: no crossing-property edges at all (and weakly
+  /// connected, as the paper assumes of every query).
   kInternal,
   /// Definition 5.2: still weakly connected after removing crossing
   /// property edges.

@@ -198,15 +198,13 @@ Result<exec::QueryResponse> QueryService::Run(
   tagged.query_tag = request.options.trace_tag;
   obs::ScopedTraceContext tag_scope(tagged);
 
-  const bool gstored =
-      request.options.strategy == exec::ExecStrategy::kGstored;
-  // Exact-query key; ToString() canonicalizes whitespace and term
-  // spelling, so textual variants of one query share an entry. The
-  // strategy is part of the key because the two runtimes report
-  // different stats for the same bindings.
-  const std::string result_key =
-      std::string(exec::ExecStrategyName(request.options.strategy)) + "\n" +
-      query->ToString();
+  // Both cache keys lead with the strategy: the two plans report
+  // different stats for the same bindings. The result key is the exact
+  // query; ToString() canonicalizes whitespace and term spelling, so
+  // textual variants of one query share an entry.
+  const std::string strategy_key =
+      std::string(exec::ExecStrategyName(request.options.strategy)) + "\n";
+  const std::string result_key = strategy_key + query->ToString();
   if (options_.result_cache_capacity > 0) {
     std::shared_ptr<const exec::QueryResponse> cached;
     {
@@ -225,15 +223,15 @@ Result<exec::QueryResponse> QueryService::Run(
     metrics.CounterRef("serve.result_cache.misses").Inc();
   }
 
-  // Plan cache: vertex-disjoint DistributedExecutor queries only (VP
-  // planning is per-pattern and trivial; gStoreD has no shareable plan).
+  // Plan cache: vertex-disjoint partitionings only (VP planning is
+  // per-pattern and trivial).
   std::shared_ptr<const exec::QueryPlan> plan;
   bool plan_was_cached = false;
-  const bool plannable =
-      !gstored && state->cluster().partitioning().kind() ==
-                      partition::PartitioningKind::kVertexDisjoint;
+  const bool plannable = state->cluster().partitioning().kind() ==
+                         partition::PartitioningKind::kVertexDisjoint;
   if (plannable && options_.plan_cache_capacity > 0) {
-    const std::string shape_key = sparql::CanonicalShapeKey(*query);
+    const std::string shape_key =
+        strategy_key + sparql::CanonicalShapeKey(*query);
     std::shared_ptr<const PlanEntry> entry;
     {
       std::lock_guard<std::mutex> lock(plan_cache_mutex_);
@@ -247,8 +245,9 @@ Result<exec::QueryResponse> QueryService::Run(
       metrics.CounterRef("serve.plan_cache.misses").Inc();
       auto fresh = std::make_shared<PlanEntry>();
       fresh->generation = state->generation();
-      fresh->plan = std::make_shared<const exec::QueryPlan>(exec::PlanQuery(
-          *query, state->cluster().partitioning(), state->graph()));
+      fresh->plan = std::make_shared<const exec::QueryPlan>(
+          exec::PlanQuery(*query, state->cluster().partitioning(),
+                          state->graph(), request.options.strategy));
       plan = fresh->plan;
       std::lock_guard<std::mutex> lock(plan_cache_mutex_);
       plan_cache_.Put(shape_key, std::move(fresh));
@@ -263,15 +262,14 @@ Result<exec::QueryResponse> QueryService::Run(
   resolved.text = request.text;
   resolved.options = request.options;
   Result<exec::QueryResponse> response =
-      gstored ? state->gstored().Execute(resolved)
-              : state->distributed().Execute(resolved, plan.get());
+      state->distributed().Execute(resolved, plan.get());
   if (!response.ok()) return response.status();
   // The executor flags any externally supplied plan as a cache hit; keep
   // the flag honest for plans this call just computed and inserted.
   response->stats.plan_cache_hit = plan_was_cached;
   response->stats.queue_wait_millis = queue_wait_millis;
-  // Stamp this serving's own trace id (the gstored path and cached
-  // executions would otherwise carry a stale or zero id).
+  // Stamp this serving's own trace id (cached executions would
+  // otherwise carry a stale or zero id).
   response->stats.trace_id = tagged.trace_id;
 
   // Cache only answers that are provably a pure function of (query,

@@ -15,8 +15,6 @@ ServingState::ServingState(rdf::RdfGraph graph,
   exec_options.generation = generation_;
   distributed_ = std::make_unique<exec::DistributedExecutor>(*cluster_, graph_,
                                                              exec_options);
-  gstored_ = std::make_unique<exec::GStoredExecutor>(*cluster_, graph_,
-                                                     exec_options);
 }
 
 std::shared_ptr<const ServingState> ServingState::Capture(

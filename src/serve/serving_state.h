@@ -8,7 +8,6 @@
 #include "dynamic/incremental_maintainer.h"
 #include "exec/cluster.h"
 #include "exec/distributed_executor.h"
-#include "exec/gstored_executor.h"
 #include "partition/partitioning.h"
 #include "rdf/graph.h"
 
@@ -37,7 +36,7 @@ struct ServingStateOptions {
 
 /// An immutable, self-contained snapshot of everything needed to answer
 /// queries: a private copy of the graph (dictionaries), the compacted
-/// partitioning materialized into a Cluster, and both executors, all
+/// partitioning materialized into a Cluster, and the executor, all
 /// stamped with the generation they were captured at.
 ///
 /// This is the bridge between the single-writer IncrementalMaintainer
@@ -76,11 +75,10 @@ class ServingState {
   uint64_t generation() const { return generation_; }
   const rdf::RdfGraph& graph() const { return graph_; }
   const exec::ClusterBackend& cluster() const { return *cluster_; }
+  /// Runs every plan, gStoreD's included (ExecOptions::strategy).
   const exec::DistributedExecutor& distributed() const {
     return *distributed_;
   }
-  /// Only usable on vertex-disjoint partitionings (its Execute checks).
-  const exec::GStoredExecutor& gstored() const { return *gstored_; }
 
  private:
   ServingState(rdf::RdfGraph graph, std::unique_ptr<exec::ClusterBackend> backend,
@@ -91,11 +89,10 @@ class ServingState {
   /// live sockets and a supervisor), and executors hold references.
   std::unique_ptr<exec::ClusterBackend> cluster_;
   uint64_t generation_;
-  /// unique_ptrs because the executors hold references into graph_ /
+  /// A unique_ptr because the executor holds references into graph_ /
   /// *cluster_, which are stable only once this object is in place (it is
   /// always heap-allocated via the factories).
   std::unique_ptr<exec::DistributedExecutor> distributed_;
-  std::unique_ptr<exec::GStoredExecutor> gstored_;
 };
 
 }  // namespace mpc::serve

@@ -17,7 +17,8 @@ bool IsStarQuery(const QueryGraph& query);
 
 /// True if the query graph (all patterns as undirected edges over query
 /// vertices) is weakly connected. The paper assumes connected queries;
-/// generators and the executor check with this.
+/// the generators check theirs with this, and the classifier sends a
+/// disconnected one to decomposition (one subquery per WCC, cross-joined).
 bool IsWeaklyConnected(const QueryGraph& query);
 
 /// Weakly-connected-component decomposition of the query *after removing*

@@ -1,6 +1,7 @@
 #include "exec/query_classifier.h"
 
 #include "common/random.h"
+#include "exec/decomposer.h"
 #include "gtest/gtest.h"
 #include "partition/subject_hash_partitioner.h"
 #include "partition/vp_partitioner.h"
@@ -57,6 +58,22 @@ TEST(ClassifierTest, InternalQuery) {
   EXPECT_EQ(c.cls, IeqClass::kInternal);
   EXPECT_TRUE(c.independently_executable());
   EXPECT_EQ(c.num_crossing_patterns, 0u);
+}
+
+TEST(ClassifierTest, DisconnectedQueryIsNonIeq) {
+  // No crossing pattern, but the two edges share no variable: one may
+  // match at site 0 and the other at site 1, so per-site union would
+  // lose those combinations. Each WCC is a subquery, cross-joined.
+  Fixture f;
+  sparql::QueryGraph q = testutil::ParseQueryOrDie(
+      "SELECT * WHERE { ?a <t:in1> ?b . ?c <t:in2> ?d . }");
+  Classification c = ClassifyQuery(q, f.partitioning, f.graph);
+  EXPECT_EQ(c.cls, IeqClass::kNonIeq);
+  EXPECT_EQ(c.num_crossing_patterns, 0u);
+  QueryPlan plan = PlanQuery(q, f.partitioning, f.graph);
+  EXPECT_FALSE(plan.union_only);
+  EXPECT_EQ(plan.decomposition.subqueries,
+            (std::vector<std::vector<size_t>>{{0}, {1}}));
 }
 
 TEST(ClassifierTest, TypeIQuery) {

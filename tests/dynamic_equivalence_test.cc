@@ -21,6 +21,7 @@
 #include "exec/distributed_executor.h"
 #include "gtest/gtest.h"
 #include "mpc/mpc_partitioner.h"
+#include "serve/serving_state.h"
 #include "test_util.h"
 
 namespace mpc::dynamic {
@@ -203,7 +204,9 @@ TEST(DynamicEquivalenceTest, MaintainedMatchesFromScratchUnderStream) {
     std::set<std::vector<std::string>> expected = LexRows(truth, scratch);
     for (size_t i = 0; i < maintainers.size(); ++i) {
       Result<exec::QueryResponse> got =
-          maintainers[i]->Execute(exec::QueryRequest::FromText(text));
+          serve::ServingState::Capture(*maintainers[i])
+              ->distributed()
+              .Execute(exec::QueryRequest::FromText(text));
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(LexRows(got->bindings, maintainers[i]->graph()), expected)
           << "query: " << text << " threads: " << thread_counts[i];
@@ -262,8 +265,10 @@ TEST(DynamicEquivalenceTest, DeleteHeavyStreamStaysCorrect) {
     sparql::QueryGraph query =
         testutil::ParseQueryOrDie("SELECT * WHERE { ?x <t:p0> ?y . }");
     BindingTable truth = testutil::GroundTruth(scratch, query);
-    Result<exec::QueryResponse> got = m.Execute(
-        exec::QueryRequest::FromText("SELECT * WHERE { ?x <t:p0> ?y . }"));
+    Result<exec::QueryResponse> got =
+        serve::ServingState::Capture(m)->distributed().Execute(
+            exec::QueryRequest::FromText(
+                "SELECT * WHERE { ?x <t:p0> ?y . }"));
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(LexRows(got->bindings, m.graph()), LexRows(truth, scratch));
   }

@@ -11,6 +11,7 @@
 #include "dynamic/update_journal.h"
 #include "dynamic/update_log.h"
 #include "gtest/gtest.h"
+#include "serve/serving_state.h"
 #include "test_util.h"
 
 namespace mpc::dynamic {
@@ -249,12 +250,13 @@ MaintainerOptions NoRepartition() {
   return options;
 }
 
-/// Runs a text query through the unified entry point, keeping just the
-/// bindings (these tests assert result sets, not stats).
+/// Runs a text query on a snapshot of the maintainer's current state,
+/// keeping just the bindings (these tests assert result sets, not stats).
 Result<BindingTable> RunText(IncrementalMaintainer& m,
                              const std::string& text) {
   Result<exec::QueryResponse> response =
-      m.Execute(exec::QueryRequest::FromText(text));
+      serve::ServingState::Capture(m)->distributed().Execute(
+          exec::QueryRequest::FromText(text));
   if (!response.ok()) return response.status();
   return std::move(response->bindings);
 }

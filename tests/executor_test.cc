@@ -1,9 +1,9 @@
 #include "exec/distributed_executor.h"
 
 #include <memory>
+#include <ostream>
 
 #include "common/random.h"
-#include "exec/gstored_executor.h"
 #include "gtest/gtest.h"
 #include "mpc/mpc_partitioner.h"
 #include "partition/edge_cut_partitioner.h"
@@ -38,6 +38,8 @@ std::vector<std::string> TestQueries() {
       // 4-edge snowflake
       "SELECT * WHERE { ?x <t:p0> ?a . ?x <t:p1> ?b . ?b <t:p2> ?c . ?b "
       "<t:p3> ?d . }",
+      // disconnected: the two edges may match at different sites
+      "SELECT * WHERE { ?a <t:p0> ?b . ?c <t:p1> ?d . }",
   };
 }
 
@@ -71,12 +73,28 @@ struct ExecCase {
   uint64_t seed;
 };
 
+/// Readable case name, e.g. Mpc_k4_seed102: the test name and the
+/// printed parameter.
+std::string CaseName(const ExecCase& c) {
+  const char* strategy = "Mpc";
+  switch (c.strategy) {
+    case Strategy::kMpc: break;
+    case Strategy::kHash: strategy = "Hash"; break;
+    case Strategy::kMetis: strategy = "Metis"; break;
+    case Strategy::kVp: strategy = "Vp"; break;
+  }
+  return std::string(strategy) + "_k" + std::to_string(c.k) + "_seed" +
+         std::to_string(c.seed);
+}
+void PrintTo(const ExecCase& c, std::ostream* os) { *os << CaseName(c); }
+
 class ExecutorCorrectnessTest : public ::testing::TestWithParam<ExecCase> {};
 
 // THE core soundness property of the whole system: for every strategy and
 // every query class, the distributed result equals the single-store
 // ground truth (Definition 3.7 when independent; decompose+join
-// otherwise).
+// otherwise) — under the default plan and, on vertex-disjoint
+// partitionings, under gStoreD's partial-evaluation plan too.
 TEST_P(ExecutorCorrectnessTest, MatchesGroundTruth) {
   const auto [strategy, k, seed] = GetParam();
   Rng rng(seed);
@@ -86,18 +104,23 @@ TEST_P(ExecutorCorrectnessTest, MatchesGroundTruth) {
   Cluster cluster =
       Cluster::Build(MakePartitioning(strategy, graph, k, seed));
   DistributedExecutor executor(cluster, graph);
+  std::vector<ExecStrategy> plans = {ExecStrategy::kAuto};
+  if (strategy != Strategy::kVp) plans.push_back(ExecStrategy::kGstored);
 
   for (const std::string& text : TestQueries()) {
     sparql::QueryGraph query = testutil::ParseQueryOrDie(text);
-    Result<QueryResponse> response =
-        executor.Execute(QueryRequest::FromQuery(query));
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
     BindingTable truth = testutil::GroundTruth(graph, query);
-    EXPECT_EQ(testutil::RowSet(response->bindings), testutil::RowSet(truth))
-        << "query: " << text
-        << "\nclass: " << IeqClassName(response->stats.cls)
-        << " rows: " << response->bindings.num_rows() << " vs "
-        << truth.num_rows();
+    for (ExecStrategy plan : plans) {
+      Result<QueryResponse> response = executor.Execute(
+          QueryRequest::FromQuery(query, {.strategy = plan}));
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(testutil::RowSet(response->bindings),
+                testutil::RowSet(truth))
+          << "query: " << text << "\nplan: " << ExecStrategyName(plan)
+          << "\nclass: " << IeqClassName(response->stats.cls)
+          << " rows: " << response->bindings.num_rows() << " vs "
+          << truth.num_rows();
+    }
   }
 }
 
@@ -113,7 +136,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ExecCase{Strategy::kMetis, 8, 108},
                       ExecCase{Strategy::kVp, 2, 109},
                       ExecCase{Strategy::kVp, 4, 110},
-                      ExecCase{Strategy::kVp, 8, 111}));
+                      ExecCase{Strategy::kVp, 8, 111}),
+    [](const auto& info) { return CaseName(info.param); });
 
 TEST(ExecutorStatsTest, IeqHasZeroJoinTimeAndOneSubquery) {
   Rng rng(7);
@@ -272,23 +296,36 @@ TEST(ExecutorTest, VariableFreeSubqueryJoinsAsFilterOnVpPerPatternPlan) {
             testutil::RowSet(testutil::GroundTruth(graph, query)));
 }
 
-// gStoreD-style partial evaluation must agree with ground truth too.
-TEST(GStoredExecutorTest, MatchesGroundTruth) {
-  Rng rng(11);
-  for (uint64_t seed : {21ULL, 22ULL, 23ULL}) {
-    RdfGraph graph = testutil::RandomGraph(rng, 50, 180, 5, 10, 0.2);
-    Cluster cluster = Cluster::Build(
-        MakePartitioning(Strategy::kHash, graph, 4, seed));
-    GStoredExecutor executor(cluster, graph);
-    for (const std::string& text : TestQueries()) {
-      sparql::QueryGraph query = testutil::ParseQueryOrDie(text);
-      Result<QueryResponse> response =
-          executor.Execute(QueryRequest::FromQuery(query));
-      ASSERT_TRUE(response.ok()) << response.status().ToString();
-      BindingTable truth = testutil::GroundTruth(graph, query);
-      EXPECT_EQ(testutil::RowSet(response->bindings), testutil::RowSet(truth))
-          << "query: " << text;
-    }
+// Two disjoint chains a-b-c-d, one per site, so p and q stay internal.
+// The query's two edges share no variable: a p-edge of one site pairs
+// with a q-edge of the other, which no single site can match.
+TEST(ExecutorTest, DisconnectedQueryCrossJoinsSites) {
+  RdfGraph graph = testutil::BuildGraph({
+      {"a1", "p", "b1"}, {"b1", "q", "c1"}, {"c1", "p", "d1"},
+      {"a2", "p", "b2"}, {"b2", "q", "c2"}, {"c2", "p", "d2"},
+  });
+  partition::VertexAssignment assignment;
+  assignment.k = 2;
+  assignment.part.resize(graph.num_vertices());
+  for (uint32_t v = 0; v < graph.num_vertices(); ++v) {
+    const std::string& name = graph.VertexName(v);  // "<t:a1>"
+    assignment.part[v] = name[name.size() - 2] == '2' ? 1 : 0;
+  }
+  Cluster cluster = Cluster::Build(
+      partition::Partitioning::MaterializeVertexDisjoint(
+          graph, std::move(assignment)));
+  ASSERT_EQ(cluster.partitioning().num_crossing_properties(), 0u);
+  DistributedExecutor executor(cluster, graph);
+  sparql::QueryGraph query = testutil::ParseQueryOrDie(
+      "SELECT * WHERE { ?a <t:p> ?b . ?c <t:q> ?d . }");
+  for (ExecStrategy plan : {ExecStrategy::kAuto, ExecStrategy::kGstored}) {
+    Result<QueryResponse> response =
+        executor.Execute(QueryRequest::FromQuery(query, {.strategy = plan}));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->stats.cls, IeqClass::kNonIeq);
+    EXPECT_EQ(response->bindings.num_rows(), 8u) << ExecStrategyName(plan);
+    EXPECT_EQ(testutil::RowSet(response->bindings),
+              testutil::RowSet(testutil::GroundTruth(graph, query)));
   }
 }
 
@@ -297,10 +334,35 @@ TEST(GStoredExecutorTest, RejectsEdgeDisjointPartitioning) {
   RdfGraph graph = testutil::RandomGraph(rng, 20, 60, 3);
   Cluster cluster =
       Cluster::Build(MakePartitioning(Strategy::kVp, graph, 2, 1));
-  GStoredExecutor executor(cluster, graph);
+  DistributedExecutor executor(cluster, graph);
   sparql::QueryGraph q =
       testutil::ParseQueryOrDie("SELECT * WHERE { ?x <t:p0> ?y . }");
-  EXPECT_FALSE(executor.Execute(QueryRequest::FromQuery(q)).ok());
+  Result<QueryResponse> response = executor.Execute(
+      QueryRequest::FromQuery(q, {.strategy = ExecStrategy::kGstored}));
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(GStoredExecutorTest, LimitClauseTruncatesResults) {
+  Rng rng(16);
+  RdfGraph graph = testutil::RandomGraph(rng, 30, 200, 3);
+  Cluster cluster =
+      Cluster::Build(MakePartitioning(Strategy::kHash, graph, 2, 1));
+  DistributedExecutor executor(cluster, graph);
+  // A path: gStoreD cuts it into fragments and joins them, and the join
+  // yields many rows before the LIMIT applies.
+  sparql::QueryGraph q = testutil::ParseQueryOrDie(
+      "SELECT * WHERE { ?a <t:p0> ?b . ?b <t:p1> ?c . } LIMIT 1");
+  const BindingTable truth = testutil::GroundTruth(graph, q);
+  ASSERT_GT(truth.num_rows(), 1u);
+  Result<QueryResponse> response = executor.Execute(
+      QueryRequest::FromQuery(q, {.strategy = ExecStrategy::kGstored}));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_LE(response->bindings.num_rows(), 1u);
+  EXPECT_EQ(response->stats.num_results, response->bindings.num_rows());
+  for (const auto& row : response->bindings.rows) {
+    EXPECT_TRUE(testutil::RowSet(truth).count(row));
+  }
 }
 
 TEST(GStoredExecutorTest, FewerCrossingPropertiesMeansFewerPartialRows) {
@@ -316,10 +378,12 @@ TEST(GStoredExecutorTest, FewerCrossingPropertiesMeansFewerPartialRows) {
       Cluster::Build(MakePartitioning(Strategy::kHash, graph, 4, 31));
   sparql::QueryGraph q = testutil::ParseQueryOrDie(
       "SELECT * WHERE { ?a <t:p0> ?b . ?b <t:p1> ?c . ?c <t:p2> ?d . }");
+  const QueryRequest request =
+      QueryRequest::FromQuery(q, {.strategy = ExecStrategy::kGstored});
   Result<QueryResponse> mpc_response =
-      GStoredExecutor(mpc_cluster, graph).Execute(QueryRequest::FromQuery(q));
+      DistributedExecutor(mpc_cluster, graph).Execute(request);
   Result<QueryResponse> hash_response =
-      GStoredExecutor(hash_cluster, graph).Execute(QueryRequest::FromQuery(q));
+      DistributedExecutor(hash_cluster, graph).Execute(request);
   ASSERT_TRUE(mpc_response.ok());
   ASSERT_TRUE(hash_response.ok());
   EXPECT_LE(mpc_response->stats.local_rows, hash_response->stats.local_rows);

@@ -2,7 +2,7 @@
 // and "full MPC re-run". Covers the weighted drift trigger, the
 // migration path avoiding a repartition, the balance-cap fallback,
 // result equivalence against a from-scratch partition of the live graph
-// (both executors, and the serving capture with segment bases), and
+// (both plans, and the serving capture with segment bases), and
 // checkpoint round-trips of the migration state.
 
 #include <map>
@@ -69,7 +69,8 @@ std::set<std::vector<std::string>> LexRows(const BindingTable& table,
 Result<BindingTable> RunText(IncrementalMaintainer& m,
                              const std::string& text) {
   Result<exec::QueryResponse> response =
-      m.Execute(exec::QueryRequest::FromText(text));
+      serve::ServingState::Capture(m)->distributed().Execute(
+          exec::QueryRequest::FromText(text));
   if (!response.ok()) return response.status();
   return std::move(response->bindings);
 }
@@ -214,9 +215,10 @@ TEST(BoundaryMigrationTest, BalanceCapBlocksMoveAndFallsBackToRepartition) {
 TEST(BoundaryMigrationTest, MigratedStateMatchesFromScratchPartition) {
   // Two misplaced vertices migrate in sequence; afterwards every query
   // must answer exactly as a from-scratch MPC partition of the same
-  // live graph — on the distributed executor, the gStoreD baseline, and
-  // the serving capture (whose segment-overlay shortcut must refuse to
-  // reuse pack-time bases once ownership moved without a rewrite).
+  // live graph — under the default and the gStoreD plan, on the serving
+  // capture with and without segment bases (whose overlay shortcut must
+  // refuse to reuse pack-time bases once ownership moved without a
+  // rewrite).
   RdfGraph graph = testutil::BuildGraph({{"a1", "p", "a2"},
                                          {"a2", "p", "a3"},
                                          {"a3", "p", "a1"},
@@ -290,22 +292,17 @@ TEST(BoundaryMigrationTest, MigratedStateMatchesFromScratchPartition) {
     const std::set<std::vector<std::string>> expected =
         LexRows(want->bindings, fresh_state->graph());
 
-    Result<exec::QueryResponse> fresh_g = fresh_state->gstored().Execute(request);
-    ASSERT_TRUE(fresh_g.ok()) << q;
-    EXPECT_EQ(LexRows(fresh_g->bindings, fresh_state->graph()), expected) << q;
-
-    for (const auto& state : {migrated_state, gated_state}) {
-      Result<exec::QueryResponse> d = state->distributed().Execute(request);
-      ASSERT_TRUE(d.ok()) << q << ": " << d.status().ToString();
-      EXPECT_EQ(LexRows(d->bindings, state->graph()), expected) << q;
-      Result<exec::QueryResponse> g = state->gstored().Execute(request);
-      ASSERT_TRUE(g.ok()) << q << ": " << g.status().ToString();
-      EXPECT_EQ(LexRows(g->bindings, state->graph()), expected) << q;
+    const exec::QueryRequest gstored = exec::QueryRequest::FromText(
+        q, {.strategy = exec::ExecStrategy::kGstored});
+    for (const auto& state : {fresh_state, migrated_state, gated_state}) {
+      for (const exec::QueryRequest* r : {&request, &gstored}) {
+        Result<exec::QueryResponse> got = state->distributed().Execute(*r);
+        ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+        EXPECT_EQ(LexRows(got->bindings, state->graph()), expected)
+            << q << " (" << exec::ExecStrategyName(r->options.strategy)
+            << ")";
+      }
     }
-
-    Result<BindingTable> inline_rows = RunText(m, q);
-    ASSERT_TRUE(inline_rows.ok()) << q;
-    EXPECT_EQ(LexRows(*inline_rows, m.graph()), expected) << q;
   }
 }
 

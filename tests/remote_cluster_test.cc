@@ -20,7 +20,6 @@
 #include "common/random.h"
 #include "exec/cluster.h"
 #include "exec/distributed_executor.h"
-#include "exec/gstored_executor.h"
 #include "exec/remote_cluster.h"
 #include "gtest/gtest.h"
 #include "mpc/mpc_partitioner.h"
@@ -245,27 +244,28 @@ TEST(RemoteClusterTest, FaultFreeMixIsBitIdenticalToSimulator) {
   }
 }
 
-// The gStoreD baseline reaches the sites only through EvaluateOnSite, so
-// it runs over the real fleet too, with the simulator's bindings and
-// partial-match counts.
+// The gStoreD plan runs over the real fleet too, with the simulator's
+// bindings and partial-match counts.
 TEST(RemoteClusterTest, GStoredOverRpcMatchesSimulator) {
   std::unique_ptr<Deployment> d = MakeDeployment(4);
   if (d == nullptr) GTEST_SKIP() << "worker binary not built";
 
   Cluster sim = Cluster::Build(d->partitioning);
-  GStoredExecutor sim_exec(sim, d->graph, RemoteExecOptions());
-  GStoredExecutor remote_exec(*d->remote, d->graph, RemoteExecOptions());
+  DistributedExecutor sim_exec(sim, d->graph, RemoteExecOptions());
+  DistributedExecutor remote_exec(*d->remote, d->graph, RemoteExecOptions());
   for (const char* text : kQueryMix) {
-    sparql::QueryGraph query = testutil::ParseQueryOrDie(text);
-    Result<QueryResponse> sim_r =
-        sim_exec.Execute(QueryRequest::FromQuery(query));
-    Result<QueryResponse> remote_r =
-        remote_exec.Execute(QueryRequest::FromQuery(query));
+    const QueryRequest request = QueryRequest::FromQuery(
+        testutil::ParseQueryOrDie(text),
+        {.strategy = ExecStrategy::kGstored});
+    Result<QueryResponse> sim_r = sim_exec.Execute(request);
+    Result<QueryResponse> remote_r = remote_exec.Execute(request);
     ASSERT_TRUE(sim_r.ok()) << sim_r.status().ToString();
     ASSERT_TRUE(remote_r.ok()) << remote_r.status().ToString() << " " << text;
     EXPECT_EQ(remote_r->bindings.var_ids, sim_r->bindings.var_ids) << text;
     EXPECT_EQ(remote_r->bindings.rows, sim_r->bindings.rows) << text;
     EXPECT_EQ(remote_r->stats.local_rows, sim_r->stats.local_rows) << text;
+    EXPECT_EQ(remote_r->stats.sites_evaluated, sim_r->stats.sites_evaluated)
+        << text;
   }
 }
 

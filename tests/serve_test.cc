@@ -347,6 +347,30 @@ TEST(QueryServiceTest, PlanCacheHitsOnRepeatedShape) {
   EXPECT_EQ(second->bindings.rows, first->bindings.rows);
 }
 
+TEST(QueryServiceTest, PlanCacheKeepsStrategiesApart) {
+  QueryServiceOptions options;
+  options.result_cache_capacity = 0;
+  std::shared_ptr<const ServingState> state = SmallState();
+  QueryService service(state, options);
+  const std::string text =
+      "SELECT * WHERE { ?x <t:knows> ?y . ?y <t:likes> ?z . }";
+  const exec::ExecOptions gstored{.strategy = exec::ExecStrategy::kGstored};
+  Result<exec::QueryResponse> direct = state->distributed().Execute(
+      exec::QueryRequest::FromText(text, gstored));
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+
+  ASSERT_TRUE(service.Execute(exec::QueryRequest::FromText(text)).ok());
+  // Same shape, other strategy: the default plan must not be reused.
+  for (bool cached : {false, true}) {
+    Result<exec::QueryResponse> response =
+        service.Execute(exec::QueryRequest::FromText(text, gstored));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->stats.plan_cache_hit, cached);
+    EXPECT_EQ(response->stats.num_subqueries, direct->stats.num_subqueries);
+    EXPECT_EQ(response->bindings.rows, direct->bindings.rows);
+  }
+}
+
 /// 8 submitter threads churn queries while an update thread applies
 /// batches and publishes snapshots. Every answer must match a
 /// from-scratch oracle (single-store ground truth on the materialized

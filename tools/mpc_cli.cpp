@@ -774,7 +774,6 @@ int CmdUpdate(const Flags& flags) {
   options.num_threads = flags.threads;
   options.background_repartition = flags.repartition == "background";
   options.mpc.base = flags.PartitionerOpts();
-  options.executor = flags.ExecutorOpts();
   ApplyPolicyFlags(flags, /*fallback=*/"threshold", &options);
   if (!flags.workload_file.empty()) {
     Result<std::vector<double>> weights =
@@ -1109,7 +1108,6 @@ int CmdServe(const Flags& flags) {
     moptions.mpc.base = flags.PartitionerOpts();
     moptions.background_repartition = flags.repartition == "background";
     ApplyPolicyFlags(flags, /*fallback=*/"never", &moptions);
-    moptions.executor = state_options.executor;
     if (!flags.workload_file.empty()) {
       Result<std::vector<double>> weights =
           LoadWorkloadWeights(flags.workload_file, graph);
