@@ -29,7 +29,9 @@
 #  - a serving-benchmark smoke replays a short dbpedia_log query-log
 #    profile through servebench, whose oracle checks every answer;
 #  - the tracer and metrics tests run under ThreadSanitizer, since their
-#    whole point is lock-free recording from concurrent pool threads.
+#    whole point is lock-free recording from concurrent pool threads;
+#    so do the RPC codec and RemoteCluster tests, whose clients share
+#    one fleet's connections.
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -623,13 +625,16 @@ run_config build-ubsan -DMPC_SANITIZE=undefined
 # The obs tests specifically under TSan: concurrent span recording and
 # counter updates are the code most at risk of a data race. The dynamic
 # and migration tests join them: background repartition and hot-vertex
-# migration mutate the partitioning the serving snapshots capture.
+# migration mutate the partitioning the serving snapshots capture. The
+# RPC codec and RemoteCluster tests run here too: several client threads
+# share one fleet's per-site connections.
 echo "=== configure+build: build-tsan (-DMPC_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DMPC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${JOBS}" \
   --target obs_trace_test obs_metrics_test obs_snapshot_test \
   trace_context_test serve_test dynamic_test migration_test \
-  executor_test fault_tolerance_test mpc_cli trace_check
+  executor_test fault_tolerance_test net_frame_test remote_cluster_test \
+  mpc_cli trace_check
 echo "=== tracer/metrics/serving/executor tests under tsan ==="
 ./build-tsan/tests/obs_trace_test
 ./build-tsan/tests/obs_metrics_test
@@ -640,6 +645,8 @@ echo "=== tracer/metrics/serving/executor tests under tsan ==="
 ./build-tsan/tests/migration_test
 ./build-tsan/tests/executor_test
 ./build-tsan/tests/fault_tolerance_test
+./build-tsan/tests/net_frame_test
+./build-tsan/tests/remote_cluster_test
 serve_smoke build-tsan
 adaptive_smoke build-tsan
 obs_smoke build-tsan

@@ -64,11 +64,14 @@ Result<std::unique_ptr<RemoteCluster>> RemoteCluster::Start(
   std::unique_ptr<RemoteCluster> cluster(new RemoteCluster());
   cluster->partitioning_ = std::move(partitioning);
   cluster->options_ = std::move(options);
-  cluster->partition_dir_ = cluster->options_.partition_dir;
-  cluster->generation_ = cluster->options_.generation;
-  cluster->RecomputePresence();
 
   const uint32_t k = cluster->k();
+  const size_t num_properties =
+      cluster->partitioning_.crossing_property_mask().size();
+  for (uint32_t i = 0; i < k; ++i) {
+    cluster->property_present_.push_back(
+        PropertyPresence(cluster->partitioning_.partition(i), num_properties));
+  }
   std::vector<net::WorkerSpec> specs;
   specs.reserve(k);
   for (uint32_t i = 0; i < k; ++i) {
@@ -80,7 +83,6 @@ Result<std::unique_ptr<RemoteCluster>> RemoteCluster::Start(
                  cluster->options_.partition_dir,
                  "--site=" + std::to_string(i),
                  "--socket=" + spec.socket_path,
-                 "--generation=" + std::to_string(cluster->generation_),
                  "--threads=" +
                      std::to_string(cluster->options_.worker_threads),
                  "--store=" + (cluster->options_.store_kind.empty()
@@ -131,26 +133,12 @@ RemoteCluster::~RemoteCluster() {
   if (supervisor_ != nullptr) supervisor_->StopAll();
 }
 
-uint64_t RemoteCluster::generation() const {
-  std::lock_guard<std::mutex> lock(view_mu_);
-  return generation_;
-}
-
 std::string RemoteCluster::ConnectPath(uint32_t i) const {
   if (i < options_.connect_path_override.size() &&
       !options_.connect_path_override[i].empty()) {
     return options_.connect_path_override[i];
   }
   return SocketPathFor(options_.socket_dir, i);
-}
-
-void RemoteCluster::RecomputePresence() {
-  const size_t num_properties = partitioning_.crossing_property_mask().size();
-  property_present_.clear();
-  for (uint32_t i = 0; i < partitioning_.k(); ++i) {
-    property_present_.push_back(
-        PropertyPresence(partitioning_.partition(i), num_properties));
-  }
 }
 
 Status RemoteCluster::AcceptHello(uint32_t i, const std::string& payload,
@@ -171,7 +159,6 @@ Status RemoteCluster::AcceptHello(uint32_t i, const std::string& payload,
                             " property-presence row disagrees with the "
                             "coordinator's partitioning");
   }
-  state->hello_generation = hello->generation;
   state->memory_bytes = hello->memory_bytes;
   state->load_millis = hello->load_millis;
   state->worker_pid = hello->pid;
@@ -198,9 +185,10 @@ Status RemoteCluster::EnsureConnectedLocked(uint32_t i,
   if (!conn.ok()) return conn.status();
   state->conn = std::move(*conn);
 
-  // The worker speaks first: one Hello per accepted connection.
+  // The worker speaks first: one Hello per accepted connection, written
+  // as soon as it accepts (its store is loaded before it listens).
   Result<net::Frame> frame =
-      net::ReadFrame(state->conn, options_.handshake_timeout_ms);
+      net::ReadFrame(state->conn, options_.default_timeout_ms);
   if (!frame.ok() || frame->type != kMsgHello) {
     state->conn.Close();
     if (!frame.ok()) return frame.status();
@@ -208,39 +196,8 @@ Status RemoteCluster::EnsureConnectedLocked(uint32_t i,
                               std::to_string(frame->type));
   }
   Status st = AcceptHello(i, frame->payload, state);
-  if (!st.ok()) {
-    state->conn.Close();
-    return st;
-  }
-
-  // A restarted worker loads whatever generation its argv named; if the
-  // partitioning moved on since (PushReload it missed while dead),
-  // replay the reload before letting any query through.
-  uint64_t want_generation;
-  std::string graph_path = options_.graph_path;
-  std::string partition_dir;
-  {
-    std::lock_guard<std::mutex> lock(view_mu_);
-    want_generation = generation_;
-    partition_dir = partition_dir_;
-  }
-  if (state->hello_generation != want_generation) {
-    ReloadMsg reload;
-    reload.generation = want_generation;
-    reload.graph_path = graph_path;
-    reload.partition_dir = partition_dir;
-    std::string reply_payload;
-    bool fatal = false;
-    st = RoundTripLocked(state, kMsgReload, EncodeReload(reload),
-                         options_.handshake_timeout_ms, kMsgReloadDone,
-                         &reply_payload, &fatal);
-    if (st.ok()) st = AcceptHello(i, reply_payload, state);
-    if (!st.ok()) {
-      state->conn.Close();
-      return st;
-    }
-  }
-  return Status::Ok();
+  if (!st.ok()) state->conn.Close();
+  return st;
 }
 
 Status RemoteCluster::RoundTripLocked(SiteState* state, uint16_t send_type,
@@ -367,49 +324,6 @@ size_t RemoteCluster::MemoryUsage() const {
     total += state->memory_bytes;
   }
   return total;
-}
-
-Result<size_t> RemoteCluster::PushReload(partition::Partitioning partitioning,
-                                         const std::string& partition_dir,
-                                         uint64_t generation) {
-  {
-    std::lock_guard<std::mutex> lock(view_mu_);
-    partitioning_ = std::move(partitioning);
-    partition_dir_ = partition_dir;
-    generation_ = generation;
-  }
-  RecomputePresence();
-  ReloadMsg reload;
-  reload.generation = generation;
-  reload.graph_path = options_.graph_path;
-  reload.partition_dir = partition_dir;
-  const std::string payload = EncodeReload(reload);
-  size_t reloaded = 0;
-  for (uint32_t i = 0; i < k(); ++i) {
-    obs::TraceSpan span("exec.rpc.reload");
-    span.Attr("site", i).Attr("generation", generation);
-    SiteState* state = sites_[i].get();
-    std::lock_guard<std::mutex> lock(state->mu);
-    Status st = EnsureConnectedLocked(i, state);
-    if (st.ok() && state->hello_generation != generation) {
-      std::string reply_payload;
-      bool fatal = false;
-      st = RoundTripLocked(state, kMsgReload, payload,
-                           options_.handshake_timeout_ms, kMsgReloadDone,
-                           &reply_payload, &fatal);
-      if (st.ok()) st = AcceptHello(i, reply_payload, state);
-      if (!st.ok()) state->conn.Close();
-    }
-    // EnsureConnectedLocked may have replayed the reload itself (stale
-    // Hello path); either way the site counts once it's current.
-    if (st.ok() && state->hello_generation == generation) {
-      ++reloaded;
-      span.Attr("ok", 1);
-    } else {
-      span.Attr("error", st.ToString());
-    }
-  }
-  return reloaded;
 }
 
 }  // namespace mpc::exec

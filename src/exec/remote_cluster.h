@@ -37,10 +37,6 @@ class RemoteCluster final : public ClusterBackend {
     std::string store_kind = "memory";
     /// Directory for the per-site socket files (site_<i>.sock).
     std::string socket_dir;
-    /// Stamp of the partition data; bumped by PushReload. A restarted
-    /// worker announces the generation it loaded, and a stale one is
-    /// re-synced before serving.
-    uint64_t generation = 1;
     /// Worker-side parse threads.
     int worker_threads = 1;
     /// Chaos: pass --kill-after-queries=N to this one site's worker (it
@@ -51,20 +47,19 @@ class RemoteCluster final : public ClusterBackend {
     /// the data path while the supervisor watches the real socket.
     /// Empty vector or empty string = connect directly.
     std::vector<std::string> connect_path_override;
-    /// Reply deadline when the executor's policy carries none.
+    /// Reply deadline when the executor's policy carries none; also
+    /// bounds the wait for a worker's Hello.
     double default_timeout_ms = 30000;
-    /// Deadline for handshakes and reload pushes (workers re-parse the
-    /// graph on reload, which dwarfs a normal round trip).
-    double handshake_timeout_ms = 60000;
     net::SupervisorOptions supervisor;
   };
 
   /// Spawns the worker fleet, waits for every socket to accept, performs
-  /// the Hello handshake (validating site ids, k, generation, and that
-  /// the worker's property-presence row matches the coordinator's), and
-  /// returns the ready cluster. `partitioning` is the coordinator's own
-  /// materialized copy — the same data the workers load from
-  /// `partition_dir`.
+  /// the Hello handshake (validating site ids, k, and that the worker's
+  /// property-presence row matches the coordinator's), and returns the
+  /// ready cluster. `partitioning` is the coordinator's own materialized
+  /// copy — the same data the workers load from `partition_dir`. The
+  /// fleet serves that one partitioning for its lifetime; only the
+  /// per-site connections change after Start.
   static Result<std::unique_ptr<RemoteCluster>> Start(
       partition::Partitioning partitioning, Options options);
 
@@ -88,22 +83,9 @@ class RemoteCluster final : public ClusterBackend {
   /// Sum of worker-reported store footprints.
   size_t MemoryUsage() const override;
 
-  /// Generation-stamped partition push after a repartition. The caller
-  /// has already saved `partitioning` into `partition_dir`
-  /// (PartitionIo::Save); this swaps the coordinator's view, bumps the
-  /// generation, and pushes a Reload to every reachable worker.
-  /// Best-effort: a site that cannot be reached now is re-synced on its
-  /// next reconnect (its stale Hello generation triggers a replay).
-  /// Returns the number of sites reloaded synchronously.
-  Result<size_t> PushReload(partition::Partitioning partitioning,
-                            const std::string& partition_dir,
-                            uint64_t generation);
-
   /// The process babysitter — exposed so fault tests can Kill() workers
   /// and assert on restarts().
   net::SiteSupervisor& supervisor() const { return *supervisor_; }
-
-  uint64_t generation() const;
 
  private:
   /// Mutable per-site connection state. The executor calls
@@ -113,7 +95,6 @@ class RemoteCluster final : public ClusterBackend {
   struct SiteState {
     std::mutex mu;
     net::Socket conn;  // invalid = disconnected
-    uint64_t hello_generation = 0;
     uint64_t memory_bytes = 0;
     double load_millis = 0.0;
     /// Worker OS pid from the last Hello — the pid stamped onto this
@@ -123,8 +104,7 @@ class RemoteCluster final : public ClusterBackend {
 
   RemoteCluster() = default;
 
-  /// Connects (or reconnects) site `i` and runs the Hello handshake,
-  /// replaying a Reload if the worker came back with a stale generation.
+  /// Connects (or reconnects) site `i` and runs the Hello handshake.
   /// Caller holds state->mu.
   Status EnsureConnectedLocked(uint32_t i, SiteState* state) const;
   /// One send/receive on an established connection. kMsgError replies
@@ -139,19 +119,10 @@ class RemoteCluster final : public ClusterBackend {
   Status AcceptHello(uint32_t i, const std::string& payload,
                      SiteState* state) const;
   std::string ConnectPath(uint32_t i) const;
-  void RecomputePresence();
 
   Options options_;
   std::unique_ptr<net::SiteSupervisor> supervisor_;
   mutable std::vector<std::unique_ptr<SiteState>> sites_;
-  /// Guards the reload-mutable view: current paths + generation (the
-  /// partitioning_ swap also happens under it; readers of partitioning_
-  /// on the query path are only safe because PushReload is documented to
-  /// run without concurrent queries, matching ServingState's snapshot
-  /// discipline).
-  mutable std::mutex view_mu_;
-  std::string partition_dir_;
-  uint64_t generation_ = 1;
 };
 
 }  // namespace mpc::exec

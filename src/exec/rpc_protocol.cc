@@ -27,7 +27,6 @@ std::string EncodeHello(const HelloMsg& msg) {
   ByteWriter w;
   w.U32(msg.site);
   w.U32(msg.k);
-  w.U64(msg.generation);
   w.U64(msg.pid);
   w.F64(msg.load_millis);
   w.U64(msg.memory_bytes);
@@ -42,7 +41,6 @@ Result<HelloMsg> DecodeHello(std::string_view payload) {
   HelloMsg msg;
   MPC_RETURN_IF_ERROR(r.U32(&msg.site));
   MPC_RETURN_IF_ERROR(r.U32(&msg.k));
-  MPC_RETURN_IF_ERROR(r.U64(&msg.generation));
   MPC_RETURN_IF_ERROR(r.U64(&msg.pid));
   MPC_RETURN_IF_ERROR(r.F64(&msg.load_millis));
   MPC_RETURN_IF_ERROR(r.U64(&msg.memory_bytes));
@@ -320,24 +318,6 @@ Status DecodeEvalReply(std::string_view payload, SiteEvalReply* reply,
     if (spans != nullptr) spans->push_back(std::move(e));
   }
   return r.ExpectEnd();
-}
-
-std::string EncodeReload(const ReloadMsg& msg) {
-  ByteWriter w;
-  w.U64(msg.generation);
-  w.Str(msg.graph_path);
-  w.Str(msg.partition_dir);
-  return w.Take();
-}
-
-Result<ReloadMsg> DecodeReload(std::string_view payload) {
-  ByteReader r(payload);
-  ReloadMsg msg;
-  MPC_RETURN_IF_ERROR(r.U64(&msg.generation));
-  MPC_RETURN_IF_ERROR(r.Str(&msg.graph_path));
-  MPC_RETURN_IF_ERROR(r.Str(&msg.partition_dir));
-  MPC_RETURN_IF_ERROR(r.ExpectEnd());
-  return msg;
 }
 
 std::string EncodeError(const Status& status) {

@@ -21,24 +21,22 @@ namespace mpc::exec {
 inline constexpr uint16_t kMsgHello = net::kFirstAppFrameType + 0;
 inline constexpr uint16_t kMsgEvalRequest = net::kFirstAppFrameType + 1;
 inline constexpr uint16_t kMsgEvalReply = net::kFirstAppFrameType + 2;
-inline constexpr uint16_t kMsgReload = net::kFirstAppFrameType + 3;
-inline constexpr uint16_t kMsgReloadDone = net::kFirstAppFrameType + 4;
+// +3 and +4 are unassigned, which keeps kMsgError's value; a worker
+// answers an unassigned type with an error frame.
 inline constexpr uint16_t kMsgError = net::kFirstAppFrameType + 5;
 
-/// Worker self-description, sent once per accepted connection (and after
-/// a reload). The coordinator checks site/k, uses generation to decide
-/// whether the worker must be re-synced (a restarted worker comes back
-/// with the generation it loaded from disk, which may be stale), and
-/// records the load/memory figures for loading_millis()/MemoryUsage().
+/// Worker self-description, sent once per accepted connection. The
+/// coordinator checks site/k and the presence row, and records the
+/// load/memory figures for loading_millis()/MemoryUsage().
 struct HelloMsg {
   uint32_t site = 0;
   uint32_t k = 0;
-  uint64_t generation = 0;
   uint64_t pid = 0;
   double load_millis = 0.0;
   uint64_t memory_bytes = 0;
   /// This site's property-presence row; must equal the coordinator's
-  /// (both derive from the same partition dir).
+  /// (both derive from the same partition dir). It is what refuses a
+  /// worker serving other data.
   std::vector<uint8_t> property_present;
 };
 
@@ -69,12 +67,6 @@ inline constexpr uint32_t kMaxSpansPerReply = 512;
 /// Per-span attribute cap, mirroring the span cap's allocate-safety.
 inline constexpr uint32_t kMaxAttrsPerSpan = 64;
 
-struct ReloadMsg {
-  uint64_t generation = 0;
-  std::string graph_path;
-  std::string partition_dir;
-};
-
 std::string EncodeHello(const HelloMsg& msg);
 Result<HelloMsg> DecodeHello(std::string_view payload);
 
@@ -103,9 +95,6 @@ inline std::string EncodeEvalReply(const SiteEvalReply& reply) {
 /// (cleared first); when null the span bytes are validated and skipped.
 Status DecodeEvalReply(std::string_view payload, SiteEvalReply* reply,
                        std::vector<obs::TraceEvent>* spans = nullptr);
-
-std::string EncodeReload(const ReloadMsg& msg);
-Result<ReloadMsg> DecodeReload(std::string_view payload);
 
 /// A Status carried across the wire (worker-side failures).
 std::string EncodeError(const Status& status);

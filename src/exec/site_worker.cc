@@ -27,19 +27,17 @@ namespace {
 constexpr double kPollMillis = 200.0;
 
 /// Everything a worker serves: its partition's store plus the Hello
-/// self-description. Rebuilt wholesale on Reload.
+/// self-description. Loaded once, before the worker listens.
 struct SiteData {
   std::unique_ptr<const store::TripleSource> store;
   std::vector<uint8_t> property_present;
   uint32_t k = 0;
-  uint64_t generation = 0;
   double load_millis = 0.0;
 
   HelloMsg MakeHello(uint32_t site) const {
     HelloMsg hello;
     hello.site = site;
     hello.k = k;
-    hello.generation = generation;
     hello.pid = static_cast<uint64_t>(::getpid());
     hello.load_millis = load_millis;
     hello.memory_bytes = store->MemoryUsage();
@@ -48,12 +46,11 @@ struct SiteData {
   }
 };
 
-/// In-memory path: re-parse the graph, reload the partitioning, build
+/// In-memory path: re-parse the graph, load the partitioning, build
 /// the four-index store for this site.
 Status LoadMemorySiteData(const std::string& graph_path,
                           const std::string& partition_dir, uint32_t site,
-                          int num_threads, uint64_t generation,
-                          SiteData* data) {
+                          int num_threads, SiteData* data) {
   Timer timer;
   rdf::GraphBuilder builder;
   MPC_RETURN_IF_ERROR(
@@ -73,7 +70,6 @@ Status LoadMemorySiteData(const std::string& graph_path,
       *store, partitioning->crossing_property_mask().size());
   data->store = std::move(store);
   data->k = partitioning->k();
-  data->generation = generation;
   data->load_millis = timer.ElapsedMillis();
   return Status::Ok();
 }
@@ -84,7 +80,7 @@ Status LoadMemorySiteData(const std::string& graph_path,
 /// and TOC. The fingerprint check pins the segment to the partition
 /// directory being served.
 Status LoadSegmentSiteData(const std::string& partition_dir, uint32_t site,
-                           uint64_t generation, SiteData* data) {
+                           SiteData* data) {
   Timer timer;
   Result<uint64_t> fingerprint =
       partition::PartitionIo::Fingerprint(partition_dir);
@@ -99,20 +95,8 @@ Status LoadSegmentSiteData(const std::string& partition_dir, uint32_t site,
   data->k = segment->header().k;
   data->store =
       std::make_unique<storage::SegmentStore>(std::move(*segment));
-  data->generation = generation;
   data->load_millis = timer.ElapsedMillis();
   return Status::Ok();
-}
-
-Status LoadSiteData(const std::string& store_kind,
-                    const std::string& graph_path,
-                    const std::string& partition_dir, uint32_t site,
-                    int num_threads, uint64_t generation, SiteData* data) {
-  if (store_kind == "segment") {
-    return LoadSegmentSiteData(partition_dir, site, generation, data);
-  }
-  return LoadMemorySiteData(graph_path, partition_dir, site, num_threads,
-                            generation, data);
 }
 
 bool ShouldStop(const SiteWorkerOptions& options) {
@@ -176,8 +160,8 @@ std::string HandleEval(const SiteData& data, uint32_t site,
 /// transport-level damage drops the connection (the coordinator
 /// reconnects through the supervisor).
 void ServeConnection(const net::Socket& conn, const SiteWorkerOptions& options,
-                     SiteData* data, CrashAfter* crash) {
-  if (!net::WriteFrame(conn, kMsgHello, EncodeHello(data->MakeHello(options.site)))
+                     const SiteData& data, CrashAfter* crash) {
+  if (!net::WriteFrame(conn, kMsgHello, EncodeHello(data.MakeHello(options.site)))
            .ok()) {
     return;
   }
@@ -203,39 +187,13 @@ void ServeConnection(const net::Socket& conn, const SiteWorkerOptions& options,
           }
           break;
         }
-        std::string reply = HandleEval(*data, options.site, *msg);
+        std::string reply = HandleEval(data, options.site, *msg);
         if (options.queries_served != nullptr) ++*options.queries_served;
         // The chaos hook dies HERE — reply computed but unsent — so the
         // coordinator observes the worst case: a connection torn
         // mid-query, not a polite refusal.
         crash->Tick();
         if (!net::WriteFrame(conn, kMsgEvalReply, reply).ok()) return;
-        break;
-      }
-      case kMsgReload: {
-        Result<ReloadMsg> msg = DecodeReload(frame->payload);
-        Status st = msg.ok() ? Status::Ok() : msg.status();
-        if (st.ok()) {
-          SiteData fresh;
-          // Reload always rebuilds in memory: it follows a repartition,
-          // which changes ownership and so invalidates pack-time
-          // segments (their fingerprint no longer matches).
-          st = LoadSiteData("memory", msg->graph_path, msg->partition_dir,
-                            options.site, options.num_threads,
-                            msg->generation, &fresh);
-          if (st.ok()) *data = std::move(fresh);
-        }
-        if (!st.ok()) {
-          if (!net::WriteFrame(conn, kMsgError, EncodeError(st)).ok()) return;
-          break;
-        }
-        // The ack carries the refreshed Hello so the coordinator sees the
-        // new generation and footprint without another round trip.
-        if (!net::WriteFrame(conn, kMsgReloadDone,
-                             EncodeHello(data->MakeHello(options.site)))
-                 .ok()) {
-          return;
-        }
         break;
       }
       default: {
@@ -254,10 +212,11 @@ void ServeConnection(const net::Socket& conn, const SiteWorkerOptions& options,
 Status RunSiteWorker(const SiteWorkerOptions& options) {
   CrashAfter crash(options.kill_after_queries);
   SiteData data;
-  MPC_RETURN_IF_ERROR(LoadSiteData(options.store_kind, options.graph_path,
-                                   options.partition_dir, options.site,
-                                   options.num_threads, options.generation,
-                                   &data));
+  MPC_RETURN_IF_ERROR(
+      options.store_kind == "segment"
+          ? LoadSegmentSiteData(options.partition_dir, options.site, &data)
+          : LoadMemorySiteData(options.graph_path, options.partition_dir,
+                               options.site, options.num_threads, &data));
   Result<net::Socket> listener = net::Socket::Listen(options.socket_path);
   if (!listener.ok()) return listener.status();
   // One connection at a time: the coordinator keeps a single persistent
@@ -269,7 +228,7 @@ Status RunSiteWorker(const SiteWorkerOptions& options) {
       if (conn.status().code() == StatusCode::kDeadlineExceeded) continue;
       return conn.status();  // the listener itself broke
     }
-    ServeConnection(*conn, options, &data, &crash);
+    ServeConnection(*conn, options, data, &crash);
   }
   return Status::Ok();
 }

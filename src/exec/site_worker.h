@@ -17,15 +17,10 @@ struct SiteWorkerOptions {
   /// "memory" re-parses the graph and builds an in-memory TripleStore;
   /// "segment" mmaps `mpc pack`'s partition_<site>.mpcseg instead — no
   /// N-Triples parse at all (the RPC protocol ships resolved ids), so
-  /// worker cold start is the segment open. A Reload frame (pushed
-  /// after a repartition, which invalidates pack-time segments) always
-  /// rebuilds in memory.
+  /// worker cold start is the segment open.
   std::string store_kind = "memory";
   uint32_t site = 0;
   std::string socket_path;
-  /// Generation of the partition data on disk; echoed in Hello so the
-  /// coordinator can detect a restarted worker that loaded stale data.
-  uint64_t generation = 0;
   /// Chaos hook: SIGKILL this process right before sending the reply to
   /// its Nth evaluation (0 = disabled). The coordinator then sees the
   /// stream die mid-query — the survivable fault the failover tests
@@ -40,11 +35,12 @@ struct SiteWorkerOptions {
   uint64_t* queries_served = nullptr;
 };
 
-/// Runs one site worker to completion: loads the graph and this site's
-/// partition, listens on the socket, answers Hello/Ping/Eval/Reload
-/// frames until the stop flag drains it. Returns Ok on a clean drain;
-/// any malformed frame is answered with an error frame (or, if the
-/// stream itself is torn, the connection is dropped) — never a crash.
+/// Runs one site worker to completion: loads this site's partition once,
+/// listens on the socket, sends a Hello on every accepted connection and
+/// answers Ping/Eval frames until the stop flag drains it. Returns Ok on
+/// a clean drain; any malformed or unexpected frame is answered with an
+/// error frame (or, if the stream itself is torn, the connection is
+/// dropped) — never a crash.
 Status RunSiteWorker(const SiteWorkerOptions& options);
 
 }  // namespace mpc::exec

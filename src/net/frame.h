@@ -30,8 +30,9 @@ inline constexpr uint32_t kFrameMagic = 0x5243504du;  // "MPCR"
 /// version check is strict both ways, so a v1 worker's Hello is
 /// rejected as ParseError at the coordinator's first read (and vice
 /// versa) — mixed-version fleets fail loudly at connect, not subtly
-/// mid-query.
-inline constexpr uint16_t kProtocolVersion = 2;
+/// mid-query. v3: Hello drops the generation field (a fleet serves one
+/// partitioning for its lifetime).
+inline constexpr uint16_t kProtocolVersion = 3;
 inline constexpr size_t kFrameHeaderSize = 20;
 inline constexpr size_t kMaxFramePayload = size_t{1} << 30;
 

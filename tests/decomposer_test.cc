@@ -58,8 +58,12 @@ TEST(DecomposerTest, PaperQ5Shape) {
     bool has3 = std::count(sub.begin(), sub.end(), 3) > 0;
     bool has2 = std::count(sub.begin(), sub.end(), 2) > 0;
     bool has4 = std::count(sub.begin(), sub.end(), 4) > 0;
-    if (has0) EXPECT_TRUE(has3);
-    if (has2) EXPECT_TRUE(has4);
+    if (has0) {
+      EXPECT_TRUE(has3);
+    }
+    if (has2) {
+      EXPECT_TRUE(has4);
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <ostream>
+#include <utility>
 
 #include "common/random.h"
 #include "gtest/gtest.h"
@@ -71,10 +72,15 @@ struct ExecCase {
   Strategy strategy;
   uint32_t k;
   uint64_t seed;
+  /// Share of edges leaving their community. At 0 every community of 12
+  /// fits one site under MPC's cap, so MPC keeps every property internal
+  /// and crossing-free queries (the disconnected one included) reach the
+  /// classifier's no-crossing branch.
+  double escape = 0.15;
 };
 
-/// Readable case name, e.g. Mpc_k4_seed102: the test name and the
-/// printed parameter.
+/// Readable case name, e.g. Mpc_k4_seed102 or Mpc_k2_seed112_escape0:
+/// the test name and the printed parameter.
 std::string CaseName(const ExecCase& c) {
   const char* strategy = "Mpc";
   switch (c.strategy) {
@@ -83,8 +89,10 @@ std::string CaseName(const ExecCase& c) {
     case Strategy::kMetis: strategy = "Metis"; break;
     case Strategy::kVp: strategy = "Vp"; break;
   }
-  return std::string(strategy) + "_k" + std::to_string(c.k) + "_seed" +
-         std::to_string(c.seed);
+  std::string name = std::string(strategy) + "_k" + std::to_string(c.k) +
+                     "_seed" + std::to_string(c.seed);
+  if (c.escape == 0.0) name += "_escape0";
+  return name;
 }
 void PrintTo(const ExecCase& c, std::ostream* os) { *os << CaseName(c); }
 
@@ -96,13 +104,17 @@ class ExecutorCorrectnessTest : public ::testing::TestWithParam<ExecCase> {};
 // otherwise) — under the default plan and, on vertex-disjoint
 // partitionings, under gStoreD's partial-evaluation plan too.
 TEST_P(ExecutorCorrectnessTest, MatchesGroundTruth) {
-  const auto [strategy, k, seed] = GetParam();
+  const auto [strategy, k, seed, escape] = GetParam();
   Rng rng(seed);
-  RdfGraph graph =
-      testutil::RandomGraph(rng, 60, 220, 5, /*community=*/12,
-                            /*escape=*/0.15);
-  Cluster cluster =
-      Cluster::Build(MakePartitioning(strategy, graph, k, seed));
+  RdfGraph graph = testutil::RandomGraph(rng, 60, 220, 5, /*community=*/12,
+                                         escape);
+  partition::Partitioning partitioning =
+      MakePartitioning(strategy, graph, k, seed);
+  if (escape == 0.0) {
+    // These cases exist to keep properties internal.
+    ASSERT_EQ(partitioning.num_crossing_properties(), 0u);
+  }
+  Cluster cluster = Cluster::Build(std::move(partitioning));
   DistributedExecutor executor(cluster, graph);
   std::vector<ExecStrategy> plans = {ExecStrategy::kAuto};
   if (strategy != Strategy::kVp) plans.push_back(ExecStrategy::kGstored);
@@ -136,7 +148,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ExecCase{Strategy::kMetis, 8, 108},
                       ExecCase{Strategy::kVp, 2, 109},
                       ExecCase{Strategy::kVp, 4, 110},
-                      ExecCase{Strategy::kVp, 8, 111}),
+                      ExecCase{Strategy::kVp, 8, 111},
+                      ExecCase{Strategy::kMpc, 2, 112, 0.0},
+                      ExecCase{Strategy::kMpc, 4, 113, 0.0}),
     [](const auto& info) { return CaseName(info.param); });
 
 TEST(ExecutorStatsTest, IeqHasZeroJoinTimeAndOneSubquery) {

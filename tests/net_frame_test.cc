@@ -333,7 +333,6 @@ HelloMsg MakeHello() {
   HelloMsg hello;
   hello.site = 3;
   hello.k = 8;
-  hello.generation = 7;
   hello.pid = 4242;
   hello.load_millis = 12.25;
   hello.memory_bytes = 1 << 20;
@@ -347,7 +346,6 @@ TEST(RpcProtocolTest, HelloRoundTrips) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->site, hello.site);
   EXPECT_EQ(decoded->k, hello.k);
-  EXPECT_EQ(decoded->generation, hello.generation);
   EXPECT_EQ(decoded->pid, hello.pid);
   EXPECT_EQ(decoded->load_millis, hello.load_millis);
   EXPECT_EQ(decoded->memory_bytes, hello.memory_bytes);
@@ -473,18 +471,6 @@ TEST(RpcProtocolTest, ErrorRoundTripsEveryCode) {
   }
 }
 
-TEST(RpcProtocolTest, ReloadRoundTrips) {
-  ReloadMsg reload;
-  reload.generation = 12;
-  reload.graph_path = "/tmp/g.nt";
-  reload.partition_dir = "/tmp/parts";
-  Result<ReloadMsg> decoded = DecodeReload(EncodeReload(reload));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->generation, 12u);
-  EXPECT_EQ(decoded->graph_path, reload.graph_path);
-  EXPECT_EQ(decoded->partition_dir, reload.partition_dir);
-}
-
 /// Fuzz-ish sweep: every strict prefix of every message type fails with
 /// ParseError; no prefix length crashes or reads out of bounds (run
 /// under asan by scripts/check.sh).
@@ -496,10 +482,6 @@ TEST(RpcProtocolTest, EveryTruncationOfEveryMessageFailsCleanly) {
   SiteEvalReply reply;
   reply.table.var_ids = {0, 1, 2};
   reply.table.rows = {{1, 2, 3}, {4, 5, 6}};
-  ReloadMsg reload;
-  reload.generation = 12;
-  reload.graph_path = "/g.nt";
-  reload.partition_dir = "/parts";
   struct Case {
     std::string bytes;
     std::function<Status(std::string_view)> decode;
@@ -514,8 +496,6 @@ TEST(RpcProtocolTest, EveryTruncationOfEveryMessageFailsCleanly) {
          SiteEvalReply sink;
          return DecodeEvalReply(p, &sink);
        }},
-      {EncodeReload(reload),
-       [](std::string_view p) { return DecodeReload(p).status(); }},
       {EncodeError(Status::Unavailable("down")),
        [](std::string_view p) {
          Status carried = DecodeError(p);

@@ -10,11 +10,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -27,6 +30,7 @@
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "partition/partition_io.h"
+#include "partition/vp_partitioner.h"
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
 #include "test_util.h"
@@ -83,13 +87,11 @@ struct Deployment {
   }
 };
 
-/// Builds the on-disk artifacts and starts the fleet. `tweak` runs after
-/// all default options are filled (socket_dir is set, so chaos proxies
-/// can derive paths from it). Returns nullptr when the worker binary is
+/// Builds the on-disk artifacts and fills `options` for a fleet over
+/// them, without starting it. Returns nullptr when the worker binary is
 /// missing — callers GTEST_SKIP — and fails the test on real errors.
-std::unique_ptr<Deployment> MakeDeployment(
-    uint32_t k,
-    const std::function<void(RemoteCluster::Options*)>& tweak = {}) {
+std::unique_ptr<Deployment> PrepareDeployment(uint32_t k,
+                                              RemoteCluster::Options* options) {
   const std::string binary = WorkerBinary();
   if (binary.empty()) return nullptr;
 
@@ -139,19 +141,31 @@ std::unique_ptr<Deployment> MakeDeployment(
   }
   d->partitioning = *loaded;
 
+  options->worker_binary = binary;
+  options->graph_path = d->graph_path;
+  options->partition_dir = d->partition_dir;
+  options->socket_dir = d->dir;
+  options->supervisor.heartbeat_interval_ms = 10;
+  options->supervisor.restart_backoff_ms = 20;
+  options->supervisor.spawn_wait_ms = 30000;
+  options->supervisor.drain_grace_ms = 2000;
+  return d;
+}
+
+/// Builds the on-disk artifacts and starts the fleet. `tweak` runs after
+/// all default options are filled (socket_dir is set, so chaos proxies
+/// can derive paths from it). Returns nullptr when the worker binary is
+/// missing — callers GTEST_SKIP — and fails the test on real errors.
+std::unique_ptr<Deployment> MakeDeployment(
+    uint32_t k,
+    const std::function<void(RemoteCluster::Options*)>& tweak = {}) {
   RemoteCluster::Options options;
-  options.worker_binary = binary;
-  options.graph_path = d->graph_path;
-  options.partition_dir = d->partition_dir;
-  options.socket_dir = d->dir;
-  options.supervisor.heartbeat_interval_ms = 10;
-  options.supervisor.restart_backoff_ms = 20;
-  options.supervisor.spawn_wait_ms = 30000;
-  options.supervisor.drain_grace_ms = 2000;
+  std::unique_ptr<Deployment> d = PrepareDeployment(k, &options);
+  if (d == nullptr) return nullptr;
   if (tweak) tweak(&options);
 
   Result<std::unique_ptr<RemoteCluster>> remote =
-      RemoteCluster::Start(std::move(*loaded), std::move(options));
+      RemoteCluster::Start(d->partitioning, std::move(options));
   if (!remote.ok()) {
     ADD_FAILURE() << remote.status().ToString();
     return nullptr;
@@ -519,49 +533,109 @@ TEST(RemoteClusterTest, ChaosProxyFaultsAreSurvivedOrCleanlyReported) {
   d.reset();  // stop the fleet before the proxy goes away
 }
 
-// --- Generation-stamped partition push, including re-sync of a worker
-// that restarts with a stale on-disk view. ---
+// --- The Hello's property-presence check is what refuses a worker that
+// serves other data than the coordinator believes. ---
 
-TEST(RemoteClusterTest, PushReloadPropagatesAndResyncsRestartedWorkers) {
+TEST(RemoteClusterTest, WorkersOnAnotherPartitioningAreRefused) {
+  RemoteCluster::Options options;
+  std::unique_ptr<Deployment> d = PrepareDeployment(4, &options);
+  if (d == nullptr) GTEST_SKIP() << "worker binary not built";
+
+  // The workers load another partitioning of the same graph, same k:
+  // VP, whose sites each hold only the properties hashed to them.
+  partition::PartitionerOptions vp;
+  vp.k = 4;
+  const std::string other_dir = d->dir + "/other";
+  ASSERT_TRUE(partition::PartitionIo::Save(
+                  d->graph, partition::VpPartitioner(vp).Partition(d->graph),
+                  other_dir)
+                  .ok());
+  Result<partition::Partitioning> other =
+      partition::PartitionIo::Load(d->graph, other_dir);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  const size_t num_properties =
+      d->partitioning.crossing_property_mask().size();
+  bool rows_differ = false;
+  for (uint32_t i = 0; i < 4; ++i) {
+    rows_differ |=
+        PropertyPresence(d->partitioning.partition(i), num_properties) !=
+        PropertyPresence(other->partition(i), num_properties);
+  }
+  ASSERT_TRUE(rows_differ) << "both partitionings give every site the same "
+                              "presence row; the check has nothing to catch";
+
+  options.partition_dir = other_dir;
+  Result<std::unique_ptr<RemoteCluster>> remote =
+      RemoteCluster::Start(d->partitioning, options);
+  ASSERT_FALSE(remote.ok());
+  EXPECT_EQ(remote.status().code(), StatusCode::kInternal);
+  EXPECT_NE(remote.status().message().find("property-presence row disagrees"),
+            std::string::npos)
+      << remote.status().ToString();
+
+  // Every worker of the refused fleet was stopped: no live process still
+  // names this deployment's graph file in its argv.
+  for (const auto& entry : std::filesystem::directory_iterator("/proc")) {
+    const std::string pid = entry.path().filename().string();
+    if (pid.find_first_not_of("0123456789") != std::string::npos) continue;
+    std::ifstream in(entry.path() / "cmdline", std::ios::binary);
+    const std::string cmdline((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    EXPECT_EQ(cmdline.find(d->graph_path), std::string::npos)
+        << "worker pid " << pid << " outlived the refused Start";
+  }
+}
+
+// --- Several clients share one executor over one fleet, as a serving
+// process does: the per-site connections are the only shared mutable
+// state, and every answer must still equal the simulator's. ---
+
+TEST(RemoteClusterTest, ConcurrentQueriesMatchSimulator) {
   std::unique_ptr<Deployment> d = MakeDeployment(4);
   if (d == nullptr) GTEST_SKIP() << "worker binary not built";
 
-  // Repartition with a different seed, save next to the original.
-  core::MpcOptions mpc;
-  mpc.base.k = 4;
-  mpc.base.epsilon = 0.3;
-  mpc.base.seed = 11;
-  partition::Partitioning fresh =
-      core::MpcPartitioner(mpc).Partition(d->graph);
-  const std::string dir2 = d->dir + "/parts2";
-  ASSERT_TRUE(partition::PartitionIo::Save(d->graph, fresh, dir2).ok());
-  Result<partition::Partitioning> loaded =
-      partition::PartitionIo::Load(d->graph, dir2);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Cluster sim = Cluster::Build(d->partitioning);
+  DistributedExecutor sim_exec(sim, d->graph, RemoteExecOptions());
+  std::vector<QueryRequest> requests;
+  std::vector<BindingTable> expected;
+  for (const char* text : kQueryMix) {
+    requests.push_back(
+        QueryRequest::FromQuery(testutil::ParseQueryOrDie(text)));
+    Result<QueryResponse> sim_r = sim_exec.Execute(requests.back());
+    ASSERT_TRUE(sim_r.ok()) << sim_r.status().ToString();
+    expected.push_back(std::move(sim_r->bindings));
+  }
 
-  Result<size_t> reloaded = d->remote->PushReload(std::move(*loaded), dir2, 2);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(*reloaded, 4u);
-  EXPECT_EQ(d->remote->generation(), 2u);
-
-  DistributedExecutor executor(*d->remote, d->graph, RemoteExecOptions());
-  sparql::QueryGraph query = testutil::ParseQueryOrDie(kQueryMix[2]);
-  Result<QueryResponse> response =
-      executor.Execute(QueryRequest::FromQuery(query));
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(testutil::RowSet(response->bindings),
-            testutil::RowSet(testutil::GroundTruth(d->graph, query)));
-
-  // Kill a worker: its respawn execs with the ORIGINAL argv (generation
-  // 1, old partition dir), announces the stale generation in its Hello,
-  // and the coordinator replays the reload before the retry is served.
-  ASSERT_TRUE(d->remote->supervisor().Kill(1).ok());
-  response = executor.Execute(QueryRequest::FromQuery(query));
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_TRUE(response->stats.complete);
-  EXPECT_EQ(testutil::RowSet(response->bindings),
-            testutil::RowSet(testutil::GroundTruth(d->graph, query)));
-  EXPECT_GE(d->remote->supervisor().restarts(1), 1);
+  const DistributedExecutor remote_exec(*d->remote, d->graph,
+                                        RemoteExecOptions());
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 5;
+  std::vector<std::vector<std::string>> errors(kThreads);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        // Each client walks the mix from its own offset, so different
+        // queries are in flight at once.
+        for (size_t n = 0; n < requests.size(); ++n) {
+          const size_t q = (n + static_cast<size_t>(t)) % requests.size();
+          Result<QueryResponse> r = remote_exec.Execute(requests[q]);
+          if (!r.ok()) {
+            errors[t].push_back(r.status().ToString());
+          } else if (r->bindings.var_ids != expected[q].var_ids ||
+                     r->bindings.rows != expected[q].rows) {
+            errors[t].push_back(std::string("wrong answer: ") + kQueryMix[q]);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(errors[t].empty())
+        << "client " << t << ": " << errors[t].size()
+        << " failures, first: " << errors[t].front();
+  }
 }
 
 // --- Acceptance: a traced query against the real fleet assembles ONE

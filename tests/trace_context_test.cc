@@ -157,7 +157,9 @@ TEST_F(TraceContextTest, EightThreadsAssembleOneTraceWithoutLoss) {
     if (e.span_id == root->span_id) continue;
     // Parent closure: every parent edge resolves inside the trace.
     EXPECT_TRUE(span_ids.count(e.parent_id) == 1) << e.name;
-    if (e.name == "w.outer") EXPECT_EQ(e.parent_id, root->span_id);
+    if (e.name == "w.outer") {
+      EXPECT_EQ(e.parent_id, root->span_id);
+    }
   }
 }
 

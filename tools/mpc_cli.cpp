@@ -179,8 +179,7 @@ int Usage() {
       [--max-restarts=N] [--kill-site=I] [--kill-after-queries=N]
       [--admin-socket=PATH] [--slow-query-ms=T] [--slow-log=FILE]
   mpc site <data.nt> <partition_dir> --site=I --socket=PATH
-      [--store=memory|segment]
-      [--generation=G] [--kill-after-queries=N]
+      [--store=memory|segment] [--kill-after-queries=N]
   mpc top --socket=ADMIN_PATH [--json] [--interval-ms=I] [--count=N]
 observability (any command):
       [--trace-out=FILE] [--trace-summary] [--metrics-out=FILE]
@@ -255,7 +254,6 @@ struct Flags {
   int max_restarts = 3;
   uint32_t site = 0;
   std::string socket_path;
-  uint64_t generation = 1;
 
   // Query serving (serve command).
   std::string queries_file;
@@ -349,7 +347,6 @@ struct Flags {
     parser.AddInt("max-restarts", &flags.max_restarts);
     parser.AddUint32("site", &flags.site);
     parser.AddString("socket", &flags.socket_path);
-    parser.AddUint64("generation", &flags.generation);
     parser.AddString("queries", &flags.queries_file);
     parser.AddInt("concurrency", &flags.concurrency);
     parser.AddDouble("qps", &flags.qps);
@@ -976,7 +973,6 @@ int CmdSite(const Flags& flags) {
   options.store_kind = flags.store;
   options.site = flags.site;
   options.socket_path = flags.socket_path;
-  options.generation = flags.generation;
   options.kill_after_queries = flags.kill_after_queries;
   options.num_threads = flags.threads;
   options.stop = &g_drain;
@@ -999,8 +995,8 @@ int CmdServe(const Flags& flags) {
     return 2;
   }
   if (flags.remote && !flags.updates_file.empty()) {
-    std::cerr << "--remote and --updates are mutually exclusive (workers "
-                 "reload only on repartition pushes)\n";
+    std::cerr << "--remote and --updates are mutually exclusive (the "
+                 "workers serve the partitioning they were started with)\n";
     return 2;
   }
   InstallDrainHandlers();
