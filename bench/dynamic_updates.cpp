@@ -178,7 +178,6 @@ void RunRecovery(const workload::GeneratedDataset& dataset,
     IncrementalMaintainer m(dataset.graph.Clone(), seed_partitioning,
                             plain);
     for (const UpdateBatch& b : stream) m.ApplyBatch(b);
-    m.WaitForRepartition();
   }
   const double plain_ms = plain_timer.ElapsedMillis();
 
@@ -193,7 +192,6 @@ void RunRecovery(const workload::GeneratedDataset& dataset,
       return;
     }
     for (const UpdateBatch& b : stream) (*m)->ApplyBatch(b);
-    (*m)->WaitForRepartition();
   }  // process "crashes": only the journal directory survives
   const double journaled_ms = journaled_timer.ElapsedMillis();
 

@@ -404,8 +404,11 @@ EOF
 # Crash-recovery smoke: stream updates with a write-ahead journal, kill
 # the process mid-stream (SIGKILL via --crash-after, exit 137), recover
 # with --recover, and require the recovered final partitioning to be
-# byte-identical to an uninterrupted run. (The journal/checkpoint unit
-# tests also run under asan/ubsan via the full ctest suites above.)
+# byte-identical to an uninterrupted run. A periodic policy repartitions
+# at batches 2 and 4, so the crash after batch 3 lands past a repartition
+# and its checkpoint, and the resumed stream runs the second one. (The
+# journal/checkpoint unit tests also run under asan/ubsan via the full
+# ctest suites above.)
 recovery_smoke() {
   local dir="$1"
   echo "=== crash-recovery smoke: ${dir} ==="
@@ -442,17 +445,23 @@ EOF
   "${dir}/tools/mpc" partition "${tmp}/g.nt" "${tmp}/part" --k=2
   local rc=0
   "${dir}/tools/mpc" update "${tmp}/g.nt" "${tmp}/part" \
-    "${tmp}/updates.ulog" --journal-dir="${tmp}/journal" \
-    --checkpoint-every=2 --crash-after=2 || rc=$?
+    "${tmp}/updates.ulog" --policy=periodic --period=2 \
+    --journal-dir="${tmp}/journal" \
+    --checkpoint-every=2 --crash-after=3 || rc=$?
   if [[ "${rc}" -ne 137 ]]; then
     echo "expected SIGKILL exit 137 from --crash-after, got ${rc}" >&2
     return 1
   fi
   "${dir}/tools/mpc" update "${tmp}/g.nt" "${tmp}/part" \
-    "${tmp}/updates.ulog" --journal-dir="${tmp}/journal" \
+    "${tmp}/updates.ulog" --policy=periodic --period=2 \
+    --journal-dir="${tmp}/journal" \
     --checkpoint-every=2 --recover --out="${tmp}/out-recovered"
-  "${dir}/tools/mpc" update "${tmp}/g.nt" "${tmp}/part" \
-    "${tmp}/updates.ulog" --out="${tmp}/out-clean"
+  local out
+  out="$("${dir}/tools/mpc" update "${tmp}/g.nt" "${tmp}/part" \
+    "${tmp}/updates.ulog" --policy=periodic --period=2 \
+    --out="${tmp}/out-clean")"
+  echo "${out}"
+  grep -q "repartition (" <<< "${out}"
   diff -r "${tmp}/out-recovered" "${tmp}/out-clean"
   echo "crash-recovery smoke passed"
 }
@@ -624,8 +633,8 @@ run_config build-ubsan -DMPC_SANITIZE=undefined
 
 # The obs tests specifically under TSan: concurrent span recording and
 # counter updates are the code most at risk of a data race. The dynamic
-# and migration tests join them: background repartition and hot-vertex
-# migration mutate the partitioning the serving snapshots capture. The
+# and migration tests join them: repartition and hot-vertex migration
+# mutate the partitioning the serving snapshots capture. The
 # RPC codec and RemoteCluster tests run here too: several client threads
 # share one fleet's per-site connections.
 echo "=== configure+build: build-tsan (-DMPC_SANITIZE=thread) ==="

@@ -48,10 +48,6 @@ std::string RepartitionPolicy::Evaluate(const DriftMetrics& m) const {
         return "tombstone ratio " + std::to_string(m.tombstone_ratio) +
                " exceeds " + std::to_string(max_tombstone_ratio);
       }
-      if (max_balance_ratio > 0.0 && m.balance_ratio > max_balance_ratio) {
-        return "balance ratio " + std::to_string(m.balance_ratio) +
-               " exceeds " + std::to_string(max_balance_ratio);
-      }
       if (enforce_component_budget && m.internal_component_budget > 0 &&
           m.max_internal_component > m.internal_component_budget) {
         return "internal component " +

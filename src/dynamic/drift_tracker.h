@@ -90,8 +90,6 @@ struct RepartitionPolicy {
   size_t min_lcross_slack = 4;
   /// kThreshold: fire when tombstone_ratio exceeds this.
   double max_tombstone_ratio = 0.25;
-  /// kThreshold: fire when balance_ratio exceeds this (0 disables).
-  double max_balance_ratio = 0.0;
   /// kThreshold: fire when max_internal_component exceeds
   /// internal_component_budget (the Def. 4.2 ceiling). Off by default:
   /// the online forest over-approximates after deletes, so without the

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -156,11 +155,6 @@ IncrementalMaintainer::OpenDurable(rdf::RdfGraph graph,
   Result<std::vector<UpdateJournal::Entry>> tail = UpdateJournal::Replay(
       dir, fingerprint, maintainer->batches_applied());
   if (!tail.ok()) return tail.status();
-  // Replayed batches re-run any triggered repartition synchronously, so
-  // recovery lands on a deterministic state even when the original
-  // stream used background mode.
-  const bool background = maintainer->options_.background_repartition;
-  maintainer->options_.background_repartition = false;
   uint64_t replayed = 0;
   for (const UpdateJournal::Entry& e : *tail) {
     if (e.seq != maintainer->batches_applied() + 1) {
@@ -172,7 +166,6 @@ IncrementalMaintainer::OpenDurable(rdf::RdfGraph graph,
     maintainer->ApplyBatch(e.batch);
     ++replayed;
   }
-  maintainer->options_.background_repartition = background;
   span.Attr("replayed_batches", replayed);
   obs::MetricsRegistry::Default()
       .CounterRef("dynamic.recover.replayed_batches")
@@ -185,10 +178,6 @@ IncrementalMaintainer::OpenDurable(rdf::RdfGraph graph,
       std::make_unique<UpdateJournal>(std::move(*journal));
   maintainer->journal_fingerprint_ = fingerprint;
   return maintainer;
-}
-
-IncrementalMaintainer::~IncrementalMaintainer() {
-  if (repartition_thread_.joinable()) repartition_thread_.join();
 }
 
 void IncrementalMaintainer::Attach() {
@@ -425,16 +414,6 @@ ApplyResult IncrementalMaintainer::ApplyBatch(const UpdateBatch& batch) {
     }
   }
 
-  // Opportunistically integrate a finished background repartition before
-  // applying, so the batch lands on the freshest state.
-  if (repartition_running_ &&
-      pending_ready_.load(std::memory_order_acquire)) {
-    IntegrateBackgroundRepartition();
-  }
-  // Replay-queue cap: block on (or re-anchor) the in-flight job before
-  // this batch deepens the queue further.
-  if (repartition_running_) ApplyBackpressure();
-
   for (const TripleUpdate& u : batch.updates) {
     const int delta = ApplyUpdate(u);
     if (delta > 0) {
@@ -447,7 +426,6 @@ ApplyResult IncrementalMaintainer::ApplyBatch(const UpdateBatch& batch) {
     tracker_.OnUpdateApplied();
   }
   tracker_.OnBatchApplied();
-  if (repartition_running_) replay_.push_back(batch);
   ++generation_;
 
   // Tombstone-triggered forest rebuild, before the policy reads the
@@ -461,38 +439,31 @@ ApplyResult IncrementalMaintainer::ApplyBatch(const UpdateBatch& batch) {
   }
 
   DriftMetrics metrics = drift();
-  if (!repartition_running_) {
-    std::string reason = options_.policy.Evaluate(metrics);
-    // Escalation ladder: a fired policy first tries hot-vertex
-    // migration (cheap, incremental); only when the re-evaluated drift
-    // still exceeds its bound — migration stopped reducing weighted
-    // |L_cross| — does the full MPC re-run happen.
-    if (!reason.empty() && options_.migration.enabled) {
-      const MigrationReport migrated = TryMigrate();
-      result.migrated = migrated.moves;
-      result.migration_gain = migrated.weighted_lcross_gain;
-      if (migrated.moves > 0) {
-        metrics = drift();
-        reason = options_.policy.Evaluate(metrics);
-      }
-    }
-    if (!reason.empty()) {
-      result.repartition_triggered = true;
-      result.trigger_reason = std::move(reason);
-      batch_span.Attr("trigger", result.trigger_reason);
-      if (options_.background_repartition) {
-        StartBackgroundRepartition();
-      } else {
-        RepartitionNow();
-        result.repartitioned = true;
-        metrics = drift();
-      }
+  std::string reason = options_.policy.Evaluate(metrics);
+  // Escalation ladder: a fired policy first tries hot-vertex migration
+  // (cheap, incremental); only when the re-evaluated drift still exceeds
+  // its bound — migration stopped reducing weighted |L_cross| — does the
+  // full MPC re-run happen.
+  if (!reason.empty() && options_.migration.enabled) {
+    const MigrationReport migrated = TryMigrate();
+    result.migrated = migrated.moves;
+    result.migration_gain = migrated.weighted_lcross_gain;
+    if (migrated.moves > 0) {
+      metrics = drift();
+      reason = options_.policy.Evaluate(metrics);
     }
   }
+  if (!reason.empty()) {
+    result.repartition_triggered = true;
+    result.trigger_reason = std::move(reason);
+    batch_span.Attr("trigger", result.trigger_reason);
+    RepartitionNow();
+    result.repartitioned = true;
+    metrics = drift();
+  }
   // Checkpoint cadence: every N batches, and always right after a
-  // completed repartition (so journal replay never re-runs MPC). Only
-  // when no background job is in flight — mid-job state is incomplete.
-  if (journal_ && !repartition_running_) {
+  // repartition (so journal replay never re-runs MPC).
+  if (journal_) {
     const uint64_t seq = tracker_.batches_applied();
     const bool cadence = options_.checkpoint_every_batches > 0 &&
                          seq % options_.checkpoint_every_batches == 0;
@@ -510,15 +481,13 @@ ApplyResult IncrementalMaintainer::ApplyBatch(const UpdateBatch& batch) {
       .Attr("deletes", static_cast<uint64_t>(result.deletes))
       .Attr("noops", static_cast<uint64_t>(result.noops));
 
-  // Publish the drift snapshot (and queue depth) as gauges so a metrics
-  // dump mid-stream shows where the live partitioning stands.
+  // Publish the drift snapshot as gauges so a metrics dump mid-stream
+  // shows where the live partitioning stands.
   auto& m = obs::MetricsRegistry::Default();
   m.CounterRef("dynamic.batches").Inc();
   m.CounterRef("dynamic.inserts").Inc(result.inserts);
   m.CounterRef("dynamic.deletes").Inc(result.deletes);
   m.CounterRef("dynamic.noops").Inc(result.noops);
-  m.GaugeRef("dynamic.replay_queue_depth")
-      .Set(static_cast<double>(replay_.size()));
   m.GaugeRef("dynamic.drift.live_triples")
       .Set(static_cast<double>(metrics.live_triples));
   m.GaugeRef("dynamic.drift.crossing_edges")
@@ -572,7 +541,6 @@ void IncrementalMaintainer::RebuildForest() {
 }
 
 MaintainerState IncrementalMaintainer::ExportState() const {
-  assert(!repartition_running_);
   MaintainerState state;
   state.seq = tracker_.batches_applied();
   state.k = partitioning_.k();
@@ -649,14 +617,32 @@ rdf::RdfGraph IncrementalMaintainer::MaterializeGraph() const {
 void IncrementalMaintainer::RepartitionNow() {
   MPC_TRACE_SPAN("dynamic.repartition");
   obs::MetricsRegistry::Default().CounterRef("dynamic.repartitions").Inc();
-  WaitForRepartition();  // fold in any in-flight job first
   rdf::RdfGraph fresh = MaterializeGraph();
   core::MpcOptions mpc = options_.mpc;
   mpc.base.k = partitioning_.k();
   mpc.base.num_threads = options_.num_threads;
   partition::Partitioning repartitioned =
       core::MpcPartitioner(mpc).Partition(fresh);
-  AdoptRepartition(std::move(fresh), std::move(repartitioned));
+  if (!options_.property_weights.empty()) {
+    // The fresh graph re-interns the live terms, so property ids can
+    // shift (a property whose last live edge died drops out of the
+    // dense id space). The id-indexed weights must follow their
+    // properties by name or the weighted drift starts charging the
+    // wrong properties. Properties the old vector never covered keep
+    // the default weight of 1.0.
+    std::vector<double> remapped(fresh.num_properties(), 1.0);
+    for (rdf::PropertyId p = 0; p < fresh.num_properties(); ++p) {
+      const rdf::PropertyId old =
+          graph_.property_dict().Lookup(fresh.PropertyName(p));
+      if (old != rdf::kInvalidProperty) remapped[p] = PropertyWeight(old);
+    }
+    options_.property_weights = std::move(remapped);
+  }
+  graph_ = std::move(fresh);
+  partitioning_ = std::move(repartitioned);
+  Attach();
+  tracker_.OnRepartition();
+  ++repartitions_;
 }
 
 MigrationReport IncrementalMaintainer::TryMigrate() {
@@ -746,117 +732,6 @@ void IncrementalMaintainer::ApplyMigrationMove(
     }
   }
   ++migrations_;
-}
-
-void IncrementalMaintainer::StartBackgroundRepartition() {
-  assert(!repartition_running_);
-  rdf::RdfGraph fresh = MaterializeGraph();  // private snapshot
-  replay_.clear();
-  pending_ready_.store(false, std::memory_order_relaxed);
-  repartition_running_ = true;
-  core::MpcOptions mpc = options_.mpc;
-  mpc.base.k = partitioning_.k();
-  mpc.base.num_threads = options_.num_threads;
-  obs::MetricsRegistry::Default().CounterRef("dynamic.repartitions").Inc();
-  repartition_thread_ =
-      std::thread([this, mpc, fresh = std::move(fresh)]() mutable {
-        MPC_TRACE_SPAN("dynamic.repartition.background");
-        pending_partitioning_ = core::MpcPartitioner(mpc).Partition(fresh);
-        pending_graph_ = std::move(fresh);
-        pending_ready_.store(true, std::memory_order_release);
-      });
-}
-
-void IncrementalMaintainer::IntegrateBackgroundRepartition() {
-  MPC_TRACE_SPAN("dynamic.repartition.integrate");
-  repartition_thread_.join();  // also synchronizes pending_*
-  repartition_running_ = false;
-  std::vector<UpdateBatch> replay = std::move(replay_);
-  replay_.clear();
-  AdoptRepartition(std::move(pending_graph_),
-                   std::move(pending_partitioning_));
-  // Replay the updates that raced the job onto the new partitioning.
-  // Lifetime counters were already bumped at original application time.
-  for (const UpdateBatch& batch : replay) {
-    for (const TripleUpdate& u : batch.updates) ApplyUpdate(u);
-  }
-  ++generation_;
-  // A completed repartition anchors recovery: checkpoint it so journal
-  // replay after a crash never has to re-run MPC.
-  if (journal_) {
-    Status st = WriteCheckpoint();
-    if (!st.ok()) {
-      MPC_LOG(Warning) << "post-repartition checkpoint failed: "
-                       << st.ToString();
-    }
-  }
-}
-
-void IncrementalMaintainer::AbandonBackgroundRepartition() {
-  if (!repartition_running_) return;
-  repartition_thread_.join();
-  repartition_running_ = false;
-  pending_ready_.store(false, std::memory_order_relaxed);
-  pending_graph_ = rdf::RdfGraph();
-  pending_partitioning_ = partition::Partitioning();
-  replay_.clear();
-}
-
-void IncrementalMaintainer::ApplyBackpressure() {
-  if (options_.max_replay_batches == 0 ||
-      replay_.size() < options_.max_replay_batches) {
-    return;
-  }
-  auto& m = obs::MetricsRegistry::Default();
-  if (options_.backpressure == ReplayBackpressure::kBlock) {
-    // Stall the producer until the job lands. Deterministic: the wait
-    // happens exactly when the queue reaches the cap, independent of
-    // how fast the background thread actually ran.
-    MPC_TRACE_SPAN("dynamic.backpressure.block");
-    m.CounterRef("dynamic.backpressure.stalls").Inc();
-    Timer timer;
-    WaitForRepartition();
-    m.HistogramRef("dynamic.backpressure.stall_ms",
-                   obs::DefaultLatencyBoundsMs())
-        .Observe(timer.ElapsedMillis());
-  } else {
-    // Re-anchor: the snapshot the job is partitioning is too far behind
-    // the stream to ever catch up; abandon it and start over from the
-    // current live state with an empty queue.
-    MPC_TRACE_SPAN("dynamic.backpressure.reanchor");
-    m.CounterRef("dynamic.backpressure.reanchors").Inc();
-    AbandonBackgroundRepartition();
-    StartBackgroundRepartition();
-  }
-}
-
-void IncrementalMaintainer::AdoptRepartition(
-    rdf::RdfGraph graph, partition::Partitioning partitioning) {
-  if (!options_.property_weights.empty()) {
-    // The adopted graph re-interns the live terms, so property ids can
-    // shift (a property whose last live edge died drops out of the
-    // dense id space). The id-indexed weights must follow their
-    // properties by name or the weighted drift starts charging the
-    // wrong properties. Properties the old vector never covered keep
-    // the default weight of 1.0.
-    std::vector<double> remapped(graph.num_properties(), 1.0);
-    for (rdf::PropertyId p = 0; p < graph.num_properties(); ++p) {
-      const rdf::PropertyId old =
-          graph_.property_dict().Lookup(graph.PropertyName(p));
-      if (old != rdf::kInvalidProperty) remapped[p] = PropertyWeight(old);
-    }
-    options_.property_weights = std::move(remapped);
-  }
-  graph_ = std::move(graph);
-  partitioning_ = std::move(partitioning);
-  Attach();
-  tracker_.OnRepartition();
-  ++repartitions_;
-}
-
-void IncrementalMaintainer::WaitForRepartition() {
-  if (!repartition_running_) return;
-  IntegrateBackgroundRepartition();
 }
 
 }  // namespace mpc::dynamic

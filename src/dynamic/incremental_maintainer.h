@@ -1,10 +1,8 @@
 #ifndef MPC_DYNAMIC_INCREMENTAL_MAINTAINER_H_
 #define MPC_DYNAMIC_INCREMENTAL_MAINTAINER_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -19,19 +17,6 @@
 
 namespace mpc::dynamic {
 
-/// What to do when the replay queue hits MaintainerOptions::
-/// max_replay_batches while a background repartition is still running.
-enum class ReplayBackpressure {
-  /// Block the producer: wait for the job and integrate it before
-  /// applying the batch. Deterministic (the wait always happens exactly
-  /// at the cap, regardless of how fast the job ran).
-  kBlock,
-  /// Abandon the in-flight job and re-anchor: start a fresh background
-  /// repartition from the current live state, clearing the queue. Keeps
-  /// the producer unblocked at the cost of the wasted partial run.
-  kReanchor,
-};
-
 struct MaintainerOptions {
   /// When to abandon incremental maintenance for a full MPC re-run.
   RepartitionPolicy policy;
@@ -42,11 +27,6 @@ struct MaintainerOptions {
   /// (0 = hardware_concurrency). Update application itself is serial, so
   /// all maintained state is bit-identical at any value.
   int num_threads = 1;
-  /// Run triggered repartitions on a background thread (the live
-  /// partitioning keeps serving; updates applied meanwhile are replayed
-  /// onto the new partitioning before the atomic swap). When false a
-  /// trigger repartitions synchronously inside ApplyBatch.
-  bool background_repartition = false;
 
   /// Durability (only active through OpenDurable; the plain constructor
   /// ignores these): directory holding the write-ahead journal and the
@@ -56,12 +36,6 @@ struct MaintainerOptions {
   /// a checkpoint is always written right after a repartition completes,
   /// so journal replay never has to re-run MPC).
   uint32_t checkpoint_every_batches = 0;
-
-  /// Replay backpressure: cap on the replay queue while a background
-  /// repartition runs (0 = unbounded). On hitting the cap the policy
-  /// below applies.
-  size_t max_replay_batches = 0;
-  ReplayBackpressure backpressure = ReplayBackpressure::kBlock;
 
   /// Rebuild the online DSF forest from the live triples when
   /// tombstone_ratio exceeds this and internal deletes made the forest
@@ -102,8 +76,9 @@ struct ApplyResult {
   size_t migrated = 0;
   /// Weighted |L_cross| reduction those moves achieved.
   double migration_gain = 0.0;
-  /// A full repartition completed and was swapped in (synchronous mode;
-  /// in background mode the swap happens at a later integration point).
+  /// A full repartition completed and was swapped in. Triggered
+  /// repartitions run inside ApplyBatch, so this always equals
+  /// repartition_triggered.
   bool repartitioned = false;
   /// Drift after the batch (and after the swap, if one happened).
   DriftMetrics drift;
@@ -136,14 +111,13 @@ struct ApplyResult {
 ///    (Section IV-D), tracking the WCC(G[L_in]) budget of Def. 4.2.
 ///  - A DriftTracker measures |L_cross| growth, balance, tombstone and
 ///    replication ratios; the RepartitionPolicy decides at batch
-///    boundaries when to trigger a full MPC re-run, which runs serially
-///    or on a background thread and is swapped in atomically.
+///    boundaries when to trigger a full MPC re-run, which runs inside
+///    ApplyBatch and is swapped in before the batch returns.
 ///
 /// Thread contract: single writer. All public methods must be called
-/// from one thread; the only internal concurrency is the background
-/// repartition job, which works exclusively on a private snapshot.
-/// Queries run on a snapshot taken on that thread
-/// (serve::ServingState::Capture).
+/// from one thread, and no maintainer work outlives the call that
+/// started it. Queries run on a snapshot taken on that thread
+/// (serve::ServingState::Capture), so a repartition never blocks them.
 class IncrementalMaintainer {
  public:
   /// Takes ownership of the graph snapshot and its vertex-disjoint
@@ -165,20 +139,18 @@ class IncrementalMaintainer {
   /// when no checkpoint exists yet), then attaches the journal so every
   /// subsequent ApplyBatch is write-ahead journaled. `fingerprint`
   /// (PartitionIo::Fingerprint of the seed directory) binds the journal
-  /// to its partitioning. Replayed batches re-run triggered
-  /// repartitions synchronously, so recovery is deterministic for a
-  /// sync-mode stream.
+  /// to its partitioning. A repartition is checkpointed at its batch, so
+  /// the replayed tail never re-runs MPC.
   static Result<std::unique_ptr<IncrementalMaintainer>> OpenDurable(
       rdf::RdfGraph graph, partition::Partitioning partitioning,
       MaintainerOptions options, uint64_t fingerprint);
 
-  ~IncrementalMaintainer();
-
   IncrementalMaintainer(const IncrementalMaintainer&) = delete;
   IncrementalMaintainer& operator=(const IncrementalMaintainer&) = delete;
 
-  /// Applies one batch, evaluates the policy, and (if fired) triggers a
-  /// repartition per MaintainerOptions.
+  /// Applies one batch, evaluates the policy, and (if fired) runs
+  /// RepartitionNow() before returning; when journaling, a repartition
+  /// is checkpointed at its batch.
   ApplyResult ApplyBatch(const UpdateBatch& batch);
 
   /// The graph snapshot plus dictionary growth. Dictionaries are always
@@ -218,14 +190,6 @@ class IncrementalMaintainer {
   /// Synchronous full MPC re-run on the live graph + atomic swap.
   void RepartitionNow();
 
-  /// True while a background repartition job is in flight.
-  bool repartition_pending() const { return repartition_running_; }
-
-  /// Blocks until the in-flight background job (if any) finishes, then
-  /// integrates it: swap in the new graph/partitioning and replay the
-  /// updates applied since the snapshot. No-op when nothing is pending.
-  void WaitForRepartition();
-
   size_t repartition_count() const { return repartitions_; }
 
   /// Hot-vertex moves applied over the maintainer's lifetime (survives
@@ -261,9 +225,7 @@ class IncrementalMaintainer {
   /// True when a write-ahead journal is attached (OpenDurable).
   bool journaling() const { return journal_ != nullptr; }
 
-  /// Complete serializable state (see MaintainerState). Must not be
-  /// called while a background repartition is in flight — call
-  /// WaitForRepartition() first.
+  /// Complete serializable state (see MaintainerState).
   MaintainerState ExportState() const;
 
   /// Exports the state and writes a checkpoint to the journal directory
@@ -286,18 +248,6 @@ class IncrementalMaintainer {
 
   /// Applies one update; returns 0 noop, +1 insert, -1 delete.
   int ApplyUpdate(const TripleUpdate& update);
-
-  void StartBackgroundRepartition();
-  void IntegrateBackgroundRepartition();
-  void AdoptRepartition(rdf::RdfGraph graph,
-                        partition::Partitioning partitioning);
-
-  /// Joins and discards an in-flight background job without integrating
-  /// it (the kReanchor backpressure path).
-  void AbandonBackgroundRepartition();
-
-  /// Applies the replay-queue cap (see ReplayBackpressure).
-  void ApplyBackpressure();
 
   /// Rebuilds the online forest from the live triples, discarding the
   /// staleness accumulated by internal deletes. O(|E| α).
@@ -375,16 +325,6 @@ class IncrementalMaintainer {
   uint64_t journal_fingerprint_ = 0;
 
   uint64_t generation_ = 0;
-
-  // Background repartition job. The job thread only touches pending_*;
-  // pending_ready_ (release/acquire) publishes them to the main thread.
-  std::thread repartition_thread_;
-  bool repartition_running_ = false;
-  std::atomic<bool> pending_ready_{false};
-  rdf::RdfGraph pending_graph_;
-  partition::Partitioning pending_partitioning_;
-  /// Updates applied while the job ran, replayed onto the new state.
-  std::vector<UpdateBatch> replay_;
 };
 
 }  // namespace mpc::dynamic

@@ -1,7 +1,10 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <sstream>
 
 namespace mpc::obs {
 
@@ -10,6 +13,48 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
     if (k == key) return &v;
   }
   return nullptr;
+}
+
+std::string JsonString(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
+std::string JsonNumber(double v) {
+  if (!std::isfinite(v)) return "0";
+  std::ostringstream out;
+  out << v;
+  return out.str();
 }
 
 namespace {

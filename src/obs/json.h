@@ -39,6 +39,15 @@ class JsonValue {
 /// garbage rejected). ParseError carries the byte offset of the problem.
 Result<JsonValue> ParseJson(std::string_view text);
 
+/// `s` as a quoted JSON string: quotes and backslashes are escaped, and
+/// so is every control character (\n, \t, \r by name, the rest as
+/// \u00XX), so ParseJson(JsonString(s)) gives back `s`.
+std::string JsonString(std::string_view s);
+
+/// `v` as a JSON number. JSON has no NaN or Inf, so a non-finite value
+/// is written as 0 (observability data, not arithmetic).
+std::string JsonNumber(double v);
+
 }  // namespace mpc::obs
 
 #endif  // MPC_OBS_JSON_H_

@@ -3,34 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <sstream>
 
 #include "common/string_util.h"
+#include "obs/json.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
 
 namespace mpc::obs {
-
-namespace {
-
-std::string EscapeName(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string Num(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream out;
-  out << v;
-  return out.str();
-}
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
@@ -96,25 +75,25 @@ std::string MetricsRegistry::ToJson() const {
   for (const auto& [name, counter] : counters_) {
     if (!first) out += ",";
     first = false;
-    out += EscapeName(name) + ":" + std::to_string(counter->value());
+    out += JsonString(name) + ":" + std::to_string(counter->value());
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
     if (!first) out += ",";
     first = false;
-    out += EscapeName(name) + ":" + Num(gauge->value());
+    out += JsonString(name) + ":" + JsonNumber(gauge->value());
   }
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
     if (!first) out += ",";
     first = false;
-    out += EscapeName(name) + ":{\"count\":" + std::to_string(h->count()) +
-           ",\"sum\":" + Num(h->sum()) +
-           ",\"p50\":" + Num(h->Quantile(0.50)) +
-           ",\"p95\":" + Num(h->Quantile(0.95)) +
-           ",\"p99\":" + Num(h->Quantile(0.99)) + ",\"buckets\":[";
+    out += JsonString(name) + ":{\"count\":" + std::to_string(h->count()) +
+           ",\"sum\":" + JsonNumber(h->sum()) +
+           ",\"p50\":" + JsonNumber(h->Quantile(0.50)) +
+           ",\"p95\":" + JsonNumber(h->Quantile(0.95)) +
+           ",\"p99\":" + JsonNumber(h->Quantile(0.99)) + ",\"buckets\":[";
     bool first_bucket = true;
     for (size_t b = 0; b < h->num_buckets(); ++b) {
       const uint64_t count = h->bucket_count(b);
@@ -122,7 +101,7 @@ std::string MetricsRegistry::ToJson() const {
       if (!first_bucket) out += ",";
       first_bucket = false;
       const std::string le = b < h->bounds().size()
-                                 ? Num(h->bounds()[b])
+                                 ? JsonNumber(h->bounds()[b])
                                  : std::string("\"+inf\"");
       out += "{\"le\":" + le + ",\"count\":" + std::to_string(count) + "}";
     }

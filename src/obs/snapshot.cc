@@ -2,34 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <sstream>
 #include <utility>
 
+#include "obs/json.h"
 #include "obs/trace.h"
 
 namespace mpc::obs {
-
-namespace {
-
-std::string EscapeName(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string Num(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream out;
-  out << v;
-  return out.str();
-}
-
-}  // namespace
 
 double QuantileFromBuckets(const std::vector<double>& bounds,
                            const std::vector<uint64_t>& buckets,
@@ -179,8 +157,9 @@ std::string Snapshotter::StatsJson() const {
       has_prev ? std::max(0.0, cur.at_ms - prev.at_ms) : 0.0;
   const double window_s = window_ms / 1000.0;
   std::string out = "{";
-  out += "\"uptime_ms\":" + Num(std::max(0.0, cur.at_ms - started_at_ms));
-  out += ",\"window_ms\":" + Num(window_ms);
+  out += "\"uptime_ms\":" +
+         JsonNumber(std::max(0.0, cur.at_ms - started_at_ms));
+  out += ",\"window_ms\":" + JsonNumber(window_ms);
   out += ",\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : cur.counters) {
@@ -193,16 +172,16 @@ std::string Snapshotter::StatsJson() const {
                  : 0;
     const double rate =
         window_s > 0.0 ? static_cast<double>(delta) / window_s : 0.0;
-    out += EscapeName(name) + ":{\"value\":" + std::to_string(value) +
+    out += JsonString(name) + ":{\"value\":" + std::to_string(value) +
            ",\"window_delta\":" + std::to_string(delta) +
-           ",\"rate_per_s\":" + Num(rate) + "}";
+           ",\"rate_per_s\":" + JsonNumber(rate) + "}";
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, value] : cur.gauges) {
     if (!first) out += ",";
     first = false;
-    out += EscapeName(name) + ":" + Num(value);
+    out += JsonString(name) + ":" + JsonNumber(value);
   }
   out += "},\"histograms\":{";
   first = true;
@@ -217,15 +196,18 @@ std::string Snapshotter::StatsJson() const {
     const uint64_t window_count = has_prev ? delta.count : 0;
     const double rate =
         window_s > 0.0 ? static_cast<double>(window_count) / window_s : 0.0;
-    out += EscapeName(name) + ":{\"count\":" + std::to_string(hs.count) +
+    out += JsonString(name) + ":{\"count\":" + std::to_string(hs.count) +
            ",\"window_count\":" + std::to_string(window_count) +
-           ",\"rate_per_s\":" + Num(rate) +
-           ",\"p50\":" + Num(QuantileFromBuckets(delta.bounds, delta.buckets,
-                                                 delta.count, 0.50)) +
-           ",\"p95\":" + Num(QuantileFromBuckets(delta.bounds, delta.buckets,
-                                                 delta.count, 0.95)) +
-           ",\"p99\":" + Num(QuantileFromBuckets(delta.bounds, delta.buckets,
-                                                 delta.count, 0.99)) +
+           ",\"rate_per_s\":" + JsonNumber(rate) +
+           ",\"p50\":" +
+           JsonNumber(QuantileFromBuckets(delta.bounds, delta.buckets,
+                                          delta.count, 0.50)) +
+           ",\"p95\":" +
+           JsonNumber(QuantileFromBuckets(delta.bounds, delta.buckets,
+                                          delta.count, 0.95)) +
+           ",\"p99\":" +
+           JsonNumber(QuantileFromBuckets(delta.bounds, delta.buckets,
+                                          delta.count, 0.99)) +
            "}";
   }
   out += "}}";

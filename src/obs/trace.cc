@@ -2,16 +2,14 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "obs/json.h"
 
 namespace mpc::obs {
 
@@ -45,50 +43,6 @@ AttrValue AttrValue::Str(std::string_view v) {
 }
 
 namespace {
-
-std::string EscapeJsonString(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-/// JSON numbers must not be NaN/Inf; clamp to 0 (observability data, not
-/// arithmetic).
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream out;
-  out << v;
-  return out.str();
-}
 
 /// Per-thread event storage: a singly linked list of fixed chunks. The
 /// owning thread appends with plain writes and publishes each event (and
@@ -332,7 +286,7 @@ std::string AttrValue::ToJson() const {
     case Kind::kDouble:
       return JsonNumber(d);
     case Kind::kString:
-      return EscapeJsonString(s);
+      return JsonString(s);
   }
   return "null";
 }
@@ -402,7 +356,7 @@ std::string TraceEventsToChromeJson(const std::vector<TraceEvent>& events) {
     // so single-process traces are unchanged and remote pids (real OS
     // pids, never 1) stay distinct.
     const uint32_t pid = e.pid == 0 ? 1 : e.pid;
-    out += "{\"name\":" + EscapeJsonString(e.name) +
+    out += "{\"name\":" + JsonString(e.name) +
            ",\"cat\":\"mpc\",\"ph\":\"X\",\"pid\":" + std::to_string(pid) +
            ",\"tid\":" + std::to_string(e.tid) +
            ",\"ts\":" + JsonNumber(e.start_us) +
@@ -413,7 +367,7 @@ std::string TraceEventsToChromeJson(const std::vector<TraceEvent>& events) {
       out += ",\"trace_id\":" + std::to_string(e.trace_id);
     }
     for (const TraceAttr& a : e.attrs) {
-      out += "," + EscapeJsonString(a.key) + ":" + a.value.ToJson();
+      out += "," + JsonString(a.key) + ":" + a.value.ToJson();
     }
     out += "}}";
   }

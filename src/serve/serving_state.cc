@@ -29,7 +29,6 @@ std::shared_ptr<const ServingState> ServingState::Capture(
   const partition::Partitioning& maintained = maintainer.partitioning();
   if (!options.base_sources.empty() && maintainer.repartition_count() == 0 &&
       maintainer.migration_count() == 0 &&
-      !maintainer.repartition_pending() &&
       maintained.kind() == partition::PartitioningKind::kVertexDisjoint &&
       options.base_sources.size() == maintained.k()) {
     const auto& added_set = maintainer.added_triples();

@@ -2,60 +2,19 @@
 
 #include <sys/stat.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "exec/query_classifier.h"
+#include "obs/json.h"
 #include "obs/trace.h"
 #include "sparql/shape.h"
 
 namespace mpc::serve {
 
 namespace {
-
-std::string JsonStr(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string JsonNum(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream out;
-  out << v;
-  return out.str();
-}
 
 /// The per-site attempt timeline: every exec.rpc.attempt span recorded
 /// under this query's trace id, in start order (CollectTrace's order
@@ -68,12 +27,12 @@ std::string AttemptsJson(const std::vector<obs::TraceEvent>& events) {
     if (e.name != "exec.rpc.attempt") continue;
     if (!first) out += ",";
     first = false;
-    out += "{\"start_us\":" + JsonNum(e.start_us) +
-           ",\"dur_us\":" + JsonNum(e.dur_us);
+    out += "{\"start_us\":" + obs::JsonNumber(e.start_us) +
+           ",\"dur_us\":" + obs::JsonNumber(e.dur_us);
     bool ok = true;
     for (const obs::TraceAttr& a : e.attrs) {
       if (a.key == "site" || a.key == "attempt" || a.key == "rows") {
-        out += "," + JsonStr(a.key) + ":" + a.value.ToJson();
+        out += "," + obs::JsonString(a.key) + ":" + a.value.ToJson();
       } else if (a.key == "error") {
         ok = false;
         out += ",\"error\":" + a.value.ToJson();
@@ -95,33 +54,35 @@ void SlowQueryLog::MaybeRecord(const exec::QueryRequest& request,
   if (!options_.enabled() || latency_ms < options_.threshold_ms) return;
 
   std::string line = "{";
-  line += "\"latency_ms\":" + JsonNum(latency_ms);
-  line += ",\"queue_wait_ms\":" + JsonNum(queue_wait_ms);
-  line += ",\"text\":" + JsonStr(request.text);
+  line += "\"latency_ms\":" + obs::JsonNumber(latency_ms);
+  line += ",\"queue_wait_ms\":" + obs::JsonNumber(queue_wait_ms);
+  line += ",\"text\":" + obs::JsonString(request.text);
   // Recomputing the canonical shape key re-parses the query, but only
   // on the slow path — the fast path never pays for the log.
   Result<sparql::QueryGraph> query = exec::ResolveRequestQuery(request);
   if (query.ok()) {
-    line += ",\"shape_key\":" + JsonStr(sparql::CanonicalShapeKey(*query));
+    line += ",\"shape_key\":" +
+            obs::JsonString(sparql::CanonicalShapeKey(*query));
   }
   uint64_t trace_id = 0;
   if (result.ok()) {
     const exec::ExecutionStats& stats = result->stats;
     trace_id = stats.trace_id;
     line += std::string(",\"plan\":{\"cls\":") +
-            JsonStr(exec::IeqClassName(stats.cls)) +
+            obs::JsonString(exec::IeqClassName(stats.cls)) +
             ",\"independent\":" + (stats.independent ? "true" : "false") +
             ",\"num_subqueries\":" + std::to_string(stats.num_subqueries) +
             ",\"plan_cache_hit\":" + (stats.plan_cache_hit ? "true" : "false") +
             ",\"result_cache_hit\":" +
             (stats.result_cache_hit ? "true" : "false") + "}";
     line += std::string(",\"complete\":") + (stats.complete ? "true" : "false");
-    line += ",\"completeness_bound\":" + JsonNum(stats.completeness_bound);
+    line += ",\"completeness_bound\":" +
+            obs::JsonNumber(stats.completeness_bound);
     line += ",\"rows\":" + std::to_string(result->bindings.num_rows());
     line += ",\"retries\":" + std::to_string(stats.retries);
     line += ",\"sites_failed\":" + std::to_string(stats.sites_failed);
   } else {
-    line += ",\"error\":" + JsonStr(result.status().ToString());
+    line += ",\"error\":" + obs::JsonString(result.status().ToString());
   }
   if (trace_id != 0) {
     const std::vector<obs::TraceEvent> events =
@@ -130,8 +91,8 @@ void SlowQueryLog::MaybeRecord(const exec::QueryRequest& request,
     line += ",\"attempts\":" + AttemptsJson(events);
     if (options_.keep_traces) {
       line += ",\"trace_file\":" +
-              JsonStr(options_.path + ".trace." + std::to_string(trace_id) +
-                      ".json");
+              obs::JsonString(options_.path + ".trace." +
+                              std::to_string(trace_id) + ".json");
     }
   }
   line += "}\n";

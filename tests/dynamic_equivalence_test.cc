@@ -308,9 +308,9 @@ const char* CrashName(CrashKind kind) {
 /// stream, "crashes" (the process state is dropped; only the journal
 /// directory survives, mutilated per CrashKind), is recovered via
 /// OpenDurable, finishes the stream, and must be state-identical to an
-/// uninterrupted run — at every thread count. Sync repartition mode:
-/// recovery replays repartitions synchronously, so only the sync stream
-/// is bit-reproducible (background timing is inherently racy).
+/// uninterrupted run — at every thread count. Repartitions run inside
+/// the batch that fires them, so a replayed batch re-runs its
+/// repartition exactly where the original stream did.
 TEST(DynamicRecoveryTest, RecoveredStateMatchesUninterruptedRun) {
   Rng rng(4242);
   RdfGraph seed = testutil::RandomGraph(rng, 60, 220, 5, /*community=*/12,

@@ -504,36 +504,6 @@ TEST(IncrementalMaintainerTest, PeriodicPolicyTriggersOnSchedule) {
   EXPECT_EQ(m.repartition_count(), 1u);
 }
 
-TEST(IncrementalMaintainerTest, BackgroundRepartitionIntegratesWithReplay) {
-  RdfGraph graph = TwoIslandGraph();
-  MaintainerOptions options;
-  options.policy.kind = RepartitionPolicy::Kind::kPeriodic;
-  options.policy.period_batches = 1;  // trigger on the first batch
-  options.background_repartition = true;
-  IncrementalMaintainer m(graph.Clone(), MakeByName(graph, 2, IslandSites()),
-                          options);
-
-  ApplyResult first = m.ApplyBatch(Batch({Ins("a1", "p", "b1")}));
-  EXPECT_TRUE(first.repartition_triggered);
-  EXPECT_FALSE(first.repartitioned);  // runs in the background
-
-  // Updates applied while the job may still be running must survive the
-  // swap (they are replayed onto the new partitioning).
-  m.ApplyBatch(Batch({Ins("c1", "p", "a1"), Del("b1", "p", "b2")}));
-  m.WaitForRepartition();
-  EXPECT_FALSE(m.repartition_pending());
-  EXPECT_GE(m.repartition_count(), 1u);
-
-  EXPECT_EQ(m.num_live_triples(), 8u);  // 7 + 2 inserts - 1 delete
-  Result<BindingTable> r =
-      RunText(m, "SELECT * WHERE { ?x " + T("p") + " ?y . }");
-  ASSERT_TRUE(r.ok());
-  std::set<std::vector<std::string>> rows = LexRows(*r, m.graph());
-  EXPECT_TRUE(rows.count({T("c1"), T("a1")}));
-  EXPECT_TRUE(rows.count({T("a1"), T("b1")}));
-  EXPECT_FALSE(rows.count({T("b1"), T("b2")}));
-}
-
 TEST(IncrementalMaintainerTest, RepartitionReanchorsWeightedDriftBaseline) {
   RdfGraph graph = TwoIslandGraph();
   MaintainerOptions options;
@@ -560,37 +530,6 @@ TEST(IncrementalMaintainerTest, RepartitionReanchorsWeightedDriftBaseline) {
 
   // A quiet batch (a new vertex, no new crossing property) must not
   // re-trigger; it does when seed_lcross / the weighted seed is stale.
-  ApplyResult quiet = m.ApplyBatch(Batch({Ins("a1", "p", "freshv")}));
-  EXPECT_FALSE(quiet.repartition_triggered) << quiet.trigger_reason;
-  EXPECT_EQ(m.repartition_count(), 1u);
-}
-
-TEST(IncrementalMaintainerTest, BackgroundRepartitionReanchorsWeightedBaseline) {
-  RdfGraph graph = TwoIslandGraph();
-  MaintainerOptions options;
-  options.policy.kind = RepartitionPolicy::Kind::kThreshold;
-  options.policy.max_lcross_growth = 0.0;
-  options.policy.min_lcross_slack = 1;
-  options.property_weights = {10.0, 1.0};
-  options.background_repartition = true;
-  IncrementalMaintainer m(graph.Clone(), MakeByName(graph, 2, IslandSites()),
-                          options);
-
-  ApplyResult r = m.ApplyBatch(
-      Batch({Ins("a1", "p", "b1"), Ins("a2", "q", "b2")}));
-  EXPECT_TRUE(r.repartition_triggered) << r.trigger_reason;
-  EXPECT_FALSE(r.repartitioned);  // runs in the background
-  m.WaitForRepartition();
-  EXPECT_EQ(m.repartition_count(), 1u);
-
-  // The swap happened at integration, not inside ApplyBatch: the seeds
-  // must still have re-anchored to the post-swap state.
-  DriftMetrics d = m.drift();
-  EXPECT_EQ(d.seed_crossing_properties, d.crossing_properties);
-  EXPECT_EQ(d.seed_weighted_crossing_properties,
-            d.weighted_crossing_properties);
-  EXPECT_EQ(d.weighted_lcross_growth, 0.0);
-
   ApplyResult quiet = m.ApplyBatch(Batch({Ins("a1", "p", "freshv")}));
   EXPECT_FALSE(quiet.repartition_triggered) << quiet.trigger_reason;
   EXPECT_EQ(m.repartition_count(), 1u);
@@ -888,6 +827,38 @@ TEST(CheckpointTest, KeepsTwoNewestAndLoadsLatest) {
   EXPECT_EQ(latest->seq, 2u);
 }
 
+TEST(IncrementalMaintainerTest, TriggeredRepartitionIsCheckpointedAtItsBatch) {
+  // Only repartitions checkpoint here (no cadence), so a checkpoint at
+  // batch 2 can only come from the repartition that batch fired — the
+  // rule that keeps journal replay from ever re-running MPC.
+  const std::string dir = TempDir("mpc_ckpt_repartition");
+  const uint64_t fp = 7;
+  RdfGraph graph = TwoIslandGraph();
+  MaintainerOptions options;
+  options.policy.kind = RepartitionPolicy::Kind::kPeriodic;
+  options.policy.period_batches = 2;
+  options.journal_dir = dir;
+  options.checkpoint_every_batches = 0;
+  Result<std::unique_ptr<IncrementalMaintainer>> m =
+      IncrementalMaintainer::OpenDurable(
+          graph.Clone(), MakeByName(graph, 2, IslandSites()), options, fp);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+
+  ApplyResult first = (*m)->ApplyBatch(Batch({Ins("a1", "p", "a3")}));
+  ASSERT_TRUE(first.durability.ok()) << first.durability.ToString();
+  EXPECT_FALSE(first.repartition_triggered);
+  EXPECT_EQ(CheckpointIo::LoadLatest(dir, fp).status().code(),
+            StatusCode::kNotFound);
+
+  ApplyResult second = (*m)->ApplyBatch(Batch({Ins("a2", "p", "a1")}));
+  ASSERT_TRUE(second.durability.ok()) << second.durability.ToString();
+  ASSERT_TRUE(second.repartitioned);
+  Result<MaintainerState> checkpoint = CheckpointIo::LoadLatest(dir, fp);
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  EXPECT_EQ(checkpoint->seq, 2u);
+  EXPECT_TRUE(*checkpoint == (*m)->ExportState());
+}
+
 // ----------------------------------------------------- Def. 4.2 budget
 
 TEST(RepartitionPolicyTest, ComponentBudgetFiresOnlyWhenEnforced) {
@@ -963,65 +934,6 @@ TEST(IncrementalMaintainerTest, ForestRebuildPreventsSpuriousRepartition) {
     }
     EXPECT_EQ(m.repartition_count(), 0u);
     EXPECT_EQ(m.num_live_triples(), 6u);  // 6 seed - 2 del + 2 ins - 0
-  }
-}
-
-// ------------------------------------------------------------ Backpressure
-
-TEST(IncrementalMaintainerTest, BackpressureKeepsStateExactUnderLoad) {
-  // A background-repartition stream with a replay-queue cap of 1: both
-  // policies must end bit-equal to the oracle live set, whatever the
-  // background timing did (stall-at-cap for kBlock, abandon-and-restart
-  // for kReanchor).
-  for (ReplayBackpressure policy :
-       {ReplayBackpressure::kBlock, ReplayBackpressure::kReanchor}) {
-    RdfGraph graph = TwoIslandGraph();
-    MaintainerOptions options;
-    options.policy.kind = RepartitionPolicy::Kind::kPeriodic;
-    options.policy.period_batches = 2;
-    options.background_repartition = true;
-    options.max_replay_batches = 1;
-    options.backpressure = policy;
-    IncrementalMaintainer m(graph.Clone(),
-                            MakeByName(graph, 2, IslandSites()), options);
-
-    std::set<std::string> live;  // oracle keyed by lexical triple
-    auto key = [](const TripleUpdate& u) {
-      return u.subject + " " + u.property + " " + u.object;
-    };
-    for (const rdf::Triple& t : graph.triples()) {
-      live.insert(std::string(graph.VertexName(t.subject)) + " " +
-                  std::string(graph.PropertyName(t.property)) + " " +
-                  std::string(graph.VertexName(t.object)));
-    }
-    for (int b = 0; b < 10; ++b) {
-      UpdateBatch batch = Batch({
-          Ins("s" + std::to_string(b), "p", b % 2 ? "a1" : "b1"),
-          Ins("s" + std::to_string(b), "q", "a2"),
-      });
-      if (b == 5) batch.updates.push_back(Del("a1", "p", "a2"));
-      for (const TripleUpdate& u : batch.updates) {
-        if (u.kind == UpdateKind::kInsert) {
-          live.insert(key(u));
-        } else {
-          live.erase(key(u));
-        }
-      }
-      m.ApplyBatch(batch);
-    }
-    m.WaitForRepartition();
-
-    std::set<std::string> maintained;
-    const RdfGraph& g = m.graph();
-    for (const rdf::Triple& t : m.LiveTriples()) {
-      maintained.insert(std::string(g.VertexName(t.subject)) + " " +
-                        std::string(g.PropertyName(t.property)) + " " +
-                        std::string(g.VertexName(t.object)));
-    }
-    EXPECT_EQ(maintained, live)
-        << "backpressure policy "
-        << (policy == ReplayBackpressure::kBlock ? "block" : "reanchor");
-    EXPECT_GE(m.repartition_count(), 1u);
   }
 }
 

@@ -110,6 +110,13 @@ TEST(MetricsRegistryTest, JsonExportRoundTrips) {
   Histogram& h = registry.HistogramRef("h.lat", {1.0, 2.0});
   h.Observe(0.5);
   h.Observe(1.5);
+  // A name needing every kind of escape, and a value JSON cannot hold.
+  const std::string odd = std::string("q\"b\\n\nc") + '\x01';
+  registry.GaugeRef(odd).Set(NAN);
+  EXPECT_EQ(JsonNumber(NAN), "0");
+  Result<JsonValue> name = ParseJson(JsonString(odd));
+  ASSERT_TRUE(name.ok()) << name.status().ToString();
+  EXPECT_EQ(name->str, odd);
 
   Result<JsonValue> parsed = ParseJson(registry.ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -124,6 +131,8 @@ TEST(MetricsRegistryTest, JsonExportRoundTrips) {
   EXPECT_DOUBLE_EQ(counters->Find("c.one")->number, 7.0);
   ASSERT_NE(gauges->Find("g.ratio"), nullptr);
   EXPECT_DOUBLE_EQ(gauges->Find("g.ratio")->number, 0.25);
+  ASSERT_NE(gauges->Find(odd), nullptr);
+  EXPECT_EQ(gauges->Find(odd)->number, 0.0);
 
   const JsonValue* hist = histograms->Find("h.lat");
   ASSERT_NE(hist, nullptr);

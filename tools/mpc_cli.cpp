@@ -15,10 +15,8 @@
 //       [--policy=threshold|periodic|never] [--period=N]
 //       [--max-lcross-growth=G] [--min-lcross-slack=N]
 //       [--workload=FILE] [--migrate] [--max-moves=N]
-//       [--report-every=N]
-//       [--repartition=sync|background] [--out=DIR] [--threads=T]
+//       [--report-every=N] [--out=DIR] [--threads=T]
 //       [--journal-dir=DIR] [--checkpoint-every=N] [--recover]
-//       [--max-replay=N] [--backpressure=block|reanchor]
 //   mpc serve <data.nt> <partition_dir> --queries=FILE
 //       [--concurrency=N] [--qps=R] [--repeat=N] [--queue-cap=N]
 //       [--admission=reject|block] [--deadline-ms=D]
@@ -54,7 +52,8 @@
 // `update` streams an update log (batches of `+ <s> <p> <o> .` inserts /
 // `- ...` deletes, separated by blank lines) through the incremental
 // maintainer, printing drift reports and the repartitions the policy
-// triggered; --out saves the final compacted partitioning.
+// triggered (each runs inside the batch that fired it); --out saves the
+// final compacted partitioning.
 //
 // With --journal-dir every applied batch is write-ahead journaled and
 // periodically checkpointed there, so a crashed run can be resumed with
@@ -164,10 +163,8 @@ int Usage() {
       [--policy=threshold|periodic|never] [--period=N]
       [--max-lcross-growth=G] [--min-lcross-slack=N]
       [--workload=FILE] [--migrate] [--max-moves=N]
-      [--report-every=N]
-      [--repartition=sync|background] [--out=DIR] [--threads=T]
+      [--report-every=N] [--out=DIR] [--threads=T]
       [--journal-dir=DIR] [--checkpoint-every=N] [--recover]
-      [--max-replay=N] [--backpressure=block|reanchor]
   mpc serve <data.nt> <partition_dir> --queries=FILE
       [--store=memory|segment]
       [--concurrency=N] [--qps=R] [--repeat=N]
@@ -223,7 +220,6 @@ struct Flags {
   double max_lcross_growth = 0.5;
   uint64_t min_lcross_slack = 4;
   uint32_t report_every = 8;
-  std::string repartition = "sync";
   std::string out_dir;
 
   // Workload-adaptive repartitioning (update and serve commands):
@@ -240,8 +236,6 @@ struct Flags {
   std::string journal_dir;
   uint32_t checkpoint_every = 0;
   bool recover = false;
-  uint64_t max_replay = 0;
-  std::string backpressure = "block";
   uint32_t crash_after = 0;
 
   // Real multi-process cluster (serve --remote) and the `site` worker
@@ -330,14 +324,9 @@ struct Flags {
     parser.AddBool("migrate", &flags.migrate);
     parser.AddUint32("max-moves", &flags.max_moves);
     parser.AddUint32("report-every", &flags.report_every);
-    parser.AddChoice("repartition", &flags.repartition,
-                     {"sync", "background"});
     parser.AddString("journal-dir", &flags.journal_dir);
     parser.AddUint32("checkpoint-every", &flags.checkpoint_every);
     parser.AddBool("recover", &flags.recover);
-    parser.AddUint64("max-replay", &flags.max_replay);
-    parser.AddChoice("backpressure", &flags.backpressure,
-                     {"block", "reanchor"});
     parser.AddUint32("crash-after", &flags.crash_after);
     parser.AddBool("remote", &flags.remote);
     parser.AddString("socket-dir", &flags.socket_dir);
@@ -769,7 +758,6 @@ int CmdUpdate(const Flags& flags) {
 
   dynamic::MaintainerOptions options;
   options.num_threads = flags.threads;
-  options.background_repartition = flags.repartition == "background";
   options.mpc.base = flags.PartitionerOpts();
   ApplyPolicyFlags(flags, /*fallback=*/"threshold", &options);
   if (!flags.workload_file.empty()) {
@@ -792,10 +780,6 @@ int CmdUpdate(const Flags& flags) {
   if (!flags.journal_dir.empty()) {
     options.journal_dir = flags.journal_dir;
     options.checkpoint_every_batches = flags.checkpoint_every;
-    options.max_replay_batches = flags.max_replay;
-    options.backpressure = flags.backpressure == "reanchor"
-                               ? dynamic::ReplayBackpressure::kReanchor
-                               : dynamic::ReplayBackpressure::kBlock;
     std::error_code ec;
     const bool journal_exists = std::filesystem::exists(
         dynamic::UpdateJournal::JournalPath(flags.journal_dir), ec);
@@ -871,8 +855,7 @@ int CmdUpdate(const Flags& flags) {
     }
     if (r.repartition_triggered) {
       std::cout << "batch " << b + 1 << ": repartition ("
-                << r.trigger_reason << ")"
-                << (r.repartitioned ? "" : " [background]") << "\n";
+                << r.trigger_reason << ")\n";
     }
     std::cout.flush();
     crash_after.Tick();
@@ -891,7 +874,6 @@ int CmdUpdate(const Flags& flags) {
                 << FormatDouble(m.balance_ratio, 3) << "\n";
     }
   }
-  maintainer->WaitForRepartition();
   if (maintainer->journaling()) {
     Status st = maintainer->WriteCheckpoint();
     if (!st.ok()) {
@@ -1102,7 +1084,6 @@ int CmdServe(const Flags& flags) {
     dynamic::MaintainerOptions moptions;
     moptions.num_threads = flags.threads;
     moptions.mpc.base = flags.PartitionerOpts();
-    moptions.background_repartition = flags.repartition == "background";
     ApplyPolicyFlags(flags, /*fallback=*/"never", &moptions);
     if (!flags.workload_file.empty()) {
       Result<std::vector<double>> weights =
