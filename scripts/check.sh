@@ -9,6 +9,10 @@
 # recovery path.
 #
 # On top of that:
+#  - a Release build of every library and tool with -Werror: GCC reports
+#    some warnings (e.g. -Wrestrict on string concatenation) only at
+#    -O3, which the default RelWithDebInfo build never reaches, while
+#    servebench builds Release;
 #  - an observability smoke run drives the CLI with --trace-out /
 #    --metrics-out on `mpc partition` and `mpc update` and validates the
 #    exported JSON (shape + required span/counter names) with
@@ -49,6 +53,16 @@ run_config() {
     --gtest_filter='FaultToleranceTest.SameSeedSameStatsAtAnyThreadCount'
   echo "=== full test suite: ${dir} ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
+}
+
+# Release -Werror build of src/ and tools/ (no tests, benches or
+# examples): no warning may reach the benchmark's build output.
+release_werror() {
+  echo "=== Release -Werror build: build-release ==="
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
+    -DMPC_BUILD_TESTS=OFF -DMPC_BUILD_BENCHMARKS=OFF \
+    -DMPC_BUILD_EXAMPLES=OFF -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+  cmake --build build-release -j "${JOBS}"
 }
 
 # Observability smoke: partition + stream updates with tracing on, then
@@ -617,6 +631,7 @@ servebench_smoke() {
 }
 
 run_config build
+release_werror
 trace_smoke build
 recovery_smoke build
 serve_smoke build
@@ -660,4 +675,4 @@ serve_smoke build-tsan
 adaptive_smoke build-tsan
 obs_smoke build-tsan
 
-echo "All checks passed (default + asan + ubsan + obs/serve/segment/servebench smoke + tsan)."
+echo "All checks passed (default + Release -Werror + asan + ubsan + obs/serve/segment/servebench smoke + tsan)."

@@ -453,28 +453,25 @@ ApplyResult IncrementalMaintainer::ApplyBatch(const UpdateBatch& batch) {
       reason = options_.policy.Evaluate(metrics);
     }
   }
+  // A repartition checkpoints itself; otherwise the cadence decides
+  // (every N batches).
+  const uint64_t seq = tracker_.batches_applied();
+  Status checkpoint;
   if (!reason.empty()) {
     result.repartition_triggered = true;
     result.trigger_reason = std::move(reason);
     batch_span.Attr("trigger", result.trigger_reason);
-    RepartitionNow();
+    checkpoint = RepartitionNow();
     result.repartitioned = true;
     metrics = drift();
+  } else if (journal_ && options_.checkpoint_every_batches > 0 &&
+             seq % options_.checkpoint_every_batches == 0) {
+    checkpoint = WriteCheckpoint();
   }
-  // Checkpoint cadence: every N batches, and always right after a
-  // repartition (so journal replay never re-runs MPC).
-  if (journal_) {
-    const uint64_t seq = tracker_.batches_applied();
-    const bool cadence = options_.checkpoint_every_batches > 0 &&
-                         seq % options_.checkpoint_every_batches == 0;
-    if (result.repartitioned || cadence) {
-      Status st = WriteCheckpoint();
-      if (!st.ok()) {
-        MPC_LOG(Warning) << "checkpoint at batch " << seq
-                         << " failed: " << st.ToString();
-        if (result.durability.ok()) result.durability = st;
-      }
-    }
+  if (!checkpoint.ok()) {
+    MPC_LOG(Warning) << "checkpoint at batch " << seq
+                     << " failed: " << checkpoint.ToString();
+    if (result.durability.ok()) result.durability = checkpoint;
   }
   result.drift = metrics;
   batch_span.Attr("inserts", static_cast<uint64_t>(result.inserts))
@@ -614,7 +611,7 @@ rdf::RdfGraph IncrementalMaintainer::MaterializeGraph() const {
   return builder.Build();
 }
 
-void IncrementalMaintainer::RepartitionNow() {
+Status IncrementalMaintainer::RepartitionNow() {
   MPC_TRACE_SPAN("dynamic.repartition");
   obs::MetricsRegistry::Default().CounterRef("dynamic.repartitions").Inc();
   rdf::RdfGraph fresh = MaterializeGraph();
@@ -643,6 +640,7 @@ void IncrementalMaintainer::RepartitionNow() {
   Attach();
   tracker_.OnRepartition();
   ++repartitions_;
+  return journal_ ? WriteCheckpoint() : Status::Ok();
 }
 
 MigrationReport IncrementalMaintainer::TryMigrate() {

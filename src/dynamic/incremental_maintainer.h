@@ -187,8 +187,11 @@ class IncrementalMaintainer {
   /// state — the QueryService result cache's invalidation token.
   uint64_t generation() const { return generation_; }
 
-  /// Synchronous full MPC re-run on the live graph + atomic swap.
-  void RepartitionNow();
+  /// Synchronous full MPC re-run on the live graph + atomic swap. When
+  /// journaling, the new state is checkpointed before returning (so
+  /// recovery never re-runs MPC or loses the swap); the Status is that
+  /// checkpoint's, Ok otherwise.
+  Status RepartitionNow();
 
   size_t repartition_count() const { return repartitions_; }
 
@@ -230,8 +233,8 @@ class IncrementalMaintainer {
 
   /// Exports the state and writes a checkpoint to the journal directory
   /// (Internal error when no journal is attached). Called automatically
-  /// per MaintainerOptions::checkpoint_every_batches and after
-  /// repartitions; exposed so a stream can force a final checkpoint.
+  /// per MaintainerOptions::checkpoint_every_batches and by
+  /// RepartitionNow(); exposed so a stream can force a final checkpoint.
   Status WriteCheckpoint();
 
  private:

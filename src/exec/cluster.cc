@@ -69,18 +69,17 @@ Result<storage::SegmentStore> OpenSiteSegment(const std::string& dir,
                                               uint32_t site,
                                               uint64_t fingerprint,
                                               std::optional<uint32_t> k) {
-  storage::SegmentStore::OpenOptions open_options;
-  open_options.expected_fingerprint = fingerprint;
   Result<storage::SegmentStore> segment =
-      storage::SegmentStore::Open(storage::SegmentPath(dir, site), open_options);
+      storage::SegmentStore::Open(storage::SegmentPath(dir, site), fingerprint);
   if (!segment.ok()) return segment.status();
   const storage::SegmentHeader& header = segment->header();
   if (header.site != site || (k.has_value() && header.k != *k)) {
+    std::string expected = std::to_string(site);
+    if (k.has_value()) expected += '/' + std::to_string(*k);
     return Status::InvalidArgument(
         segment->path() + ": segment is for site " +
         std::to_string(header.site) + "/" + std::to_string(header.k) +
-        ", expected " + std::to_string(site) +
-        (k.has_value() ? "/" + std::to_string(*k) : std::string()));
+        ", expected " + expected);
   }
   return segment;
 }

@@ -32,7 +32,7 @@ std::string AttemptsJson(const std::vector<obs::TraceEvent>& events) {
     bool ok = true;
     for (const obs::TraceAttr& a : e.attrs) {
       if (a.key == "site" || a.key == "attempt" || a.key == "rows") {
-        out += "," + obs::JsonString(a.key) + ":" + a.value.ToJson();
+        out += ',' + obs::JsonString(a.key) + ':' + a.value.ToJson();
       } else if (a.key == "error") {
         ok = false;
         out += ",\"error\":" + a.value.ToJson();

@@ -31,7 +31,7 @@ std::string QueryGraph::ToString() const {
     return t.is_variable() ? "?" + t.text : t.text;
   };
   for (const TriplePattern& p : patterns_) {
-    out += " " + term(p.subject) + " " + term(p.predicate) + " " +
+    out += ' ' + term(p.subject) + ' ' + term(p.predicate) + ' ' +
            term(p.object) + " .";
   }
   out += " }";

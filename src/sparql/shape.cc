@@ -79,7 +79,7 @@ std::string CanonicalShapeKey(const QueryGraph& query) {
   auto term_key = [&](const QueryTerm& term) -> std::string {
     if (!term.is_variable()) return "c:" + term.text;
     if (rename[term.var_id] == UINT32_MAX) rename[term.var_id] = next++;
-    return "_" + std::to_string(rename[term.var_id]);
+    return '_' + std::to_string(rename[term.var_id]);
   };
   std::string key;
   key.reserve(64 * query.num_patterns());

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/hash.h"
-#include "storage/varint.h"
 
 namespace mpc::storage {
 
@@ -36,16 +35,6 @@ uint64_t ReadU64(const uint8_t* data) {
 bool IsPow2(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 }  // namespace
-
-Key3 KeyOf(RunOrder order, const rdf::Triple& t) {
-  if (order == RunOrder::kPso) return {t.property, t.subject, t.object};
-  return {t.property, t.object, t.subject};
-}
-
-rdf::Triple TripleOf(RunOrder order, const Key3& key) {
-  if (order == RunOrder::kPso) return rdf::Triple(key[1], key[0], key[2]);
-  return rdf::Triple(key[2], key[0], key[1]);
-}
 
 std::string EncodeSegmentHeader(const SegmentHeader& header) {
   std::string out;
@@ -234,68 +223,6 @@ size_t TripleDeltaSize(RunOrder order, const rdf::Triple& t, const Key3& prev,
     return 1 + Varint32Size(key[1] - prev[1]) + Varint32Size(key[2]);
   }
   return 2 + Varint32Size(key[2] - prev[2]);
-}
-
-bool BlockDecoder::Next(rdf::Triple* t) {
-  if (!ok_ || remaining_ == 0) return false;
-  uint32_t v0 = 0, v1 = 0, v2 = 0;
-  if (!DecodeVarint32(data_, len_, &pos_, &v0)) {
-    ok_ = false;
-    return false;
-  }
-  Key3 key;
-  if (first_) {
-    if (!DecodeVarint32(data_, len_, &pos_, &v1) ||
-        !DecodeVarint32(data_, len_, &pos_, &v2)) {
-      ok_ = false;
-      return false;
-    }
-    key = {v0, v1, v2};
-    first_ = false;
-  } else if (v0 != 0) {
-    if (!DecodeVarint32(data_, len_, &pos_, &v1) ||
-        !DecodeVarint32(data_, len_, &pos_, &v2)) {
-      ok_ = false;
-      return false;
-    }
-    // Overflowing deltas (key wrapping back below prev_) mean the block
-    // is not sorted — corrupt by construction.
-    if (prev_[0] + v0 < prev_[0]) {
-      ok_ = false;
-      return false;
-    }
-    key = {prev_[0] + v0, v1, v2};
-  } else {
-    if (!DecodeVarint32(data_, len_, &pos_, &v1)) {
-      ok_ = false;
-      return false;
-    }
-    if (v1 != 0) {
-      if (!DecodeVarint32(data_, len_, &pos_, &v2)) {
-        ok_ = false;
-        return false;
-      }
-      if (prev_[1] + v1 < prev_[1]) {
-        ok_ = false;
-        return false;
-      }
-      key = {prev_[0], prev_[1] + v1, v2};
-    } else {
-      if (!DecodeVarint32(data_, len_, &pos_, &v2)) {
-        ok_ = false;
-        return false;
-      }
-      if (v2 == 0 || prev_[2] + v2 < prev_[2]) {
-        ok_ = false;
-        return false;
-      }
-      key = {prev_[0], prev_[1], prev_[2] + v2};
-    }
-  }
-  prev_ = key;
-  --remaining_;
-  *t = TripleOf(order_, key);
-  return true;
 }
 
 }  // namespace mpc::storage

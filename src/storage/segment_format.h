@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "rdf/types.h"
+#include "storage/varint.h"
 
 namespace mpc::storage {
 
@@ -53,8 +54,15 @@ enum class RunOrder : uint8_t { kPso, kPos };
 /// Triple key in a run's index order, for block binary search.
 using Key3 = std::array<uint32_t, 3>;
 
-Key3 KeyOf(RunOrder order, const rdf::Triple& t);
-rdf::Triple TripleOf(RunOrder order, const Key3& key);
+inline Key3 KeyOf(RunOrder order, const rdf::Triple& t) {
+  if (order == RunOrder::kPso) return {t.property, t.subject, t.object};
+  return {t.property, t.object, t.subject};
+}
+
+inline rdf::Triple TripleOf(RunOrder order, const Key3& key) {
+  if (order == RunOrder::kPso) return rdf::Triple(key[1], key[0], key[2]);
+  return rdf::Triple(key[2], key[0], key[1]);
+}
 
 /// The fixed-size header at offset 0.
 struct SegmentHeader {
@@ -128,8 +136,7 @@ PropertyEntry DecodePropertyEntry(const uint8_t* data);
 
 /// Streaming decoder over one block payload. Trusts nothing: every
 /// varint read is bounds-checked, so a corrupt payload (even one whose
-/// checksum was deliberately skipped) yields ok()=false instead of a
-/// crash. Usage:
+/// checksum matches) yields ok()=false instead of a crash. Usage:
 ///
 ///   BlockDecoder dec(order, payload, payload_len, num_triples);
 ///   rdf::Triple t;
@@ -154,6 +161,8 @@ class BlockDecoder {
   bool AtCleanEnd() const { return ok_ && remaining_ == 0 && pos_ == len_; }
 
  private:
+  bool Read(uint32_t* v) { return DecodeVarint32(data_, len_, &pos_, v); }
+
   RunOrder order_;
   const uint8_t* data_;
   size_t len_;
@@ -163,6 +172,45 @@ class BlockDecoder {
   bool ok_ = true;
   Key3 prev_ = {0, 0, 0};
 };
+
+// Inline, like KeyOf and TripleOf: this is the per-triple step of every
+// segment scan. The delta encoding is documented at EncodeTripleDelta.
+inline bool BlockDecoder::Next(rdf::Triple* t) {
+  if (!ok_ || remaining_ == 0) return false;
+  uint32_t v0 = 0, v1 = 0, v2 = 0;
+  Key3 key;
+  // A failed read leaves its value untouched, so the branches below
+  // stay well defined; `good` records the failure.
+  bool good = Read(&v0);
+  // Overflowing deltas (key wrapping back below prev_) mean the block
+  // is not sorted, and a zero final delta repeats a key: both are
+  // corrupt by construction.
+  if (first_) {
+    good = good && Read(&v1) && Read(&v2);
+    key = {v0, v1, v2};
+  } else if (v0 != 0) {
+    good = good && Read(&v1) && Read(&v2) && prev_[0] + v0 >= prev_[0];
+    key = {prev_[0] + v0, v1, v2};
+  } else {
+    good = good && Read(&v1);
+    if (v1 != 0) {
+      good = good && Read(&v2) && prev_[1] + v1 >= prev_[1];
+      key = {prev_[0], prev_[1] + v1, v2};
+    } else {
+      good = good && Read(&v2) && v2 != 0 && prev_[2] + v2 >= prev_[2];
+      key = {prev_[0], prev_[1], prev_[2] + v2};
+    }
+  }
+  if (!good) {
+    ok_ = false;
+    return false;
+  }
+  first_ = false;
+  prev_ = key;
+  --remaining_;
+  *t = TripleOf(order_, key);
+  return true;
+}
 
 /// Appends one triple's encoding (relative to `prev`, or absolute when
 /// `first`) to `out`. Keys must be strictly increasing in index order.

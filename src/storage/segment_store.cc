@@ -16,17 +16,20 @@ namespace mpc::storage {
 namespace {
 
 constexpr uint32_t kMaxId = UINT32_MAX;
+constexpr Key3 kFirstKey = {0, 0, 0};
+constexpr Key3 kLastKey = {kMaxId, kMaxId, kMaxId};
 
 std::string_view BytesView(const uint8_t* data, size_t len) {
   return std::string_view(reinterpret_cast<const char*>(data), len);
 }
 
-/// Kept out of line: the scan loops call BlockUsable per block, and with
-/// the FNV-1a loop inlined there they ran measurably slower even when
-/// the check never runs (blocks verified at open).
-[[gnu::noinline]] bool PayloadMatches(const uint8_t* payload, size_t len,
-                                      uint64_t checksum) {
-  return HashString(BytesView(payload, len)) == checksum;
+/// Index of the first block whose last key is >= `lo`: where a key-range
+/// scan starting at `lo` begins.
+size_t FirstBlockFrom(const std::vector<BlockMeta>& ms, const Key3& lo) {
+  return static_cast<size_t>(
+      std::partition_point(ms.begin(), ms.end(),
+                           [&](const BlockMeta& m) { return m.last < lo; }) -
+      ms.begin());
 }
 
 }  // namespace
@@ -39,7 +42,6 @@ SegmentStore::SegmentStore(SegmentStore&& other) noexcept
       properties_(std::move(other.properties_)),
       pso_metas_(std::move(other.pso_metas_)),
       pos_metas_(std::move(other.pos_metas_)),
-      verified_at_open_(other.verified_at_open_),
       stats_(std::move(other.stats_)) {}
 
 SegmentStore& SegmentStore::operator=(SegmentStore&& other) noexcept {
@@ -54,7 +56,6 @@ SegmentStore& SegmentStore::operator=(SegmentStore&& other) noexcept {
     properties_ = std::move(other.properties_);
     pso_metas_ = std::move(other.pso_metas_);
     pos_metas_ = std::move(other.pos_metas_);
-    verified_at_open_ = other.verified_at_open_;
     stats_ = std::move(other.stats_);
   }
   return *this;
@@ -67,7 +68,7 @@ SegmentStore::~SegmentStore() {
 }
 
 Result<SegmentStore> SegmentStore::Open(const std::string& path,
-                                        const OpenOptions& options) {
+                                        uint64_t expected_fingerprint) {
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return SysError("open failed for", path);
   struct stat st;
@@ -111,8 +112,8 @@ Result<SegmentStore> SegmentStore::Open(const std::string& path,
   if (!header.ok()) return fail(header.status());
   store.header_ = *header;
   const SegmentHeader& h = store.header_;
-  if (options.expected_fingerprint != 0 &&
-      h.partition_fingerprint != options.expected_fingerprint) {
+  if (expected_fingerprint != 0 &&
+      h.partition_fingerprint != expected_fingerprint) {
     return fail(Status::InvalidArgument(
         "segment was packed for a different partitioning (fingerprint "
         "mismatch); re-run `mpc pack`"));
@@ -187,38 +188,40 @@ Result<SegmentStore> SegmentStore::Open(const std::string& path,
         ", header says " + std::to_string(h.num_triples)));
   }
 
-  if (options.verify_blocks) {
-    for (RunOrder run : {RunOrder::kPso, RunOrder::kPos}) {
-      const std::vector<BlockMeta>& ms = store.metas(run);
-      for (size_t i = 0; i < ms.size(); ++i) {
-        const uint8_t* payload =
-            store.BlockPayload(run, static_cast<uint32_t>(i));
-        if (HashString(BytesView(payload, ms[i].payload_len)) !=
-            ms[i].checksum) {
-          return fail(Status::ParseError(
-              "block " + std::to_string(i) + " payload checksum mismatch"));
-        }
+  for (RunOrder run : {RunOrder::kPso, RunOrder::kPos}) {
+    const std::vector<BlockMeta>& ms = store.metas(run);
+    for (size_t i = 0; i < ms.size(); ++i) {
+      if (HashString(BytesView(store.BlockPayload(run, i),
+                               ms[i].payload_len)) != ms[i].checksum) {
+        return fail(Status::ParseError(
+            "block " + std::to_string(i) + " payload checksum mismatch"));
       }
     }
-    store.verified_at_open_ = true;
   }
   return store;
 }
 
-const uint8_t* SegmentStore::BlockPayload(RunOrder run, uint32_t index) const {
+const uint8_t* SegmentStore::BlockPayload(RunOrder run, size_t index) const {
   const uint64_t section =
       run == RunOrder::kPso ? header_.pso_offset : header_.pos_offset;
   return base_ + section + uint64_t{index} * header_.block_size;
 }
 
-bool SegmentStore::BlockUsable(RunOrder run, uint32_t index) const {
-  if (verified_at_open_) return true;
+template <typename Visit>
+bool SegmentStore::DecodeBlock(RunOrder run, size_t index, const Key3& lo,
+                               const Key3& hi, Visit visit) const {
   const BlockMeta& m = metas(run)[index];
-  if (PayloadMatches(BlockPayload(run, index), m.payload_len, m.checksum)) {
-    return true;
+  stats_->IncDecoded();
+  BlockDecoder dec(run, BlockPayload(run, index), m.payload_len,
+                   m.num_triples);
+  rdf::Triple t;
+  while (dec.Next(&t)) {
+    const Key3 key = KeyOf(run, t);
+    if (key < lo) continue;
+    if (hi < key || !visit(t, key)) return false;
   }
-  stats_->MarkCorrupt();
-  return false;
+  if (!dec.ok()) stats_->MarkCorrupt();
+  return dec.ok();
 }
 
 size_t SegmentStore::PropertyCount(rdf::PropertyId p) const {
@@ -229,35 +232,24 @@ size_t SegmentStore::PropertyCount(rdf::PropertyId p) const {
 bool SegmentStore::ScanKeyRange(RunOrder run, const Key3& lo, const Key3& hi,
                                 store::ScanFn fn) const {
   const std::vector<BlockMeta>& ms = metas(run);
-  auto it = std::partition_point(
-      ms.begin(), ms.end(),
-      [&](const BlockMeta& m) { return m.last < lo; });
-  for (size_t i = static_cast<size_t>(it - ms.begin()); i < ms.size(); ++i) {
-    const BlockMeta& m = ms[i];
-    if (hi < m.first) break;
-    if (!BlockUsable(run, static_cast<uint32_t>(i))) return true;
-    stats_->IncDecoded();
-    BlockDecoder dec(run, BlockPayload(run, static_cast<uint32_t>(i)),
-                     m.payload_len, m.num_triples);
-    rdf::Triple t;
-    while (dec.Next(&t)) {
-      const Key3 key = KeyOf(run, t);
-      if (key < lo) continue;
-      if (hi < key) return true;
-      if (!fn(t)) return false;
-    }
-    if (!dec.ok()) {
-      stats_->MarkCorrupt();
-      return true;
+  bool stopped = false;
+  for (size_t i = FirstBlockFrom(ms, lo); i < ms.size(); ++i) {
+    if (hi < ms[i].first ||
+        !DecodeBlock(run, i, lo, hi, [&](const rdf::Triple& t, const Key3&) {
+          stopped = !fn(t);
+          return !stopped;
+        })) {
+      break;
     }
   }
-  return true;
+  return !stopped;
 }
 
 bool SegmentStore::SweepFiltered(RunOrder run, bool bound_mid, uint32_t mid,
                                  bool bound_minor, uint32_t minor,
                                  store::ScanFn fn) const {
   const std::vector<BlockMeta>& ms = metas(run);
+  bool stopped = false;
   for (size_t i = 0; i < ms.size(); ++i) {
     const BlockMeta& m = ms[i];
     // Zone-map pruning: a block whose min/max excludes the bound value
@@ -267,23 +259,19 @@ bool SegmentStore::SweepFiltered(RunOrder run, bool bound_mid, uint32_t mid,
       stats_->IncPruned();
       continue;
     }
-    if (!BlockUsable(run, static_cast<uint32_t>(i))) return true;
-    stats_->IncDecoded();
-    BlockDecoder dec(run, BlockPayload(run, static_cast<uint32_t>(i)),
-                     m.payload_len, m.num_triples);
-    rdf::Triple t;
-    while (dec.Next(&t)) {
-      const Key3 key = KeyOf(run, t);
-      if (bound_mid && key[1] != mid) continue;
-      if (bound_minor && key[2] != minor) continue;
-      if (!fn(t)) return false;
-    }
-    if (!dec.ok()) {
-      stats_->MarkCorrupt();
-      return true;
+    if (!DecodeBlock(run, i, kFirstKey, kLastKey,
+                     [&](const rdf::Triple& t, const Key3& key) {
+                       if ((bound_mid && key[1] != mid) ||
+                           (bound_minor && key[2] != minor)) {
+                         return true;
+                       }
+                       stopped = !fn(t);
+                       return !stopped;
+                     })) {
+      break;
     }
   }
-  return true;
+  return !stopped;
 }
 
 bool SegmentStore::Scan(rdf::VertexId s, rdf::PropertyId p, rdf::VertexId o,
@@ -334,11 +322,8 @@ bool SegmentStore::Scan(rdf::VertexId s, rdf::PropertyId p, rdf::VertexId o,
 size_t SegmentStore::CountKeyRange(RunOrder run, const Key3& lo,
                                    const Key3& hi) const {
   const std::vector<BlockMeta>& ms = metas(run);
-  auto it = std::partition_point(
-      ms.begin(), ms.end(),
-      [&](const BlockMeta& m) { return m.last < lo; });
   size_t count = 0;
-  for (size_t i = static_cast<size_t>(it - ms.begin()); i < ms.size(); ++i) {
+  for (size_t i = FirstBlockFrom(ms, lo); i < ms.size(); ++i) {
     const BlockMeta& m = ms[i];
     if (hi < m.first) break;
     if (lo <= m.first && m.last <= hi) {
@@ -346,20 +331,11 @@ size_t SegmentStore::CountKeyRange(RunOrder run, const Key3& lo,
       count += m.num_triples;
       continue;
     }
-    if (!BlockUsable(run, static_cast<uint32_t>(i))) return count;
-    stats_->IncDecoded();
-    BlockDecoder dec(run, BlockPayload(run, static_cast<uint32_t>(i)),
-                     m.payload_len, m.num_triples);
-    rdf::Triple t;
-    while (dec.Next(&t)) {
-      const Key3 key = KeyOf(run, t);
-      if (key < lo) continue;
-      if (hi < key) return count;
-      ++count;
-    }
-    if (!dec.ok()) {
-      stats_->MarkCorrupt();
-      return count;
+    if (!DecodeBlock(run, i, lo, hi, [&](const rdf::Triple&, const Key3&) {
+          ++count;
+          return true;
+        })) {
+      break;
     }
   }
   return count;
@@ -408,7 +384,7 @@ Status SegmentStore::DeepCheck() const {
     Key3 prev = {0, 0, 0};
     for (size_t i = 0; i < ms.size(); ++i) {
       const BlockMeta& m = ms[i];
-      const uint8_t* payload = BlockPayload(run, static_cast<uint32_t>(i));
+      const uint8_t* payload = BlockPayload(run, i);
       if (HashString(BytesView(payload, m.payload_len)) != m.checksum) {
         return Status::ParseError(std::string(run_name) + " block " +
                                   std::to_string(i) + ": checksum mismatch");

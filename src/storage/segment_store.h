@@ -16,8 +16,8 @@
 namespace mpc::storage {
 
 /// Read-only TripleSource over one mmap'ed `.mpcseg` segment — the
-/// compressed out-of-core backend. Opening maps the file and reads only
-/// the header and TOC (plus, by default, one sequential checksum pass);
+/// compressed out-of-core backend. Opening maps the file, reads the
+/// header and TOC and checksums every block in one sequential pass;
 /// scans then decode exactly the blocks the zone maps cannot rule out,
 /// so bound-pattern work is proportional to the matching data, not the
 /// partition. Emission order and cardinalities follow the TripleSource
@@ -28,29 +28,15 @@ namespace mpc::storage {
 /// mutable state is the relaxed stats counters).
 class SegmentStore final : public store::TripleSource {
  public:
-  struct OpenOptions {
-    /// Verify every block payload checksum at open (one sequential pass
-    /// over the file). With false, only the header and TOC are
-    /// verified — cold start touches O(TOC) pages — and block checksums
-    /// are still enforced lazily the first time each block is decoded;
-    /// a block failing then is reported through corruption_detected()
-    /// and its scan stops emitting (the executor's per-site error
-    /// handling surfaces it). `tools/segment_check` validates segments
-    /// fully offline, so lazy mode is safe after a checked deploy.
-    bool verify_blocks = true;
-    /// When nonzero, the segment's stamped partition fingerprint must
-    /// match (InvalidArgument otherwise) — a segment packed for a
-    /// different partitioning must never serve its queries.
-    uint64_t expected_fingerprint = 0;
-  };
-
-  /// Maps and validates `path`. Torn, truncated or garbage files return
-  /// ParseError; nothing is allocated based on unvalidated sizes.
+  /// Maps and validates `path`, including every block payload checksum
+  /// (one sequential pass over the file). Torn, truncated or garbage
+  /// files return ParseError; nothing is allocated based on unvalidated
+  /// sizes. When `expected_fingerprint` is nonzero, the segment's
+  /// stamped partition fingerprint must match (InvalidArgument
+  /// otherwise) — a segment packed for a different partitioning must
+  /// never serve its queries.
   static Result<SegmentStore> Open(const std::string& path,
-                                   const OpenOptions& options);
-  static Result<SegmentStore> Open(const std::string& path) {
-    return Open(path, OpenOptions());
-  }
+                                   uint64_t expected_fingerprint = 0);
 
   SegmentStore(SegmentStore&& other) noexcept;
   SegmentStore& operator=(SegmentStore&& other) noexcept;
@@ -82,7 +68,9 @@ class SegmentStore final : public store::TripleSource {
   uint64_t blocks_pruned() const {
     return stats_->pruned.load(std::memory_order_relaxed);
   }
-  /// True once any lazily-verified block failed its checksum.
+  /// True once a scan met a block payload that does not decode (its
+  /// checksum matched, so the writer produced it or the checksum was
+  /// forged); that scan stops emitting at the bad block.
   bool corruption_detected() const {
     return stats_->corrupt.load(std::memory_order_relaxed);
   }
@@ -97,7 +85,7 @@ class SegmentStore final : public store::TripleSource {
  private:
   /// Per-instance counters, mirrored into the global obs registry
   /// (storage.segment.*) so a live server's pruning behaviour and any
-  /// lazily-detected corruption are visible to `mpc top` without
+  /// decode-time corruption are visible to `mpc top` without
   /// plumbing store handles around. The registry pointers are resolved
   /// once at Open; the per-instance atomics stay authoritative for the
   /// accessors below.
@@ -132,9 +120,16 @@ class SegmentStore final : public store::TripleSource {
   const std::vector<BlockMeta>& metas(RunOrder run) const {
     return run == RunOrder::kPso ? pso_metas_ : pos_metas_;
   }
-  const uint8_t* BlockPayload(RunOrder run, uint32_t index) const;
-  /// Checksum gate for lazy mode; true iff the block may be decoded.
-  bool BlockUsable(RunOrder run, uint32_t index) const;
+  const uint8_t* BlockPayload(RunOrder run, size_t index) const;
+  /// The query-time decode step shared by every scan and count: counts
+  /// block `index` of `run` as decoded and calls `visit(t, key)` for
+  /// its triples with key in [lo, hi], in key order. A payload that
+  /// fails to decode marks the store corrupt. True iff the block was
+  /// exhausted cleanly without passing `hi` or `visit` returning false,
+  /// i.e. iff the scan should go on to the next block.
+  template <typename Visit>
+  bool DecodeBlock(RunOrder run, size_t index, const Key3& lo, const Key3& hi,
+                   Visit visit) const;
 
   /// Emits triples with key in [lo, hi] from `run`, in key order.
   /// Returns false iff `fn` stopped early.
@@ -157,7 +152,6 @@ class SegmentStore final : public store::TripleSource {
   std::vector<PropertyEntry> properties_;
   std::vector<BlockMeta> pso_metas_;
   std::vector<BlockMeta> pos_metas_;
-  bool verified_at_open_ = false;
   std::unique_ptr<ScanStats> stats_;
 };
 

@@ -82,7 +82,7 @@ class LogBuilder {
         // pattern so generation always terminates.
         SampleSingle(&q);
       }
-      q.name = "Q" + std::to_string(log.size() + 1);
+      q.name = 'Q' + std::to_string(log.size() + 1);
       log.push_back(std::move(q));
     }
     return log;
@@ -221,8 +221,11 @@ class LogBuilder {
         pred = "?p";
         used_var_pred = true;
       }
-      body += " " + name_of(t.subject) + " " + pred + " " +
-              name_of(t.object) + " .";
+      // Object first: the order GCC evaluated the `+` chain this line
+      // used to be, kept so a seed still yields the same log.
+      const std::string object = name_of(t.object);
+      const std::string subject = name_of(t.subject);
+      body += " " + subject + " " + pred + " " + object + " .";
     }
     // Optionally anchor one endpoint with its data constant.
     if (rng_.Chance(options_.constant_fraction)) {

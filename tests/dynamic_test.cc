@@ -859,6 +859,42 @@ TEST(IncrementalMaintainerTest, TriggeredRepartitionIsCheckpointedAtItsBatch) {
   EXPECT_TRUE(*checkpoint == (*m)->ExportState());
 }
 
+TEST(IncrementalMaintainerTest, DirectRepartitionNowIsCheckpointed) {
+  // A repartition the caller asks for, not one a policy fired, must be
+  // just as durable: recovery from the journal directory reproduces the
+  // state including the swap.
+  const std::string dir = TempDir("mpc_ckpt_direct_repartition");
+  const uint64_t fp = 11;
+  RdfGraph graph = TwoIslandGraph();
+  MaintainerOptions options;
+  options.policy.kind = RepartitionPolicy::Kind::kNever;
+  options.journal_dir = dir;
+  options.checkpoint_every_batches = 0;
+  Result<std::unique_ptr<IncrementalMaintainer>> m =
+      IncrementalMaintainer::OpenDurable(
+          graph.Clone(), MakeByName(graph, 2, IslandSites()), options, fp);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+
+  ApplyResult first = (*m)->ApplyBatch(Batch({Ins("a1", "p", "a3")}));
+  ASSERT_TRUE(first.durability.ok()) << first.durability.ToString();
+  Status repartitioned = (*m)->RepartitionNow();
+  ASSERT_TRUE(repartitioned.ok()) << repartitioned.ToString();
+  ApplyResult second = (*m)->ApplyBatch(Batch({Ins("a2", "p", "b1")}));
+  ASSERT_TRUE(second.durability.ok()) << second.durability.ToString();
+  EXPECT_FALSE(second.repartitioned);
+  const MaintainerState before_crash = (*m)->ExportState();
+  ASSERT_EQ(before_crash.tracker.repartitions, 1u);
+  m->reset();
+
+  Result<std::unique_ptr<IncrementalMaintainer>> recovered =
+      IncrementalMaintainer::OpenDurable(
+          graph.Clone(), MakeByName(graph, 2, IslandSites()), options, fp);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const MaintainerState after = (*recovered)->ExportState();
+  EXPECT_EQ(after.tracker.repartitions, 1u);
+  EXPECT_TRUE(after == before_crash);
+}
+
 // ----------------------------------------------------- Def. 4.2 budget
 
 TEST(RepartitionPolicyTest, ComponentBudgetFiresOnlyWhenEnforced) {

@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 
 #include "common/function_ref.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "dynamic/incremental_maintainer.h"
 #include "exec/cluster.h"
@@ -135,6 +136,68 @@ TEST(VarintTest, MaxIdTripleDeltaRoundTrips) {
   EXPECT_TRUE(dec.AtCleanEnd());
 }
 
+/// Decodes `payload` as a PSO block declaring `n` triples and returns
+/// how many triples Next produced before it returned false.
+size_t DecodedBeforeStop(const std::string& payload, uint32_t n,
+                         BlockDecoder* dec) {
+  *dec = BlockDecoder(RunOrder::kPso,
+                      reinterpret_cast<const uint8_t*>(payload.data()),
+                      payload.size(), n);
+  size_t decoded = 0;
+  Triple t;
+  while (dec->Next(&t)) ++decoded;
+  return decoded;
+}
+
+std::string Varints(std::initializer_list<uint32_t> values) {
+  std::string out;
+  for (uint32_t v : values) AppendVarint32(v, &out);
+  return out;
+}
+
+TEST(BlockDecoderTest, EveryMalformedPayloadFailsCleanly) {
+  BlockDecoder dec(RunOrder::kPso, nullptr, 0, 0);
+  // Well formed: (1,2,3) then a minor-column step to (1,2,4).
+  EXPECT_EQ(DecodedBeforeStop(Varints({1, 2, 3, 0, 0, 1}), 2, &dec), 2u);
+  EXPECT_TRUE(dec.AtCleanEnd());
+
+  struct Case {
+    const char* name;
+    std::string payload;
+    uint32_t declared;
+    size_t decoded_before_failure;
+  };
+  const std::string overlong(5, '\xff');
+  const Case cases[] = {
+      {"truncated first triple", Varints({1, 2}), 1, 0},
+      {"overlong varint", overlong, 1, 0},
+      {"declared count beyond payload", Varints({1, 2, 3}), 2, 1},
+      {"major delta wraps", Varints({UINT32_MAX, 0, 0, 1, 0, 0}), 2, 1},
+      {"mid delta wraps", Varints({0, UINT32_MAX, 0, 0, 1, 0}), 2, 1},
+      {"minor delta wraps", Varints({0, 0, UINT32_MAX, 0, 0, 1}), 2, 1},
+      {"zero final delta repeats a key", Varints({1, 2, 3, 0, 0, 0}), 2, 1},
+      {"truncated after a zero delta", Varints({1, 2, 3, 0}), 2, 1},
+      {"truncated after two zero deltas", Varints({1, 2, 3, 0, 0}), 2, 1},
+      {"truncated after a mid delta", Varints({1, 2, 3, 0, 1}), 2, 1},
+      {"truncated after a major delta", Varints({1, 2, 3, 1, 5}), 2, 1},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(DecodedBeforeStop(c.payload, c.declared, &dec),
+              c.decoded_before_failure)
+        << c.name;
+    EXPECT_FALSE(dec.ok()) << c.name;
+    EXPECT_FALSE(dec.AtCleanEnd()) << c.name;
+    Triple t;
+    EXPECT_FALSE(dec.Next(&t)) << c.name << ": decoder must stay failed";
+  }
+
+  // Trailing bytes after the declared triples decode cleanly but leave
+  // the block short of a clean end.
+  EXPECT_EQ(DecodedBeforeStop(Varints({1, 2, 3, 7}), 1, &dec), 1u);
+  EXPECT_TRUE(dec.ok());
+  EXPECT_FALSE(dec.AtCleanEnd());
+}
+
 // ---------------------------------------------------------------------------
 // Writer / store round trips.
 
@@ -207,12 +270,9 @@ TEST(SegmentWriterTest, FingerprintMismatchIsRefused) {
   options.partition_fingerprint = 0xabcdef12u;
   ASSERT_TRUE(WriteSegment(path, {Triple{1, 2, 3}}, options).ok());
 
-  SegmentStore::OpenOptions open_options;
-  open_options.expected_fingerprint = 0xabcdef12u;
-  EXPECT_TRUE(SegmentStore::Open(path, open_options).ok());
+  EXPECT_TRUE(SegmentStore::Open(path, 0xabcdef12u).ok());
 
-  open_options.expected_fingerprint = 0x11111111u;
-  Result<SegmentStore> wrong = SegmentStore::Open(path, open_options);
+  Result<SegmentStore> wrong = SegmentStore::Open(path, 0x11111111u);
   ASSERT_FALSE(wrong.ok());
   EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
 }
@@ -317,6 +377,99 @@ TEST(SegmentStoreTest, ZoneMapsPruneBoundSubjectSweeps) {
   EXPECT_LT(decoded, segment->header().pso_num_blocks / 2);
 }
 
+/// The TOC's block metas of one run, read straight from the file.
+std::vector<BlockMeta> ReadBlockMetas(const std::string& path, RunOrder run) {
+  const std::string bytes = ReadFileBytes(path);
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
+  Result<SegmentHeader> h =
+      DecodeSegmentHeader(data, bytes.size(), bytes.size());
+  EXPECT_TRUE(h.ok()) << h.status().ToString();
+  if (!h.ok()) return {};
+  size_t at = h->toc_offset + h->num_properties * kPropertyEntrySize;
+  if (run == RunOrder::kPos) at += h->pso_num_blocks * kBlockMetaSize;
+  const uint32_t n =
+      run == RunOrder::kPso ? h->pso_num_blocks : h->pos_num_blocks;
+  std::vector<BlockMeta> metas;
+  for (uint32_t i = 0; i < n; ++i) {
+    metas.push_back(DecodeBlockMeta(data + at + i * kBlockMetaSize));
+  }
+  return metas;
+}
+
+uint64_t BlocksOverlapping(const std::vector<BlockMeta>& metas,
+                           const Key3& lo, const Key3& hi) {
+  uint64_t n = 0;
+  for (const BlockMeta& m : metas) {
+    if (!(m.last < lo) && !(hi < m.first)) ++n;
+  }
+  return n;
+}
+
+TEST(SegmentStoreTest, KeyRangeScansDecodeOnlyOverlappingBlocks) {
+  Rng rng(23);
+  rdf::RdfGraph graph = testutil::RandomGraph(rng, 150, 3000, 4);
+  const std::string dir = TempDir("seg_overlap");
+  const std::string path = SegmentPath(dir, 0);
+  SegmentWriterOptions options;
+  options.block_size = 512;
+  ASSERT_TRUE(WriteSegment(path, graph.triples(), options).ok());
+  Result<SegmentStore> segment = SegmentStore::Open(path);
+  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+  const std::vector<BlockMeta> pso = ReadBlockMetas(path, RunOrder::kPso);
+  const std::vector<BlockMeta> pos = ReadBlockMetas(path, RunOrder::kPos);
+  ASSERT_GT(pso.size(), 8u);
+  ASSERT_GT(pos.size(), 8u);
+
+  uint64_t multi_block_scans = 0;
+  for (rdf::PropertyId p = 0; p < graph.num_properties(); ++p) {
+    for (rdf::VertexId v = 0; v < graph.num_vertices(); v += 3) {
+      // Bound (p, s): the PSO key range {p, s, *}.
+      uint64_t before = segment->blocks_decoded();
+      Collect(*segment, v, p, kInvalidVertex);
+      const uint64_t by_subject =
+          BlocksOverlapping(pso, {p, v, 0}, {p, v, UINT32_MAX});
+      EXPECT_EQ(segment->blocks_decoded() - before, by_subject)
+          << "p=" << p << " s=" << v;
+      // Bound (p, o): the POS key range {p, o, *}.
+      before = segment->blocks_decoded();
+      Collect(*segment, kInvalidVertex, p, v);
+      const uint64_t by_object =
+          BlocksOverlapping(pos, {p, v, 0}, {p, v, UINT32_MAX});
+      EXPECT_EQ(segment->blocks_decoded() - before, by_object)
+          << "p=" << p << " o=" << v;
+      if (by_subject > 1 || by_object > 1) ++multi_block_scans;
+    }
+  }
+  // Some key ranges straddle a block boundary, so the test also covers
+  // scans that cross from one decoded block into the next.
+  EXPECT_GT(multi_block_scans, 0u);
+}
+
+TEST(SegmentStoreTest, CardinalityDecodesAtMostTheTwoEdgeBlocks) {
+  // Subject 5 has 3,000 objects under property 1: its PSO key range
+  // spans many 512-byte blocks, with subjects 4 and 6 sharing the edge
+  // blocks so both edges fall mid-block.
+  std::vector<Triple> triples;
+  for (uint32_t o = 0; o < 3000; ++o) triples.push_back(Triple{5, 1, o});
+  for (uint32_t o = 0; o < 50; ++o) {
+    triples.push_back(Triple{4, 1, o});
+    triples.push_back(Triple{6, 1, o});
+  }
+  const std::string dir = TempDir("seg_covered");
+  const std::string path = SegmentPath(dir, 0);
+  SegmentWriterOptions options;
+  options.block_size = 512;
+  ASSERT_TRUE(WriteSegment(path, triples, options).ok());
+  Result<SegmentStore> segment = SegmentStore::Open(path);
+  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+  const std::vector<BlockMeta> pso = ReadBlockMetas(path, RunOrder::kPso);
+  ASSERT_GT(BlocksOverlapping(pso, {1, 5, 0}, {1, 5, UINT32_MAX}), 4u);
+
+  const uint64_t before = segment->blocks_decoded();
+  EXPECT_EQ(segment->EstimateCardinality(5, 1, kInvalidVertex), 3000u);
+  EXPECT_LE(segment->blocks_decoded() - before, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Corruption: every mutation is a clean error, never a crash.
 
@@ -413,8 +566,8 @@ TEST(SegmentStoreTest, RandomBitFlipsNeverCrash) {
   }
 }
 
-TEST(SegmentStoreTest, LazyModeFlagsCorruptBlocksAtScanTime) {
-  const std::string dir = TempDir("seg_lazy");
+TEST(SegmentStoreTest, FlippedPayloadByteIsRefusedAtOpen) {
+  const std::string dir = TempDir("seg_payload_flip");
   const std::string path = SegmentPath(dir, 0);
   std::vector<Triple> triples;
   for (uint32_t i = 0; i < 2000; ++i) {
@@ -424,22 +577,65 @@ TEST(SegmentStoreTest, LazyModeFlagsCorruptBlocksAtScanTime) {
   options.block_size = 512;
   ASSERT_TRUE(WriteSegment(path, triples, options).ok());
   std::string bytes = ReadFileBytes(path);
-  // Flip a byte in the middle of the first PSO block's payload.
+  // Flip a byte in the middle of the first PSO block's payload: header
+  // and TOC stay valid, only the block checksum catches it.
   bytes[512 + 20] = static_cast<char>(bytes[512 + 20] ^ 0xff);
   WriteFileBytes(path, bytes);
 
-  // Eager verification refuses the file outright.
-  ASSERT_FALSE(SegmentStore::Open(path).ok());
+  Result<SegmentStore> segment = SegmentStore::Open(path);
+  ASSERT_FALSE(segment.ok());
+  EXPECT_EQ(segment.status().code(), StatusCode::kParseError);
+  EXPECT_NE(segment.status().message().find("payload checksum mismatch"),
+            std::string::npos)
+      << segment.status().ToString();
+}
 
-  // Lazy mode opens (only header + TOC are checked) ...
-  SegmentStore::OpenOptions lazy;
-  lazy.verify_blocks = false;
-  Result<SegmentStore> segment = SegmentStore::Open(path, lazy);
+TEST(SegmentStoreTest, UndecodableBlockWithForgedChecksumsFlagsCorruption) {
+  // A payload that does not decode yet carries matching checksums (a
+  // writer bug, or a forged file) passes Open; the scan that reaches it
+  // must stop emitting at that block and raise the sticky flag.
+  const std::string dir = TempDir("seg_forged");
+  const std::string path = SegmentPath(dir, 0);
+  std::vector<Triple> triples;
+  for (uint32_t i = 0; i < 2000; ++i) {
+    triples.push_back(Triple{i % 97, i % 7, i % 89});
+  }
+  SegmentWriterOptions options;
+  options.block_size = 512;
+  ASSERT_TRUE(WriteSegment(path, triples, options).ok());
+  std::string bytes = ReadFileBytes(path);
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
+  Result<SegmentHeader> header =
+      DecodeSegmentHeader(data, bytes.size(), bytes.size());
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+
+  // First PSO block: an overlong varint opens its payload. Re-stamp its
+  // TOC checksum, then the TOC and header checksums.
+  const size_t meta_at =
+      header->toc_offset + header->num_properties * kPropertyEntrySize;
+  BlockMeta meta = DecodeBlockMeta(data + meta_at);
+  for (size_t i = 0; i < kMaxVarint32Bytes; ++i) {
+    bytes[header->pso_offset + i] = '\xff';
+  }
+  meta.checksum = HashString(
+      std::string_view(bytes.data() + header->pso_offset, meta.payload_len));
+  std::string encoded_meta;
+  EncodeBlockMeta(meta, &encoded_meta);
+  bytes.replace(meta_at, kBlockMetaSize, encoded_meta);
+  header->toc_checksum = HashString(
+      std::string_view(bytes.data() + header->toc_offset, header->toc_size));
+  bytes.replace(0, kSegmentHeaderSize, EncodeSegmentHeader(*header));
+  WriteFileBytes(path, bytes);
+
+  Result<SegmentStore> segment = SegmentStore::Open(path);
   ASSERT_TRUE(segment.ok()) << segment.status().ToString();
   EXPECT_FALSE(segment->corruption_detected());
-  // ... and the first scan touching the bad block detects it, stops
-  // cleanly, and raises the sticky flag.
-  Collect(*segment, kInvalidVertex, kInvalidProperty, kInvalidVertex);
+  const rdf::PropertyId p = meta.first[0];
+  bool completed = false;
+  EXPECT_TRUE(Collect(*segment, kInvalidVertex, p, kInvalidVertex, SIZE_MAX,
+                      &completed)
+                  .empty());
+  EXPECT_TRUE(completed);
   EXPECT_TRUE(segment->corruption_detected());
   EXPECT_FALSE(segment->DeepCheck().ok());
 }

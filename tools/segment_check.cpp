@@ -3,13 +3,12 @@
 //   segment_check <partition_dir>     validate every partition_<i>.mpcseg
 //   segment_check <file.mpcseg>...    validate the listed segments
 //
-// Each segment is opened with full checksum verification and then deep
+// Each segment is opened (which checksums every block) and then deep
 // checked: every block of both runs is decoded and the TOC's claims are
 // re-derived (global sort order, first/last keys, zone maps, per-property
 // counts and block ranges). Prints one summary line per valid segment;
 // any violation prints the ParseError and exits 1. Run it after packing
-// (or after copying segments between machines) so serving can safely use
-// --store=segment with lazy block verification.
+// or after copying segments between machines.
 
 #include <cstdint>
 #include <filesystem>
@@ -26,10 +25,7 @@ namespace {
 using namespace mpc;
 
 int CheckOne(const std::string& path) {
-  storage::SegmentStore::OpenOptions options;
-  options.verify_blocks = true;
-  Result<storage::SegmentStore> segment =
-      storage::SegmentStore::Open(path, options);
+  Result<storage::SegmentStore> segment = storage::SegmentStore::Open(path);
   if (!segment.ok()) {
     std::cerr << path << ": " << segment.status().ToString() << "\n";
     return 1;
