@@ -1,7 +1,7 @@
-// Ablation: property-presence site localization (executor option
-// site_pruning) — the simplest sound form of the query localization the
-// paper leaves as future work. Reports per-dataset how many site
-// evaluations the benchmark queries and a query log save.
+// Ablation: site localization (executor option site_pruning: property
+// presence plus ownership, exec::SelectSites) — sound forms of the query
+// localization the paper leaves as future work. Reports per-dataset how
+// many site evaluations the benchmark queries and a query log save.
 
 #include "bench_util.h"
 
@@ -74,7 +74,8 @@ int main(int argc, char** argv) {
   RunDataset(mpc::workload::DatasetId::kYago2, scale);
   RunDataset(mpc::workload::DatasetId::kBio2rdf, scale);
   RunDataset(mpc::workload::DatasetId::kLgd, scale);
-  std::cout << "(modular datasets — Bio2RDF's per-module vocabularies, "
-               "LGD's tile tags — prune the most sites)\n";
+  std::cout << "(property presence prunes modular datasets — Bio2RDF's "
+               "per-module vocabularies, LGD's tile tags; ownership prunes "
+               "queries anchored at a constant on an internal property)\n";
   return 0;
 }

@@ -30,6 +30,9 @@
 #  - an adaptive-serving smoke replays a skewed workload through
 #    `mpc serve --migrate` and checks that hot-vertex migration absorbs
 #    the induced drift without a single full repartition;
+#  - a localization smoke requires `mpc query` to contact one site of
+#    eight for a LUBM query anchored at a constant, and `mpc explain` to
+#    name that constant's owner;
 #  - a serving-benchmark smoke replays a short dbpedia_log query-log
 #    profile through servebench, whose oracle checks every answer;
 #  - the tracer and metrics tests run under ThreadSanitizer, since their
@@ -415,6 +418,33 @@ EOF
   echo "segment-store smoke passed"
 }
 
+# Localization smoke: LQ1 carries a constant (Course0) on a non-crossing
+# pattern, so on a k=8 MPC partitioning of a LUBM sample `mpc query`
+# must contact that constant's owner site only, and `mpc explain` must
+# name the constant and its owner.
+localization_smoke() {
+  local dir="$1"
+  echo "=== localization smoke: ${dir} ==="
+  local tmp
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "${tmp}"' RETURN
+  # Without arguments the example writes its LUBM sample (4
+  # universities) to the temporary directory.
+  TMPDIR="${tmp}" "${dir}/examples/custom_dataset_partitioning" > /dev/null
+  "${dir}/tools/mpc" partition "${tmp}/mpc_sample.nt" "${tmp}/part" --k=8
+  local lq1='SELECT ?x WHERE { ?x <http://example.org/lubm#takesCourse> <http://example.org/lubm/Course0> . ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/lubm/class/GraduateStudent0> . }'
+  local out
+  out="$("${dir}/tools/mpc" query "${tmp}/mpc_sample.nt" "${tmp}/part" \
+    "${lq1}")"
+  echo "${out}"
+  grep -q "sites 1 evaluated / 7 pruned" <<< "${out}"
+  out="$("${dir}/tools/mpc" explain "${tmp}/mpc_sample.nt" "${tmp}/part" \
+    "${lq1}")"
+  grep -q "owner-localized: <http://example.org/lubm/Course0> is owned by site" \
+    <<< "${out}"
+  echo "localization smoke passed"
+}
+
 # Crash-recovery smoke: stream updates with a write-ahead journal, kill
 # the process mid-stream (SIGKILL via --crash-after, exit 137), recover
 # with --recover, and require the recovered final partitioning to be
@@ -637,6 +667,7 @@ recovery_smoke build
 serve_smoke build
 adaptive_smoke build
 segment_smoke build
+localization_smoke build
 chaos_smoke build
 obs_smoke build
 servebench_smoke
@@ -651,14 +682,16 @@ run_config build-ubsan -DMPC_SANITIZE=undefined
 # and migration tests join them: repartition and hot-vertex migration
 # mutate the partitioning the serving snapshots capture. The
 # RPC codec and RemoteCluster tests run here too: several client threads
-# share one fleet's per-site connections.
+# share one fleet's per-site connections, which a pipelined batch locks
+# several at a time. The site-pruning test covers the overlay snapshot
+# the localization rule reads ownership from.
 echo "=== configure+build: build-tsan (-DMPC_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DMPC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${JOBS}" \
   --target obs_trace_test obs_metrics_test obs_snapshot_test \
   trace_context_test serve_test dynamic_test migration_test \
-  executor_test fault_tolerance_test net_frame_test remote_cluster_test \
-  mpc_cli trace_check
+  executor_test fault_tolerance_test site_pruning_test net_frame_test \
+  remote_cluster_test mpc_cli trace_check
 echo "=== tracer/metrics/serving/executor tests under tsan ==="
 ./build-tsan/tests/obs_trace_test
 ./build-tsan/tests/obs_metrics_test
@@ -669,6 +702,7 @@ echo "=== tracer/metrics/serving/executor tests under tsan ==="
 ./build-tsan/tests/migration_test
 ./build-tsan/tests/executor_test
 ./build-tsan/tests/fault_tolerance_test
+./build-tsan/tests/site_pruning_test
 ./build-tsan/tests/net_frame_test
 ./build-tsan/tests/remote_cluster_test
 serve_smoke build-tsan

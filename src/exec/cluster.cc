@@ -1,9 +1,11 @@
 #include "exec/cluster.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "obs/trace.h"
 #include "partition/partition_io.h"
 #include "storage/delta_overlay.h"
 
@@ -235,6 +237,78 @@ ReplicaCoverage ClusterBackend::ComputeReplicaCoverage(
     coverage.replicated_on_live += replicated[v];
   }
   return coverage;
+}
+
+void ClusterBackend::EvaluateOnSites(std::span<const uint32_t> sites,
+                                     const store::ResolvedQuery& resolved,
+                                     const SiteEvalRequest& request,
+                                     const SiteCallPolicy& policy,
+                                     int num_threads,
+                                     std::span<SiteEvalReply> replies,
+                                     std::span<Status> statuses) const {
+  // Pool threads have no ambient span state; hand them this thread's
+  // context so their site spans stay inside the caller's trace.
+  const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
+  ParallelFor(0, sites.size(), 1, num_threads, [&](size_t s) {
+    obs::ScopedTraceContext scoped_ctx(trace_ctx);
+    obs::TraceSpan span("exec.site.eval");
+    statuses[s] =
+        EvaluateOnSite(sites[s], resolved, request, policy, &replies[s]);
+    span.Attr("site", sites[s])
+        .Attr("rows", static_cast<uint64_t>(replies[s].table.num_rows()))
+        .Attr("eval_ms", replies[s].eval_millis)
+        .Attr("ok", statuses[s].ok() ? 1 : 0);
+  });
+}
+
+SiteSelection SelectSites(const ClusterBackend& cluster,
+                          const store::ResolvedQuery& resolved,
+                          const std::vector<bool>& crossing_pattern,
+                          std::span<const size_t> pattern_indices) {
+  SiteSelection selection;
+  const partition::Partitioning& partitioning = cluster.partitioning();
+  // Ownership: an internal triple is stored at its subject's owner only,
+  // which is also its object's owner, so a non-crossing pattern with a
+  // constant endpoint c matches at owner(c) alone. Two such constants
+  // with different owners leave no site at all.
+  bool nowhere = false;
+  if (partitioning.kind() == partition::PartitioningKind::kVertexDisjoint) {
+    const std::vector<uint32_t>& part = partitioning.assignment().part;
+    for (size_t idx : pattern_indices) {
+      const store::ResolvedPattern& p = resolved.patterns[idx];
+      if (p.p_is_var || p.impossible || crossing_pattern[idx]) continue;
+      for (const auto& [is_var, c] : {std::pair(p.s_is_var, p.s),
+                                      std::pair(p.o_is_var, p.o)}) {
+        if (is_var || c >= part.size()) continue;
+        if (!selection.owner_constant.has_value()) {
+          selection.owner_constant = c;
+          selection.owner = part[c];
+        } else if (part[c] != selection.owner) {
+          nowhere = true;
+        }
+      }
+    }
+  }
+  if (nowhere) return selection;
+  // Property presence: a site lacking a constant predicate the sub-BGP
+  // requires cannot match it.
+  auto relevant = [&](uint32_t site) {
+    return std::all_of(pattern_indices.begin(), pattern_indices.end(),
+                       [&](size_t idx) {
+                         const store::ResolvedPattern& p =
+                             resolved.patterns[idx];
+                         return p.p_is_var || p.impossible ||
+                                cluster.SiteHasProperty(site, p.p);
+                       });
+  };
+  if (selection.owner_constant.has_value()) {
+    if (relevant(selection.owner)) selection.sites.push_back(selection.owner);
+    return selection;
+  }
+  for (uint32_t site = 0; site < cluster.k(); ++site) {
+    if (relevant(site)) selection.sites.push_back(site);
+  }
+  return selection;
 }
 
 store::BindingTable SchemaTable(const store::ResolvedQuery& resolved,

@@ -155,7 +155,8 @@ struct SiteCallPolicy {
 
 /// Abstract coordinator-side view of the k partition sites. Everything
 /// the DistributedExecutor needs is either derivable from the
-/// partitioning (owned here) or one virtual call: EvaluateOnSite. Two
+/// partitioning (owned here) or a site evaluation: EvaluateOnSite for
+/// one site, EvaluateOnSites for one scatter step over many. Two
 /// implementations exist — `Cluster`, the deterministic in-process
 /// simulator (k TripleStores, modeled network/faults), and
 /// `RemoteCluster`, k `mpc site` worker processes spoken to over
@@ -202,18 +203,33 @@ class ClusterBackend {
   /// Sum of store footprints in bytes (worker-reported for remote sites).
   virtual size_t MemoryUsage() const = 0;
 
-  /// Evaluates `request`'s sub-BGP of `resolved` at `site`. The one
-  /// data-path call of the executor (made through
-  /// FaultModel::EvaluateOnSite); errors (Unavailable for a dead site /
-  /// exhausted retries, DeadlineExceeded for blown deadlines) only come
-  /// from remote backends — the simulator's failures are injected by
-  /// that wrapper instead. `policy` bounds real transport attempts and
-  /// is ignored in-process.
+  /// Evaluates `request`'s sub-BGP of `resolved` at `site`. Errors
+  /// (Unavailable for a dead site / exhausted retries, DeadlineExceeded
+  /// for blown deadlines) only come from remote backends — the
+  /// simulator's failures are injected by FaultModel instead. `policy`
+  /// bounds real transport attempts and is ignored in-process.
   virtual Status EvaluateOnSite(uint32_t site,
                                 const store::ResolvedQuery& resolved,
                                 const SiteEvalRequest& request,
                                 const SiteCallPolicy& policy,
                                 SiteEvalReply* reply) const = 0;
+
+  /// One scatter step: evaluates `request` at every site of `sites`
+  /// (distinct), leaving sites[i]'s answer in replies[i] and statuses[i]
+  /// (both sized like `sites`), with EvaluateOnSite's error contract per
+  /// site. The executor's one data-path call (made through
+  /// FaultModel::EvaluateOnSites). This default runs EvaluateOnSite per
+  /// site on up to `num_threads` threads (0 = hardware concurrency),
+  /// each under an `exec.site.eval` span in the caller's trace; every
+  /// reply lands in its own slot, so the outcome is identical at any
+  /// thread count. RemoteCluster overrides it to send the request to
+  /// every site before reading any reply.
+  virtual void EvaluateOnSites(std::span<const uint32_t> sites,
+                               const store::ResolvedQuery& resolved,
+                               const SiteEvalRequest& request,
+                               const SiteCallPolicy& policy, int num_threads,
+                               std::span<SiteEvalReply> replies,
+                               std::span<Status> statuses) const;
 
  protected:
   ClusterBackend() = default;
@@ -227,6 +243,35 @@ class ClusterBackend {
   std::vector<std::vector<uint8_t>> property_present_;
   double loading_millis_ = 0.0;
 };
+
+/// Where one sub-BGP is sent: the query localization the paper leaves
+/// as future work (Section V-B2), in two sound forms.
+struct SiteSelection {
+  /// The sites to contact, ascending.
+  std::vector<uint32_t> sites;
+  /// Set when the ownership rule applied: a constant subject or object
+  /// of a non-crossing pattern, and `owner`, the one site that holds
+  /// every triple such a pattern can match.
+  std::optional<rdf::VertexId> owner_constant;
+  uint32_t owner = 0;
+};
+
+/// The sites that can hold a match of the sub-BGP `pattern_indices` of
+/// `resolved`; `crossing_pattern` is the plan's per-pattern crossing
+/// flag (Classification::crossing_pattern). A site is skipped when
+///  - it stores no triple with some constant predicate the sub-BGP
+///    requires (property presence), or
+///  - on a vertex-disjoint partitioning, a pattern with a constant,
+///    non-crossing predicate has a constant subject or object c and the
+///    site is not owner(c) (ownership: such a triple is internal, so it
+///    is stored at owner(c) only). A constant the partitioning does not
+///    know skips this rule.
+/// DESIGN.md §5 has the proof. Both the executor and `mpc explain`
+/// select sites here.
+SiteSelection SelectSites(const ClusterBackend& cluster,
+                          const store::ResolvedQuery& resolved,
+                          const std::vector<bool>& crossing_pattern,
+                          std::span<const size_t> pattern_indices);
 
 /// The empty BindingTable a sub-BGP would produce: columns are exactly
 /// the variables its patterns use, ascending by var id (the matcher's

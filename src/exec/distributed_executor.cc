@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "exec/bloom_filter.h"
 #include "exec/join.h"
@@ -231,23 +230,17 @@ Result<BindingTable> DistributedExecutor::ExecuteVertexDisjoint(
     if (use_bloom) {
       for (uint32_t v : subquery_vars(sub)) --remaining_uses[v];
     }
-    // Localization: a site lacking a constant property the subquery
-    // requires cannot hold a match of it, so it is not contacted.
-    sites.clear();
-    for (uint32_t site = 0; site < cluster_.k(); ++site) {
-      const bool relevant =
-          !options_.site_pruning ||
-          std::all_of(sub.begin(), sub.end(), [&](size_t idx) {
-            const store::ResolvedPattern& p = resolved.patterns[idx];
-            return p.p_is_var || p.impossible ||
-                   cluster_.SiteHasProperty(site, p.p);
-          });
-      if (relevant) {
-        sites.push_back(site);
-      } else {
-        ++stats->sites_pruned;
-      }
+    // Localization: sites that cannot hold a match of the subquery are
+    // not contacted.
+    if (options_.site_pruning) {
+      sites = SelectSites(cluster_, resolved,
+                          plan->classification.crossing_pattern, sub)
+                  .sites;
+    } else {
+      sites.resize(cluster_.k());
+      for (uint32_t site = 0; site < cluster_.k(); ++site) sites[site] = site;
     }
+    stats->sites_pruned += cluster_.k() - sites.size();
     Result<BindingTable> merged = ScatterGather(
         run, sub, sites, step, use_bloom ? &var_filters : nullptr);
     if (!merged.ok()) return merged.status();
@@ -369,41 +362,19 @@ Result<BindingTable> DistributedExecutor::ScatterGather(
   request.pattern_indices = patterns;
   request.max_rows = options_.max_rows;
   request.var_filters = filters;
-  struct SiteCall {
-    SiteEvalReply reply;
-    Status status = Status::Ok();
-    bool called = false;
-  };
-  std::vector<SiteCall> calls(sites.size());
-  // Scatter: in-process threads standing in for (or real RPCs actually
-  // reaching) the sites matching in parallel, each reply landing in its
-  // site's slot. Pool threads have no ambient span state; hand them this
-  // thread's context so their site spans (and the RPC spans beneath,
-  // including the worker-process spans a remote backend ships back) stay
-  // inside this query's trace.
-  const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
-  ParallelFor(0, sites.size(), 1, ResolveNumThreads(options_.num_threads),
-              [&](size_t s) {
-                const uint32_t site = sites[s];
-                if (!run->avail.IsUp(site)) {
-                  // Known down since an earlier step: no call at all.
-                  calls[s].status = Status::Unavailable(
-                      "site " + std::to_string(site) + " is down");
-                  return;
-                }
-                obs::ScopedTraceContext scoped_ctx(trace_ctx);
-                obs::TraceSpan site_span("exec.site.eval");
-                calls[s].called = true;
-                calls[s].status = fault_model_.EvaluateOnSite(
-                    cluster_, options_.network, step, site, run->resolved,
-                    request, &calls[s].reply);
-                site_span.Attr("site", site)
-                    .Attr("step", static_cast<uint64_t>(step))
-                    .Attr("rows", static_cast<uint64_t>(
-                                      calls[s].reply.table.num_rows()))
-                    .Attr("eval_ms", calls[s].reply.eval_millis)
-                    .Attr("ok", calls[s].status.ok() ? 1 : 0);
-              });
+  // Scatter: one batch call for every site not known down since an
+  // earlier step — in-process threads standing in for (or real RPCs
+  // actually reaching) the sites matching in parallel, each reply
+  // landing in its site's slot.
+  std::vector<uint32_t> live;
+  for (uint32_t site : sites) {
+    if (run->avail.IsUp(site)) live.push_back(site);
+  }
+  std::vector<SiteEvalReply> replies(live.size());
+  std::vector<Status> statuses(live.size());
+  fault_model_.EvaluateOnSites(cluster_, options_.network, step, live,
+                               run->resolved, request, options_.num_threads,
+                               replies, statuses);
 
   // Gather, serially in site order. A step costs its slowest site; a
   // failed site still blocks it for as long as the coordinator waited
@@ -411,11 +382,22 @@ Result<BindingTable> DistributedExecutor::ScatterGather(
   double slowest = 0.0;
   bool answered = false;
   BindingTable merged;
-  for (size_t s = 0; s < sites.size(); ++s) {
-    const uint32_t site = sites[s];
-    SiteEvalReply& reply = calls[s].reply;
-    const Status& status = calls[s].status;
-    run->contacted[site] |= calls[s].called;
+  size_t next_live = 0;
+  for (const uint32_t site : sites) {
+    // `live` keeps `sites`' order, so a site was called iff it is the
+    // next live one.
+    const bool called = next_live < live.size() && live[next_live] == site;
+    SiteEvalReply reply;
+    Status status;
+    if (called) {
+      reply = std::move(replies[next_live]);
+      status = std::move(statuses[next_live]);
+      ++next_live;
+    } else {
+      status = Status::Unavailable("site " + std::to_string(site) +
+                                   " is down");
+    }
+    run->contacted[site] |= called;
     stats->retries += static_cast<size_t>(reply.retries);
     stats->fault_wait_millis += reply.wait_millis;
     slowest = std::max(slowest, reply.eval_millis + reply.wait_millis);

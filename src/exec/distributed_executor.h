@@ -32,14 +32,16 @@ namespace mpc::exec {
 ///  - VP clusters: a query local to one site runs there; otherwise each
 ///    pattern is scanned at its property's home site and everything is
 ///    joined at the coordinator (the cloud-style plan of Section II).
+/// "Every site" is every site SelectSites keeps when site_pruning is on.
 struct ExecutorOptions {
   NetworkModel network;
   /// Per-subquery per-site row cap (SIZE_MAX = exhaustive).
   size_t max_rows = SIZE_MAX;
-  /// Localization: skip sites that lack a property some pattern of the
-  /// subquery requires (sound — such sites cannot contribute matches).
-  /// The simplest form of the query localization the paper leaves as
-  /// future work (Section V-B2).
+  /// Localization (SelectSites): skip sites that lack a property some
+  /// pattern of the subquery requires, and send a subquery with a
+  /// constant on a non-crossing pattern to that constant's owner site
+  /// only. Sound — skipped sites cannot contribute matches. The query
+  /// localization the paper leaves as future work (Section V-B2).
   bool site_pruning = true;
   /// WORQ-style [24] Bloom-join reduction for decomposed (non-IEQ)
   /// queries: join-key Bloom filters from earlier subqueries are shipped
@@ -53,7 +55,8 @@ struct ExecutorOptions {
   /// simulation do the same). 0 = hardware_concurrency. Defaults to 1 so
   /// the simulated LET timing model stays serial unless asked otherwise;
   /// result tables are bit-identical at any value (per-site results land
-  /// in per-site slots and merge in site order).
+  /// in per-site slots and merge in site order). A RemoteCluster needs
+  /// no threads: it writes every site's request before reading a reply.
   int num_threads = 1;
   /// Injected failures (off by default). Deterministic in faults.seed:
   /// the schedule of crashes/transients/slowdowns — and therefore every
@@ -121,9 +124,10 @@ class DistributedExecutor {
                                         QueryRun* run) const;
 
   /// The execution primitive of Section V-B2: ships the sub-BGP
-  /// `patterns` to every site in `sites` at once (ParallelFor), then
-  /// unions the replies serially in site order, so the table and every
-  /// stat are identical at any thread count. `step` numbers the call
+  /// `patterns` to every site in `sites` in one batch call
+  /// (FaultModel::EvaluateOnSites), then unions the replies serially in
+  /// site order, so the table and every stat are identical at any
+  /// thread count. `step` numbers the call
   /// for the fault schedule; `filters` are the optional Bloom filters.
   /// Every site failure — simulated or real — is handled here: under
   /// kFail the first one in site order is returned; under kBestEffort

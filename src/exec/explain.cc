@@ -28,6 +28,7 @@ std::string ExplainQuery(const sparql::QueryGraph& query,
   const QueryPlan plan = PlanQuery(query, partitioning, graph);
   const Classification& cls = plan.classification;
   const Decomposition& decomposition = plan.decomposition;
+  const store::ResolvedQuery resolved = store::ResolveQuery(query, graph);
 
   out << "query: " << query.num_patterns() << " patterns, "
       << query.num_variables() << " variables, "
@@ -63,23 +64,17 @@ std::string ExplainQuery(const sparql::QueryGraph& query,
           << "\n";
     }
     if (cluster != nullptr) {
-      // Sites that survive property-presence localization.
+      // The sites the executor contacts with site pruning on.
+      const SiteSelection selection =
+          SelectSites(*cluster, resolved, cls.crossing_pattern, sub);
       out << "  sites:";
-      for (uint32_t site = 0; site < cluster->k(); ++site) {
-        bool relevant = true;
-        for (size_t idx : sub) {
-          const sparql::QueryTerm& pred = query.patterns()[idx].predicate;
-          if (pred.is_variable()) continue;
-          rdf::PropertyId p = graph.property_dict().Lookup(pred.text);
-          if (p != rdf::kInvalidVertex &&
-              !cluster->SiteHasProperty(site, p)) {
-            relevant = false;
-            break;
-          }
-        }
-        if (relevant) out << " " << site;
-      }
+      for (uint32_t site : selection.sites) out << " " << site;
       out << "\n";
+      if (selection.owner_constant.has_value()) {
+        out << "  owner-localized: "
+            << graph.VertexName(*selection.owner_constant)
+            << " is owned by site " << selection.owner << "\n";
+      }
     }
   }
   if (cluster != nullptr &&

@@ -15,7 +15,8 @@ namespace mpc::exec {
 /// is needed — the Algorithm 2 decomposition with each subquery's own
 /// IEQ class (always internal/Type-I/Type-II, the Algorithm 2 guarantee)
 /// and, if a cluster is supplied, the sites each subquery actually
-/// contacts after property-presence localization.
+/// contacts (SelectSites) and, for an owner-localized subquery, the
+/// constant and its owner site.
 std::string ExplainQuery(const sparql::QueryGraph& query,
                          const partition::Partitioning& partitioning,
                          const rdf::RdfGraph& graph,

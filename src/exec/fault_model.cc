@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "obs/trace.h"
@@ -157,29 +159,48 @@ bool FaultModel::DownBefore(uint32_t site, size_t step) const {
   return false;
 }
 
-Status FaultModel::EvaluateOnSite(const ClusterBackend& backend,
-                                  const NetworkModel& net, size_t step,
-                                  uint32_t site,
-                                  const store::ResolvedQuery& resolved,
-                                  const SiteEvalRequest& request,
-                                  SiteEvalReply* reply) const {
+void FaultModel::EvaluateOnSites(const ClusterBackend& backend,
+                                 const NetworkModel& net, size_t step,
+                                 std::span<const uint32_t> sites,
+                                 const store::ResolvedQuery& resolved,
+                                 const SiteEvalRequest& request,
+                                 int num_threads,
+                                 std::span<SiteEvalReply> replies,
+                                 std::span<Status> statuses) const {
   const SiteCallPolicy policy = SiteCallPolicy::FromNetwork(net);
   if (!enabled()) {
-    return backend.EvaluateOnSite(site, resolved, request, policy, reply);
+    backend.EvaluateOnSites(sites, resolved, request, policy, num_threads,
+                            replies, statuses);
+    return;
   }
-  const SimulatedAttempts attempts = Simulate(*this, net, step, site);
-  if (!attempts.status.ok()) {
-    reply->retries = attempts.retries;
-    reply->wait_millis = attempts.wait_ms;
-    reply->transient = attempts.transient;
-    return attempts.status;
+  std::vector<SimulatedAttempts> attempts(sites.size());
+  std::vector<uint32_t> survivors;
+  std::vector<size_t> slots;
+  for (size_t s = 0; s < sites.size(); ++s) {
+    attempts[s] = Simulate(*this, net, step, sites[s]);
+    if (attempts[s].status.ok()) {
+      survivors.push_back(sites[s]);
+      slots.push_back(s);
+      continue;
+    }
+    replies[s].retries = attempts[s].retries;
+    replies[s].wait_millis = attempts[s].wait_ms;
+    replies[s].transient = attempts[s].transient;
+    statuses[s] = attempts[s].status;
   }
-  Status status =
-      backend.EvaluateOnSite(site, resolved, request, policy, reply);
-  reply->eval_millis *= attempts.slowdown;
-  reply->retries += attempts.retries;
-  reply->wait_millis += attempts.wait_ms;
-  return status;
+  std::vector<SiteEvalReply> survivor_replies(survivors.size());
+  std::vector<Status> survivor_statuses(survivors.size());
+  backend.EvaluateOnSites(survivors, resolved, request, policy, num_threads,
+                          survivor_replies, survivor_statuses);
+  for (size_t i = 0; i < survivors.size(); ++i) {
+    const SimulatedAttempts& simulated = attempts[slots[i]];
+    SiteEvalReply& reply = replies[slots[i]];
+    reply = std::move(survivor_replies[i]);
+    reply.eval_millis *= simulated.slowdown;
+    reply.retries += simulated.retries;
+    reply.wait_millis += simulated.wait_ms;
+    statuses[slots[i]] = std::move(survivor_statuses[i]);
+  }
 }
 
 }  // namespace mpc::exec

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -74,24 +75,28 @@ class FaultModel {
   /// listed in fail_sites, or a crash was sampled at an earlier step.
   bool DownBefore(uint32_t site, size_t step) const;
 
-  /// The one call-level fault wrapper: evaluates `request` at `site`
-  /// through `backend` for subquery step `step`, with this model's faults
-  /// injected at the call. A simulated fault comes back the way a real
-  /// transport reports a real one — a Status (Unavailable for a crash or
-  /// for transient errors that outlast the retries, DeadlineExceeded for
-  /// slowdowns that keep missing the deadline) with reply->retries and
-  /// reply->wait_millis charged the simulated attempts; a failed site's
-  /// eval_millis stays 0, a tolerated slowdown scales it by
-  /// slowdown_factor. Exhausted transient retries also set
-  /// reply->transient: the site is not down for later steps. `net`
+  /// The one call-level fault wrapper: evaluates `request` at every
+  /// site of `sites` through `backend`'s batch call for subquery step
+  /// `step`, with this model's faults injected at the call. Each site's
+  /// attempts are simulated first; only the sites that survive them are
+  /// sent to the backend, in one batch. A simulated fault comes back the
+  /// way a real transport reports a real one — a Status (Unavailable for
+  /// a crash or for transient errors that outlast the retries,
+  /// DeadlineExceeded for slowdowns that keep missing the deadline) with
+  /// the reply's retries and wait_millis charged the simulated attempts;
+  /// a failed site's eval_millis stays 0, a tolerated slowdown scales it
+  /// by slowdown_factor. Exhausted transient retries also set the
+  /// reply's `transient`: the site is not down for later steps. `net`
   /// supplies the deadline, retry and backoff settings, for the
-  /// simulated attempts and for the backend's real ones alike. With
-  /// faults off this forwards straight to the backend.
-  Status EvaluateOnSite(const ClusterBackend& backend,
-                        const NetworkModel& net, size_t step, uint32_t site,
-                        const store::ResolvedQuery& resolved,
-                        const SiteEvalRequest& request,
-                        SiteEvalReply* reply) const;
+  /// simulated attempts and for the backend's real ones alike;
+  /// `num_threads` is the backend's. With faults off this forwards
+  /// straight to the backend.
+  void EvaluateOnSites(const ClusterBackend& backend, const NetworkModel& net,
+                       size_t step, std::span<const uint32_t> sites,
+                       const store::ResolvedQuery& resolved,
+                       const SiteEvalRequest& request, int num_threads,
+                       std::span<SiteEvalReply> replies,
+                       std::span<Status> statuses) const;
 
  private:
   double Uniform(uint32_t site, size_t step, int attempt) const;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <utility>
 
 #include "common/timer.h"
@@ -200,17 +201,13 @@ Status RemoteCluster::EnsureConnectedLocked(uint32_t i,
   return st;
 }
 
-Status RemoteCluster::RoundTripLocked(SiteState* state, uint16_t send_type,
-                                      const std::string& payload,
-                                      double timeout_ms, uint16_t want_type,
-                                      std::string* reply_payload,
-                                      bool* fatal) const {
+Status RemoteCluster::ReceiveReplyLocked(SiteState* state,
+                                         double timeout_ms,
+                                         const SentRequest& sent,
+                                         obs::TraceSpan* span,
+                                         SiteEvalReply* reply,
+                                         bool* fatal) const {
   *fatal = false;
-  Status st = net::WriteFrame(state->conn, send_type, payload);
-  if (!st.ok()) {
-    state->conn.Close();
-    return st;
-  }
   Result<net::Frame> frame = net::ReadFrame(state->conn, timeout_ms);
   if (!frame.ok()) {
     // Timed out, torn, or gone: the stream may carry a stale reply now,
@@ -226,28 +223,58 @@ Status RemoteCluster::RoundTripLocked(SiteState* state, uint16_t send_type,
                ? Status::ParseError("malformed error frame from worker")
                : carried;
   }
-  if (frame->type != want_type) {
+  if (frame->type != kMsgEvalReply) {
     state->conn.Close();
     return Status::ParseError("expected frame type " +
-                              std::to_string(want_type) + ", got " +
+                              std::to_string(kMsgEvalReply) + ", got " +
                               std::to_string(frame->type));
   }
-  *reply_payload = std::move(frame->payload);
+  const double rtt_ms = sent.timer.ElapsedMillis();
+  std::vector<obs::TraceEvent> remote_spans;
+  Status st = DecodeEvalReply(frame->payload, reply,
+                              sent.trace_id != 0 ? &remote_spans : nullptr);
+  if (!st.ok()) {
+    // A payload that passed the checksum but fails to decode is a
+    // protocol bug, not line noise; drop the connection anyway so a
+    // retry starts clean.
+    state->conn.Close();
+    return st;
+  }
+  obs::MetricsRegistry::Default()
+      .HistogramRef("exec.rpc.rtt_ms", obs::DefaultLatencyBoundsMs())
+      .Observe(rtt_ms);
+  span->Attr("rows", static_cast<uint64_t>(reply->table.num_rows()))
+      .Attr("wire_bytes", static_cast<uint64_t>(frame->payload.size()));
+  if (!remote_spans.empty()) {
+    // The worker parented its spans to the context the request carried;
+    // they are re-parented to this site's attempt span.
+    IngestRemoteSpans(std::move(remote_spans), sent.trace_id, span->id(),
+                      sent.send_us, rtt_ms * 1000.0,
+                      static_cast<uint32_t>(state->worker_pid));
+  }
   return Status::Ok();
 }
 
-Status RemoteCluster::EvaluateOnSite(uint32_t site,
+Status RemoteCluster::SendRequestLocked(uint32_t site, SiteState* state,
+                                        const std::string& payload,
+                                        SentRequest* sent) const {
+  MPC_RETURN_IF_ERROR(EnsureConnectedLocked(site, state));
+  sent->send_us = obs::TraceNowMicros();
+  sent->timer.Reset();
+  Status st = net::WriteFrame(state->conn, kMsgEvalRequest, payload);
+  if (!st.ok()) state->conn.Close();
+  return st;
+}
+
+Status RemoteCluster::AttemptsLocked(uint32_t site, SiteState* state,
                                      const store::ResolvedQuery& resolved,
                                      const SiteEvalRequest& request,
                                      const SiteCallPolicy& policy,
+                                     int first_attempt, Status last,
                                      SiteEvalReply* reply) const {
-  SiteState* state = sites_[site].get();
-  std::lock_guard<std::mutex> lock(state->mu);
-  const double timeout_ms =
-      policy.timeout_ms > 0 ? policy.timeout_ms : options_.default_timeout_ms;
-  Status last = Status::Unavailable("site " + std::to_string(site) +
-                                    ": no attempt made");
-  for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
+  const double timeout_ms = TimeoutMillis(policy);
+  for (int attempt = first_attempt; attempt <= policy.max_retries;
+       ++attempt) {
     if (attempt > 0) {
       // Real exponential backoff, charged to the reply's wait clock so
       // coordinator stats reflect wall time actually spent waiting.
@@ -264,40 +291,15 @@ Status RemoteCluster::EvaluateOnSite(uint32_t site,
     // encoded inside the loop: each retry re-parents. With tracing off
     // the context is empty and the worker records nothing.
     const obs::TraceContext trace = obs::CurrentTraceContext();
-    const uint64_t attempt_span_id = trace.parent_span_id;
     const std::string payload = EncodeEvalRequest(resolved, request, trace);
     Timer attempt_timer;
-    Status st = EnsureConnectedLocked(site, state);
+    SentRequest sent;
+    sent.trace_id = trace.trace_id;
+    Status st = SendRequestLocked(site, state, payload, &sent);
     if (st.ok()) {
-      std::string reply_payload;
       bool fatal = false;
-      const double send_us = obs::TraceNowMicros();
-      Timer rtt_timer;
-      st = RoundTripLocked(state, kMsgEvalRequest, payload, timeout_ms,
-                           kMsgEvalReply, &reply_payload, &fatal);
-      const double rtt_ms = rtt_timer.ElapsedMillis();
-      if (st.ok()) {
-        std::vector<obs::TraceEvent> remote_spans;
-        st = DecodeEvalReply(reply_payload, reply,
-                             trace.trace_id != 0 ? &remote_spans : nullptr);
-        if (st.ok()) {
-          obs::MetricsRegistry::Default()
-              .HistogramRef("exec.rpc.rtt_ms", obs::DefaultLatencyBoundsMs())
-              .Observe(rtt_ms);
-          span.Attr("rows", static_cast<uint64_t>(reply->table.num_rows()))
-              .Attr("wire_bytes", static_cast<uint64_t>(reply_payload.size()));
-          if (!remote_spans.empty()) {
-            IngestRemoteSpans(std::move(remote_spans), trace.trace_id,
-                              attempt_span_id, send_us, rtt_ms * 1000.0,
-                              static_cast<uint32_t>(state->worker_pid));
-          }
-          return Status::Ok();
-        }
-        // A payload that passed the checksum but fails to decode is a
-        // protocol bug, not line noise; drop the connection anyway so a
-        // retry starts clean.
-        state->conn.Close();
-      }
+      st = ReceiveReplyLocked(state, timeout_ms, sent, &span, reply, &fatal);
+      if (st.ok()) return st;
       if (fatal) {
         span.Attr("error", st.ToString());
         return st;
@@ -315,6 +317,107 @@ Status RemoteCluster::EvaluateOnSite(uint32_t site,
                              " unreachable after " +
                              std::to_string(policy.max_retries + 1) +
                              " attempts: " + last.ToString());
+}
+
+double RemoteCluster::TimeoutMillis(const SiteCallPolicy& policy) const {
+  return policy.timeout_ms > 0 ? policy.timeout_ms
+                               : options_.default_timeout_ms;
+}
+
+Status RemoteCluster::EvaluateOnSite(uint32_t site,
+                                     const store::ResolvedQuery& resolved,
+                                     const SiteEvalRequest& request,
+                                     const SiteCallPolicy& policy,
+                                     SiteEvalReply* reply) const {
+  SiteState* state = sites_[site].get();
+  std::lock_guard<std::mutex> lock(state->mu);
+  return AttemptsLocked(
+      site, state, resolved, request, policy, /*first_attempt=*/0,
+      Status::Unavailable("site " + std::to_string(site) +
+                          ": no attempt made"),
+      reply);
+}
+
+void RemoteCluster::EvaluateOnSites(std::span<const uint32_t> sites,
+                                    const store::ResolvedQuery& resolved,
+                                    const SiteEvalRequest& request,
+                                    const SiteCallPolicy& policy,
+                                    int /*num_threads*/,
+                                    std::span<SiteEvalReply> replies,
+                                    std::span<Status> statuses) const {
+  // Ascending site order for locking, writing and reading: concurrent
+  // batches take the site mutexes in one global order, so none waits
+  // on a lock another holds while that one waits on it.
+  std::vector<size_t> order(sites.size());
+  for (size_t s = 0; s < order.size(); ++s) order[s] = s;
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return sites[a] < sites[b]; });
+  // One encoding for every site. The worker parents its spans to the
+  // caller's span; ReceiveReplyLocked re-parents them to the site's
+  // attempt span.
+  const obs::TraceContext trace = obs::CurrentTraceContext();
+  const std::string payload = EncodeEvalRequest(resolved, request, trace);
+  struct InFlight {
+    std::unique_lock<std::mutex> lock;
+    // Attempt 0 of every site is in flight at once, so its span is
+    // detached from this thread's span stack.
+    std::optional<obs::TraceSpan> span;
+    Timer attempt_timer;
+    SentRequest sent;
+    Status status;
+  };
+  std::vector<InFlight> flights(sites.size());
+
+  // Scatter: lock each site and write the request to it.
+  for (size_t s : order) {
+    InFlight& f = flights[s];
+    SiteState* state = sites_[sites[s]].get();
+    f.lock = std::unique_lock<std::mutex>(state->mu);
+    f.span.emplace("exec.rpc.attempt", obs::TraceSpan::Detached::kDetached);
+    f.span->Attr("site", sites[s]).Attr("attempt", 0);
+    f.attempt_timer.Reset();
+    f.sent.trace_id = trace.trace_id;
+    f.status = SendRequestLocked(sites[s], state, payload, &f.sent);
+  }
+
+  // Gather: read the replies in site order, each against a deadline
+  // that runs from its own write, and release each site once answered.
+  const double timeout_ms = TimeoutMillis(policy);
+  for (size_t s : order) {
+    InFlight& f = flights[s];
+    SiteState* state = sites_[sites[s]].get();
+    if (f.status.ok()) {
+      // A deadline already spent still polls once for a reply that
+      // arrived meanwhile.
+      const double left =
+          std::max(timeout_ms - f.sent.timer.ElapsedMillis(), 1e-3);
+      bool fatal = false;
+      f.status = ReceiveReplyLocked(state, left, f.sent, &*f.span,
+                                    &replies[s], &fatal);
+      if (f.status.ok() || fatal) {
+        if (fatal) f.span->Attr("error", f.status.ToString());
+        statuses[s] = f.status;
+        f.span.reset();
+        f.lock.unlock();
+        continue;
+      }
+    }
+    f.span->Attr("error", f.status.ToString());
+    f.span.reset();
+    replies[s].wait_millis += f.attempt_timer.ElapsedMillis();
+  }
+
+  // A site whose write, read or decode failed (its connection is closed)
+  // continues with attempt 1 of the per-site retry loop, still locked.
+  // Only now: a retry's backoff must not eat the other sites' deadlines.
+  for (size_t s : order) {
+    InFlight& f = flights[s];
+    if (!f.lock.owns_lock()) continue;
+    statuses[s] =
+        AttemptsLocked(sites[s], sites_[sites[s]].get(), resolved, request,
+                       policy, /*first_attempt=*/1, f.status, &replies[s]);
+    f.lock.unlock();
+  }
 }
 
 size_t RemoteCluster::MemoryUsage() const {

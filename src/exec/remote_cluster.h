@@ -4,13 +4,16 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "common/timer.h"
 #include "exec/cluster.h"
 #include "net/socket.h"
 #include "net/supervisor.h"
+#include "obs/trace.h"
 
 namespace mpc::exec {
 
@@ -80,6 +83,22 @@ class RemoteCluster final : public ClusterBackend {
                         const SiteCallPolicy& policy,
                         SiteEvalReply* reply) const override;
 
+  /// The pipelined scatter step: locks the sites in ascending order,
+  /// encodes the request once and writes it to every site, then reads
+  /// the replies in site order, releasing each site as soon as its
+  /// reply is decoded. Each site's deadline runs from its own write. A
+  /// site whose write, read or decode fails has its connection closed
+  /// and, once every reply is read, continues with attempt 1 of
+  /// EvaluateOnSite's retry loop, so every fault path and status code
+  /// is EvaluateOnSite's; a kMsgError reply stays fatal. `num_threads`
+  /// is unused: one thread keeps every site busy.
+  void EvaluateOnSites(std::span<const uint32_t> sites,
+                       const store::ResolvedQuery& resolved,
+                       const SiteEvalRequest& request,
+                       const SiteCallPolicy& policy, int num_threads,
+                       std::span<SiteEvalReply> replies,
+                       std::span<Status> statuses) const override;
+
   /// Sum of worker-reported store footprints.
   size_t MemoryUsage() const override;
 
@@ -88,10 +107,10 @@ class RemoteCluster final : public ClusterBackend {
   net::SiteSupervisor& supervisor() const { return *supervisor_; }
 
  private:
-  /// Mutable per-site connection state. The executor calls
-  /// EvaluateOnSite from parallel per-subquery threads; the per-site
-  /// mutex serializes traffic on each connection while different sites
-  /// proceed concurrently.
+  /// Mutable per-site connection state. Concurrent queries share the
+  /// connections; the per-site mutex gives one call at a time each
+  /// connection, and a batch holds several, always taken in ascending
+  /// site order.
   struct SiteState {
     std::mutex mu;
     net::Socket conn;  // invalid = disconnected
@@ -102,19 +121,45 @@ class RemoteCluster final : public ClusterBackend {
     uint64_t worker_pid = 0;
   };
 
+  /// What the reply of one written request is checked and traced
+  /// against.
+  struct SentRequest {
+    /// The trace the request carried (0 = untraced).
+    uint64_t trace_id = 0;
+    /// Write time on the trace clock, and a timer started at the write.
+    double send_us = 0.0;
+    Timer timer;
+  };
+
   RemoteCluster() = default;
 
   /// Connects (or reconnects) site `i` and runs the Hello handshake.
   /// Caller holds state->mu.
   Status EnsureConnectedLocked(uint32_t i, SiteState* state) const;
-  /// One send/receive on an established connection. kMsgError replies
-  /// surface as the carried status with *fatal=true (the worker rejected
-  /// the request; retrying cannot help). Transport failures close the
-  /// connection and stay retryable.
-  Status RoundTripLocked(SiteState* state, uint16_t send_type,
-                         const std::string& payload, double timeout_ms,
-                         uint16_t want_type, std::string* reply_payload,
-                         bool* fatal) const;
+  /// Connects if needed and writes one EvalRequest frame. A failed write
+  /// closes the connection. Caller holds state->mu.
+  Status SendRequestLocked(uint32_t site, SiteState* state,
+                           const std::string& payload,
+                           SentRequest* sent) const;
+  /// Reads and decodes the reply to `sent` within `timeout_ms`, records
+  /// its round trip in exec.rpc.rtt_ms and ingests the worker's spans
+  /// under `span`. kMsgError replies surface as the carried status with
+  /// *fatal=true (the worker rejected the request; retrying cannot
+  /// help). Transport and decode failures close the connection and stay
+  /// retryable. Caller holds state->mu.
+  Status ReceiveReplyLocked(SiteState* state, double timeout_ms,
+                            const SentRequest& sent, obs::TraceSpan* span,
+                            SiteEvalReply* reply, bool* fatal) const;
+  /// The per-site retry loop from `first_attempt` on, `last` being the
+  /// failure that led here, with the terminal classification described
+  /// at EvaluateOnSite. Caller holds the site's mutex.
+  Status AttemptsLocked(uint32_t site, SiteState* state,
+                        const store::ResolvedQuery& resolved,
+                        const SiteEvalRequest& request,
+                        const SiteCallPolicy& policy, int first_attempt,
+                        Status last, SiteEvalReply* reply) const;
+  /// `policy`'s reply deadline, or the transport default.
+  double TimeoutMillis(const SiteCallPolicy& policy) const;
   /// Validates a Hello payload against this cluster's expectations.
   Status AcceptHello(uint32_t i, const std::string& payload,
                      SiteState* state) const;

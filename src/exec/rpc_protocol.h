@@ -16,8 +16,9 @@ namespace mpc::exec {
 
 /// Site RPC message types, carried as frame types in the versioned
 /// net::Frame envelope (magic + length + FNV-1a checksum). One request
-/// frame in, one reply frame out; the coordinator serializes traffic per
-/// site, so there is no interleaving to disambiguate.
+/// frame in, one reply frame out; the coordinator has at most one request
+/// outstanding per site connection, so there is no interleaving to
+/// disambiguate.
 inline constexpr uint16_t kMsgHello = net::kFirstAppFrameType + 0;
 inline constexpr uint16_t kMsgEvalRequest = net::kFirstAppFrameType + 1;
 inline constexpr uint16_t kMsgEvalReply = net::kFirstAppFrameType + 2;

@@ -220,8 +220,9 @@ Status RunSiteWorker(const SiteWorkerOptions& options) {
   Result<net::Socket> listener = net::Socket::Listen(options.socket_path);
   if (!listener.ok()) return listener.status();
   // One connection at a time: the coordinator keeps a single persistent
-  // connection per site and serializes its traffic, so concurrency here
-  // would only add interleaving to reason about.
+  // connection per site with at most one request outstanding on it (its
+  // batches overlap different sites, never two requests to one), so
+  // concurrency here would only add interleaving to reason about.
   while (!ShouldStop(options)) {
     Result<net::Socket> conn = listener->Accept(kPollMillis);
     if (!conn.ok()) {

@@ -37,9 +37,11 @@ Status ChaosProxy::Start() {
 
 void ChaosProxy::Stop() {
   if (stopping_.exchange(true)) return;
-  // Closing the listener makes the blocked Accept fail and the loop exit.
-  listener_.Close();
+  // The accept loop and the pump wait in short polls and check
+  // stopping_, so the thread ends by itself. Only then is the listener
+  // closed: closing it under a waiting Accept races on its descriptor.
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.Close();
 }
 
 void ChaosProxy::AcceptLoop() {

@@ -219,13 +219,21 @@ void StopTracing() {
 
 void DiscardTrace() { AdvanceDiscardWatermarks(); }
 
-void TraceSpan::Begin(std::string_view name) {
+void TraceSpan::Begin(std::string_view name, bool detached) {
   active_ = true;
+  detached_ = detached;
   name_.assign(name);
   ThreadSpanState& state = SpanState();
   parent_id_ = state.current_span;
   depth_ = state.depth;
   span_id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
+  start_ = Timer::Now();
+  if (detached) {
+    // Leaves the thread state alone; without an ambient trace it is
+    // still its own root.
+    trace_id_ = state.trace_id != 0 ? state.trace_id : span_id_;
+    return;
+  }
   // A span with no ambient trace becomes its own trace root, so every
   // span chain — traced query or stray background work — carries a
   // trace id and per-query extraction never sees id-less spans.
@@ -236,15 +244,16 @@ void TraceSpan::Begin(std::string_view name) {
   trace_id_ = state.trace_id;
   state.current_span = span_id_;
   ++state.depth;
-  start_ = Timer::Now();
 }
 
 void TraceSpan::End() {
   const Timer::Clock::time_point end = Timer::Now();
-  ThreadSpanState& state = SpanState();
-  state.current_span = parent_id_;
-  --state.depth;
-  if (owns_trace_) state.trace_id = 0;
+  if (!detached_) {
+    ThreadSpanState& state = SpanState();
+    state.current_span = parent_id_;
+    --state.depth;
+    if (owns_trace_) state.trace_id = 0;
+  }
 
   ThreadBuffer& buffer = LocalBuffer();
   TraceEvent event;

@@ -149,8 +149,18 @@ std::string CurrentQueryTag();
 ///   span.Attr("iterations", result.iterations);
 class TraceSpan {
  public:
+  /// Marks a span that parents to the current span but never becomes
+  /// the current span itself, so spans opened after it are its siblings
+  /// and it may close in any order. For work whose lifetime is no scope
+  /// on this thread's span stack: the pipelined RPC scatter keeps one
+  /// attempt span per site open while every site's reply is in flight.
+  enum class Detached { kDetached };
+
   explicit TraceSpan(std::string_view name) {
-    if (TracingEnabled()) Begin(name);
+    if (TracingEnabled()) Begin(name, /*detached=*/false);
+  }
+  TraceSpan(std::string_view name, Detached) {
+    if (TracingEnabled()) Begin(name, /*detached=*/true);
   }
   ~TraceSpan() {
     if (active_) End();
@@ -174,12 +184,15 @@ class TraceSpan {
   }
 
   bool active() const { return active_; }
+  /// This span's id (0 when tracing was off at construction).
+  uint64_t id() const { return span_id_; }
 
  private:
-  void Begin(std::string_view name);
+  void Begin(std::string_view name, bool detached);
   void End();
 
   bool active_ = false;
+  bool detached_ = false;
   bool owns_trace_ = false;
   uint64_t span_id_ = 0;
   uint64_t parent_id_ = 0;

@@ -533,6 +533,145 @@ TEST(RemoteClusterTest, ChaosProxyFaultsAreSurvivedOrCleanlyReported) {
   d.reset();  // stop the fleet before the proxy goes away
 }
 
+// --- The pipelined batch: the request goes to every site before any
+// reply is read. A site that fails inside the batch goes through the
+// per-site retry loop alone; the other sites' replies stand. ---
+
+/// Runs `text`'s whole BGP as one batch on sites 0..k-1 of `remote`.
+struct BatchRun {
+  std::vector<SiteEvalReply> replies;
+  std::vector<Status> statuses;
+};
+BatchRun RunBatch(const ClusterBackend& backend, const RdfGraph& graph,
+                  const std::string& text, const SiteCallPolicy& policy) {
+  const store::ResolvedQuery resolved =
+      store::ResolveQuery(testutil::ParseQueryOrDie(text), graph);
+  std::vector<size_t> patterns(resolved.patterns.size());
+  for (size_t i = 0; i < patterns.size(); ++i) patterns[i] = i;
+  SiteEvalRequest request;
+  request.pattern_indices = patterns;
+  std::vector<uint32_t> sites(backend.k());
+  for (uint32_t i = 0; i < backend.k(); ++i) sites[i] = i;
+  BatchRun run;
+  run.replies.resize(sites.size());
+  run.statuses.resize(sites.size());
+  backend.EvaluateOnSites(sites, resolved, request, policy, /*num_threads=*/1,
+                          run.replies, run.statuses);
+  return run;
+}
+
+/// Every site of `remote` answered as the simulator's does.
+void ExpectSitesMatchSimulator(const BatchRun& remote, const BatchRun& sim,
+                               const std::vector<uint32_t>& sites) {
+  for (uint32_t site : sites) {
+    ASSERT_TRUE(remote.statuses[site].ok())
+        << "site " << site << ": " << remote.statuses[site].ToString();
+    EXPECT_EQ(remote.replies[site].table.var_ids,
+              sim.replies[site].table.var_ids)
+        << "site " << site;
+    EXPECT_EQ(remote.replies[site].table.rows, sim.replies[site].table.rows)
+        << "site " << site;
+  }
+}
+
+TEST(RemoteClusterTest, WorkerKilledMidBatchIsRetriedAloneOthersKeepReplies) {
+  const uint32_t kKilled = 2;
+  std::unique_ptr<Deployment> d =
+      MakeDeployment(4, [](RemoteCluster::Options* o) {
+        o->kill_site = kKilled;
+        o->kill_after_queries = 1;
+      });
+  if (d == nullptr) GTEST_SKIP() << "worker binary not built";
+  const Cluster sim = Cluster::Build(d->partitioning);
+  const SiteCallPolicy policy{.timeout_ms = 0.0, .max_retries = 3,
+                              .backoff_ms = 100.0};
+  const BatchRun expected = RunBatch(sim, d->graph, kQueryMix[1], policy);
+
+  // The killed worker dies after computing its reply, while the other
+  // three have theirs written or in flight.
+  const BatchRun run = RunBatch(*d->remote, d->graph, kQueryMix[1], policy);
+  ExpectSitesMatchSimulator(run, expected, {0, 1, 2, 3});
+  for (uint32_t site = 0; site < 4; ++site) {
+    if (site == kKilled) {
+      EXPECT_GE(run.replies[site].retries, 1) << "site " << site;
+    } else {
+      EXPECT_EQ(run.replies[site].retries, 0) << "site " << site;
+    }
+  }
+  EXPECT_GE(d->remote->supervisor().restarts(kKilled), 1);
+
+  // The executor's answers over the healed fleet equal the simulator's.
+  DistributedExecutor sim_exec(sim, d->graph, RemoteExecOptions());
+  DistributedExecutor remote_exec(*d->remote, d->graph, RemoteExecOptions());
+  for (const char* text : kQueryMix) {
+    const QueryRequest request =
+        QueryRequest::FromQuery(testutil::ParseQueryOrDie(text));
+    Result<QueryResponse> sim_r = sim_exec.Execute(request);
+    Result<QueryResponse> remote_r = remote_exec.Execute(request);
+    ASSERT_TRUE(sim_r.ok() && remote_r.ok()) << text;
+    EXPECT_EQ(remote_r->bindings.rows, sim_r->bindings.rows) << text;
+  }
+}
+
+TEST(RemoteClusterTest, TornFrameInsideBatchFailsOnlyThatSite) {
+  const uint32_t kProxied = 1;
+  std::unique_ptr<net::ChaosProxy> proxy;
+  std::unique_ptr<Deployment> d =
+      MakeDeployment(4, [&proxy](RemoteCluster::Options* o) {
+        const std::string listen = o->socket_dir + "/proxy_1.sock";
+        const std::string target = o->socket_dir + "/site_1.sock";
+        proxy = std::make_unique<net::ChaosProxy>(listen, target,
+                                                  net::ChaosOptions{});
+        ASSERT_TRUE(proxy->Start().ok());
+        o->connect_path_override = {"", listen, "", ""};
+        o->default_timeout_ms = 3000;
+      });
+  if (d == nullptr) GTEST_SKIP() << "worker binary not built";
+  ASSERT_NE(proxy, nullptr);
+  const Cluster sim = Cluster::Build(d->partitioning);
+  const SiteCallPolicy policy{.timeout_ms = 0.0, .max_retries = 2,
+                              .backoff_ms = 20.0};
+  const BatchRun expected = RunBatch(sim, d->graph, kQueryMix[0], policy);
+
+  // 1. One corrupted reply frame: checksum mismatch at site 1 only; its
+  // retry reconnects past the one-shot fault.
+  {
+    net::ChaosOptions chaos;
+    chaos.corrupt_reply_at = proxy->reply_bytes_forwarded() + 25;
+    chaos.corrupt_mask = 0x5a;
+    proxy->UpdateOptions(chaos);
+    const BatchRun run = RunBatch(*d->remote, d->graph, kQueryMix[0], policy);
+    ExpectSitesMatchSimulator(run, expected, {0, 1, 2, 3});
+    for (uint32_t site = 0; site < 4; ++site) {
+      EXPECT_EQ(run.replies[site].retries, site == kProxied ? 1 : 0)
+          << "site " << site;
+    }
+  }
+
+  // 2. A cut mid-frame that persists across reconnects: site 1 runs out
+  // of attempts with a clean Unavailable; the other sites' replies were
+  // read before its retries and stand.
+  {
+    net::ChaosOptions chaos;
+    chaos.truncate_reply_after = proxy->reply_bytes_forwarded() + 9;
+    proxy->UpdateOptions(chaos);
+    const BatchRun run = RunBatch(*d->remote, d->graph, kQueryMix[0], policy);
+    ExpectSitesMatchSimulator(run, expected, {0, 2, 3});
+    EXPECT_EQ(run.statuses[kProxied].code(), StatusCode::kUnavailable)
+        << run.statuses[kProxied].ToString();
+    EXPECT_EQ(run.replies[kProxied].retries, policy.max_retries);
+    for (uint32_t site : {0u, 2u, 3u}) {
+      EXPECT_EQ(run.replies[site].retries, 0) << "site " << site;
+    }
+  }
+
+  // Cleared, the site heals and the batch equals the simulator again.
+  proxy->UpdateOptions(net::ChaosOptions{});
+  const BatchRun run = RunBatch(*d->remote, d->graph, kQueryMix[0], policy);
+  ExpectSitesMatchSimulator(run, expected, {0, 1, 2, 3});
+  d.reset();  // stop the fleet before the proxy goes away
+}
+
 // --- The Hello's property-presence check is what refuses a worker that
 // serves other data than the coordinator believes. ---
 
@@ -700,6 +839,63 @@ TEST(RemoteClusterTest, TracedQueryAssemblesOneMergedTraceAcrossProcesses) {
   const obs::JsonValue* exported = parsed->Find("traceEvents");
   ASSERT_NE(exported, nullptr);
   EXPECT_EQ(exported->array.size(), events.size());
+}
+
+// --- Every site of a pipelined batch has its own attempt span, and the
+// site's worker spans nest under it, inside the query's trace. ---
+
+TEST(RemoteClusterTest, EverySiteOfATracedBatchNestsUnderTheQueryTrace) {
+  std::unique_ptr<Deployment> d = MakeDeployment(4);
+  if (d == nullptr) GTEST_SKIP() << "worker binary not built";
+
+  obs::StartTracing();
+  DistributedExecutor executor(*d->remote, d->graph, RemoteExecOptions());
+  // The IEQ star: one subquery, one batch over every site holding p0.
+  Result<QueryResponse> response = executor.Execute(
+      QueryRequest::FromQuery(testutil::ParseQueryOrDie(kQueryMix[0])));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  const uint64_t trace_id = response->stats.trace_id;
+  const std::vector<obs::TraceEvent> events = obs::ExtractTraceForId(trace_id);
+  obs::StopTracing();
+  ASSERT_GE(response->stats.sites_evaluated, 2u);
+
+  std::map<uint64_t, const obs::TraceEvent*> by_id;
+  for (const obs::TraceEvent& e : events) by_id[e.span_id] = &e;
+  auto site_of = [](const obs::TraceEvent& e) -> uint64_t {
+    for (const obs::TraceAttr& a : e.attrs) {
+      if (a.key == "site") return a.value.u;
+    }
+    return UINT64_MAX;
+  };
+  std::set<uint64_t> attempt_sites;
+  std::set<uint64_t> evaluated_sites;
+  std::set<uint32_t> worker_pids;
+  for (const obs::TraceEvent& e : events) {
+    EXPECT_EQ(e.trace_id, trace_id) << e.name;
+    if (e.name == "exec.rpc.attempt") {
+      EXPECT_TRUE(attempt_sites.insert(site_of(e)).second)
+          << "two attempts at site " << site_of(e);
+      // The attempt hangs off the query's span chain.
+      const obs::TraceEvent* up = &e;
+      while (up != nullptr && up->name != "exec.query") {
+        up = by_id.count(up->parent_id) ? by_id.at(up->parent_id) : nullptr;
+      }
+      EXPECT_NE(up, nullptr) << "attempt outside the query's span chain";
+    }
+    if (e.name == "site.eval") {
+      ASSERT_EQ(by_id.count(e.parent_id), 1u);
+      const obs::TraceEvent& attempt = *by_id.at(e.parent_id);
+      EXPECT_EQ(attempt.name, "exec.rpc.attempt");
+      EXPECT_EQ(attempt.pid, 0u);
+      EXPECT_NE(e.pid, 0u);
+      evaluated_sites.insert(site_of(attempt));
+      worker_pids.insert(e.pid);
+    }
+  }
+  EXPECT_EQ(attempt_sites.size(), response->stats.sites_evaluated);
+  EXPECT_EQ(evaluated_sites, attempt_sites);
+  // One worker process per site answered.
+  EXPECT_EQ(worker_pids.size(), attempt_sites.size());
 }
 
 }  // namespace

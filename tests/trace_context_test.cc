@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -68,6 +69,40 @@ TEST_F(TraceContextTest, NestedSpansInheritTheRootsTraceId) {
   for (const obs::TraceEvent& e : events) {
     EXPECT_EQ(e.trace_id, root->span_id) << e.name;
   }
+}
+
+// Detached spans (one per site of a pipelined RPC batch) overlap on one
+// thread: each parents to the span current at its opening, none becomes
+// current, and they may close in any order.
+TEST_F(TraceContextTest, DetachedSpansAreOverlappingSiblings) {
+  obs::StartTracing();
+  uint64_t root_id = 0;
+  uint64_t first_id = 0;
+  {
+    obs::TraceSpan root("batch");
+    root_id = root.id();
+    auto first = std::make_unique<obs::TraceSpan>(
+        "site", obs::TraceSpan::Detached::kDetached);
+    auto second = std::make_unique<obs::TraceSpan>(
+        "site", obs::TraceSpan::Detached::kDetached);
+    first_id = first->id();
+    EXPECT_EQ(obs::CurrentSpanId(), root_id);
+    first.reset();  // closes before the later-opened sibling
+    { obs::TraceSpan child("child"); }
+    second.reset();
+    EXPECT_EQ(obs::CurrentSpanId(), root_id);
+  }
+  EXPECT_EQ(obs::CurrentSpanId(), 0u);
+  const std::vector<obs::TraceEvent> events = obs::CollectTrace();
+  ASSERT_EQ(events.size(), 4u);
+  for (const obs::TraceEvent& e : events) {
+    EXPECT_EQ(e.trace_id, root_id) << e.name;
+    if (e.name != "batch") {
+      EXPECT_EQ(e.parent_id, root_id) << e.name;
+    }
+  }
+  EXPECT_NE(first_id, 0u);
+  EXPECT_NE(first_id, root_id);
 }
 
 TEST_F(TraceContextTest, ScopedContextInstallsAndRestores) {
