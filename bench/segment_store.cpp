@@ -9,6 +9,7 @@
 //     in-memory path's N-Triples re-parse + four-index build;
 //   - per-site footprint (sum of MemoryUsage) at least 2x smaller.
 // Query results are required to be bit-identical between the backends.
+// Each query's median over its repeats is printed per backend.
 
 #include <filesystem>
 #include <fstream>
@@ -164,17 +165,20 @@ int Run(int argc, char** argv) {
   constexpr int kRepeats = 5;
   std::vector<double> memory_lat;
   std::vector<double> segment_lat;
+  std::vector<std::string> per_query;
   uint64_t rows = 0;
   for (const workload::NamedQuery& q : dataset.benchmark_queries) {
+    std::vector<double> memory_q;
+    std::vector<double> segment_q;
     for (int r = 0; r < kRepeats; ++r) {
       Timer tm;
       Result<exec::QueryResponse> a =
           memory_exec.Execute(exec::QueryRequest::FromText(q.sparql));
-      memory_lat.push_back(tm.ElapsedMillis());
+      memory_q.push_back(tm.ElapsedMillis());
       Timer ts;
       Result<exec::QueryResponse> b =
           segment_exec.Execute(exec::QueryRequest::FromText(q.sparql));
-      segment_lat.push_back(ts.ElapsedMillis());
+      segment_q.push_back(ts.ElapsedMillis());
       if (!a.ok() || !b.ok()) {
         std::cerr << q.name << ": execution failed\n";
         return 1;
@@ -188,6 +192,15 @@ int Run(int argc, char** argv) {
       }
       if (r == 0) rows += a->bindings.num_rows();
     }
+    const double memory_median = Quantile(memory_q, 0.5);
+    const double segment_median = Quantile(segment_q, 0.5);
+    per_query.push_back(
+        "  " + q.name + ": memory " + FormatDouble(memory_median, 3) +
+        " ms, segment " + FormatDouble(segment_median, 3) + " ms (" +
+        FormatDouble(segment_median / std::max(memory_median, 1e-6), 2) +
+        "x)\n");
+    memory_lat.insert(memory_lat.end(), memory_q.begin(), memory_q.end());
+    segment_lat.insert(segment_lat.end(), segment_q.begin(), segment_q.end());
   }
   std::cout << "query mix:   " << dataset.benchmark_queries.size()
             << " queries x " << kRepeats << ", " << FormatWithCommas(rows)
@@ -197,7 +210,10 @@ int Run(int argc, char** argv) {
             << " ms\n";
   std::cout << "  segment:   p50 "
             << FormatDouble(Quantile(segment_lat, 0.5), 2) << " ms, p95 "
-            << FormatDouble(Quantile(segment_lat, 0.95), 2) << " ms\n\n";
+            << FormatDouble(Quantile(segment_lat, 0.95), 2) << " ms\n";
+  std::cout << "per-query medians of " << kRepeats << " repeats:\n";
+  for (const std::string& line : per_query) std::cout << line;
+  std::cout << "\n";
 
   // --- FunctionRef vs std::function on the Scan hot path ----------------
   // The satellite claim: handing Scan a capturing lambda no longer

@@ -684,14 +684,15 @@ run_config build-ubsan -DMPC_SANITIZE=undefined
 # RPC codec and RemoteCluster tests run here too: several client threads
 # share one fleet's per-site connections, which a pipelined batch locks
 # several at a time. The site-pruning test covers the overlay snapshot
-# the localization rule reads ownership from.
+# the localization rule reads ownership from. The segment test probes
+# one SegmentStore (and its restart index) from four threads.
 echo "=== configure+build: build-tsan (-DMPC_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DMPC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${JOBS}" \
   --target obs_trace_test obs_metrics_test obs_snapshot_test \
   trace_context_test serve_test dynamic_test migration_test \
-  executor_test fault_tolerance_test site_pruning_test net_frame_test \
-  remote_cluster_test mpc_cli trace_check
+  executor_test fault_tolerance_test site_pruning_test segment_test \
+  net_frame_test remote_cluster_test mpc_cli trace_check
 echo "=== tracer/metrics/serving/executor tests under tsan ==="
 ./build-tsan/tests/obs_trace_test
 ./build-tsan/tests/obs_metrics_test
@@ -703,6 +704,7 @@ echo "=== tracer/metrics/serving/executor tests under tsan ==="
 ./build-tsan/tests/executor_test
 ./build-tsan/tests/fault_tolerance_test
 ./build-tsan/tests/site_pruning_test
+./build-tsan/tests/segment_test
 ./build-tsan/tests/net_frame_test
 ./build-tsan/tests/remote_cluster_test
 serve_smoke build-tsan

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
+#include <span>
 
 namespace mpc::storage {
 
@@ -32,6 +34,22 @@ std::array<uint32_t, 3> OrderKey(const Triple& t, bool bs, bool bp, bool bo) {
   return {t.property, t.subject, t.object};
 }
 
+bool PosLess(const Triple& a, const Triple& b) {
+  if (a.property != b.property) return a.property < b.property;
+  if (a.object != b.object) return a.object < b.object;
+  return a.subject < b.subject;
+}
+
+/// The elements of `sorted` (ordered by `less`) within [lo, hi].
+template <typename Less>
+std::span<const Triple> SortedRange(const std::vector<Triple>& sorted,
+                                    const Triple& lo, const Triple& hi,
+                                    Less less) {
+  auto first = std::lower_bound(sorted.begin(), sorted.end(), lo, less);
+  auto last = std::upper_bound(first, sorted.end(), hi, less);
+  return std::span<const Triple>(first, last);
+}
+
 }  // namespace
 
 DeltaOverlaySource::DeltaOverlaySource(
@@ -55,14 +73,35 @@ DeltaOverlaySource::DeltaOverlaySource(
     if (in_base(t)) continue;  // duplicate of a base triple: a no-op add
     plus_.push_back(t);
   }
+  plus_pos_ = plus_;
+  std::sort(plus_pos_.begin(), plus_pos_.end(), PosLess);
   num_triples_ = base_->num_triples() + plus_.size() - minus_vec_.size();
 }
 
+std::span<const Triple> DeltaOverlaySource::PropertyAdds(
+    rdf::VertexId s, rdf::PropertyId p, rdf::VertexId o) const {
+  const std::less<Triple> pso;
+  if (s != kInvalidVertex && o != kInvalidVertex) {
+    return SortedRange(plus_, Triple(s, p, o), Triple(s, p, o), pso);
+  }
+  if (s != kInvalidVertex) {
+    return SortedRange(plus_, Triple(s, p, 0), Triple(s, p, kInvalidVertex),
+                       pso);
+  }
+  if (o != kInvalidVertex) {
+    return SortedRange(plus_pos_, Triple(0, p, o),
+                       Triple(kInvalidVertex, p, o), PosLess);
+  }
+  return SortedRange(plus_, Triple(0, p, 0),
+                     Triple(kInvalidVertex, p, kInvalidVertex), pso);
+}
+
 size_t DeltaOverlaySource::PropertyCount(rdf::PropertyId p) const {
-  size_t count = base_->PropertyCount(p);
-  for (const Triple& t : plus_) count += (t.property == p);
-  for (const Triple& t : minus_vec_) count -= (t.property == p);
-  return count;
+  const Triple lo(0, p, 0);
+  const Triple hi(kInvalidVertex, p, kInvalidVertex);
+  return base_->PropertyCount(p) +
+         SortedRange(plus_, lo, hi, std::less<Triple>()).size() -
+         SortedRange(minus_vec_, lo, hi, std::less<Triple>()).size();
 }
 
 bool DeltaOverlaySource::Scan(rdf::VertexId s, rdf::PropertyId p,
@@ -71,15 +110,23 @@ bool DeltaOverlaySource::Scan(rdf::VertexId s, rdf::PropertyId p,
   const bool bp = p != kInvalidProperty;
   const bool bo = o != kInvalidVertex;
 
-  // Matching adds, sorted into this combination's emission order (the
-  // delta is small; a filter + sort beats maintaining seven indexes).
-  std::vector<Triple> adds;
-  for (const Triple& t : plus_) {
-    if (Matches(t, s, p, o)) adds.push_back(t);
+  // Matching adds in this combination's emission order: with p bound, a
+  // range of plus_ or plus_pos_ already in that order; otherwise
+  // filtered and sorted (every LUBM pattern binds its property).
+  std::vector<Triple> filtered;
+  std::span<const Triple> adds;
+  if (bp) {
+    adds = PropertyAdds(s, p, o);
+  } else {
+    for (const Triple& t : plus_) {
+      if (Matches(t, s, p, o)) filtered.push_back(t);
+    }
+    std::sort(filtered.begin(), filtered.end(),
+              [&](const Triple& a, const Triple& b) {
+                return OrderKey(a, bs, bp, bo) < OrderKey(b, bs, bp, bo);
+              });
+    adds = filtered;
   }
-  std::sort(adds.begin(), adds.end(), [&](const Triple& a, const Triple& b) {
-    return OrderKey(a, bs, bp, bo) < OrderKey(b, bs, bp, bo);
-  });
 
   // Ordered two-way merge: before each base triple, flush every add that
   // precedes it; tombstoned base triples are skipped. plus_ ∩ base = ∅,
@@ -114,14 +161,19 @@ size_t DeltaOverlaySource::EstimateCardinality(rdf::VertexId s,
                                                rdf::PropertyId p,
                                                rdf::VertexId o) const {
   size_t est = base_->EstimateCardinality(s, p, o);
-  for (const Triple& t : plus_) est += Matches(t, s, p, o);
+  if (p != kInvalidProperty) {
+    est += PropertyAdds(s, p, o).size();
+  } else {
+    for (const Triple& t : plus_) est += Matches(t, s, p, o);
+  }
   for (const Triple& t : minus_vec_) est -= Matches(t, s, p, o);
   return est;
 }
 
 size_t DeltaOverlaySource::MemoryUsage() const {
   return base_->MemoryUsage() +
-         (plus_.capacity() + minus_vec_.capacity()) * sizeof(Triple) +
+         (plus_.capacity() + plus_pos_.capacity() + minus_vec_.capacity()) *
+             sizeof(Triple) +
          minus_.size() * (sizeof(Triple) + 2 * sizeof(void*));
 }
 

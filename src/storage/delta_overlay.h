@@ -2,6 +2,7 @@
 #define MPC_STORAGE_DELTA_OVERLAY_H_
 
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -22,11 +23,12 @@ namespace mpc::storage {
 ///   plus_  = added \ deleted \ base   (strictly new triples)
 ///   minus_ = deleted ∩ base           (tombstones that actually hit)
 /// so scans are a two-way ordered merge of base and plus_ with minus_
-/// membership skips, and every cardinality is base-exact plus/minus the
-/// matching delta counts — preserving both halves of the TripleSource
-/// contract (emission order AND exact estimates), which keeps query
-/// results bit-identical to a freshly built in-memory store of the live
-/// set.
+/// membership skips (a pattern with its property bound takes its adds
+/// as one sorted range of plus_ or of its POS-sorted copy), and every
+/// cardinality is base-exact plus/minus the matching delta counts —
+/// preserving both halves of the TripleSource contract (emission order
+/// AND exact estimates), which keeps query results bit-identical to a
+/// freshly built in-memory store of the live set.
 class DeltaOverlaySource final : public store::TripleSource {
  public:
   DeltaOverlaySource(std::shared_ptr<const store::TripleSource> base,
@@ -46,9 +48,17 @@ class DeltaOverlaySource final : public store::TripleSource {
   const store::TripleSource& base() const { return *base_; }
 
  private:
+  /// The adds matching (s, p, o) with p bound, in that combination's
+  /// emission order: one equal range of plus_ or plus_pos_.
+  std::span<const rdf::Triple> PropertyAdds(rdf::VertexId s,
+                                            rdf::PropertyId p,
+                                            rdf::VertexId o) const;
+
   std::shared_ptr<const store::TripleSource> base_;
   /// Sorted PSO; disjoint from base and from minus_.
   std::vector<rdf::Triple> plus_;
+  /// plus_ sorted POS, for the (p, o) ranges.
+  std::vector<rdf::Triple> plus_pos_;
   /// Sorted PSO; every entry present in base.
   std::vector<rdf::Triple> minus_vec_;
   /// Same set as minus_vec_, hashed for O(1) skips during scans.

@@ -155,7 +155,21 @@ class BlockDecoder {
   /// (distinguish with ok()).
   bool Next(rdf::Triple* t);
 
+  /// Continues decoding just after a triple already decoded from this
+  /// payload: its key, the payload offset just after it (pos() at that
+  /// point) and the number of triples still to come. This is how a
+  /// probe starts at a restart point instead of the block's first
+  /// triple.
+  void ResumeAfter(const Key3& prev_key, size_t pos, uint32_t remaining) {
+    prev_ = prev_key;
+    pos_ = pos;
+    remaining_ = remaining;
+    first_ = false;
+  }
+
   bool ok() const { return ok_; }
+  /// Payload offset just after the last decoded triple.
+  size_t pos() const { return pos_; }
   /// True iff all declared triples decoded and the payload was fully
   /// consumed (trailing garbage inside payload_len is corruption too).
   bool AtCleanEnd() const { return ok_ && remaining_ == 0 && pos_ == len_; }

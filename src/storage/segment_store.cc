@@ -40,8 +40,8 @@ SegmentStore::SegmentStore(SegmentStore&& other) noexcept
       size_(std::exchange(other.size_, 0)),
       header_(other.header_),
       properties_(std::move(other.properties_)),
-      pso_metas_(std::move(other.pso_metas_)),
-      pos_metas_(std::move(other.pos_metas_)),
+      pso_(std::move(other.pso_)),
+      pos_(std::move(other.pos_)),
       stats_(std::move(other.stats_)) {}
 
 SegmentStore& SegmentStore::operator=(SegmentStore&& other) noexcept {
@@ -54,8 +54,8 @@ SegmentStore& SegmentStore::operator=(SegmentStore&& other) noexcept {
     size_ = std::exchange(other.size_, 0);
     header_ = other.header_;
     properties_ = std::move(other.properties_);
-    pso_metas_ = std::move(other.pso_metas_);
-    pos_metas_ = std::move(other.pos_metas_);
+    pso_ = std::move(other.pso_);
+    pos_ = std::move(other.pos_);
     stats_ = std::move(other.stats_);
   }
   return *this;
@@ -97,8 +97,6 @@ Result<SegmentStore> SegmentStore::Open(const std::string& path,
       &metrics.CounterRef("storage.segment.blocks_decoded");
   store.stats_->global_pruned =
       &metrics.CounterRef("storage.segment.blocks_pruned");
-  store.stats_->global_corrupt =
-      &metrics.CounterRef("storage.segment.corruption_detected");
 
   auto fail = [&](const Status& status) -> Status {
     const std::string msg = path + ": " + status.message();
@@ -132,14 +130,14 @@ Result<SegmentStore> SegmentStore::Open(const std::string& path,
     store.properties_.push_back(DecodePropertyEntry(cursor));
     cursor += kPropertyEntrySize;
   }
-  store.pso_metas_.reserve(h.pso_num_blocks);
+  store.pso_.metas.reserve(h.pso_num_blocks);
   for (uint32_t i = 0; i < h.pso_num_blocks; ++i) {
-    store.pso_metas_.push_back(DecodeBlockMeta(cursor));
+    store.pso_.metas.push_back(DecodeBlockMeta(cursor));
     cursor += kBlockMetaSize;
   }
-  store.pos_metas_.reserve(h.pos_num_blocks);
+  store.pos_.metas.reserve(h.pos_num_blocks);
   for (uint32_t i = 0; i < h.pos_num_blocks; ++i) {
-    store.pos_metas_.push_back(DecodeBlockMeta(cursor));
+    store.pos_.metas.push_back(DecodeBlockMeta(cursor));
     cursor += kBlockMetaSize;
   }
 
@@ -151,7 +149,9 @@ Result<SegmentStore> SegmentStore::Open(const std::string& path,
     uint64_t total = 0;
     for (size_t i = 0; i < ms.size(); ++i) {
       const BlockMeta& m = ms[i];
-      if (m.num_triples == 0 || m.payload_len > h.block_size) {
+      // Every triple codes to three varints, so at least three bytes.
+      if (m.num_triples == 0 || m.payload_len > h.block_size ||
+          m.num_triples > m.payload_len / 3) {
         return fail(Status::ParseError("block " + std::to_string(i) +
                                        " has implausible counts"));
       }
@@ -176,8 +176,8 @@ Result<SegmentStore> SegmentStore::Open(const std::string& path,
   uint64_t property_total = 0;
   for (const PropertyEntry& e : store.properties_) {
     property_total += e.count;
-    if (uint64_t{e.pso_first} + e.pso_count > store.pso_metas_.size() ||
-        uint64_t{e.pos_first} + e.pos_count > store.pos_metas_.size()) {
+    if (uint64_t{e.pso_first} + e.pso_count > store.pso_.metas.size() ||
+        uint64_t{e.pos_first} + e.pos_count > store.pos_.metas.size()) {
       return fail(
           Status::ParseError("property block range exceeds block count"));
     }
@@ -189,16 +189,54 @@ Result<SegmentStore> SegmentStore::Open(const std::string& path,
   }
 
   for (RunOrder run : {RunOrder::kPso, RunOrder::kPos}) {
-    const std::vector<BlockMeta>& ms = store.metas(run);
-    for (size_t i = 0; i < ms.size(); ++i) {
-      if (HashString(BytesView(store.BlockPayload(run, i),
-                               ms[i].payload_len)) != ms[i].checksum) {
-        return fail(Status::ParseError(
-            "block " + std::to_string(i) + " payload checksum mismatch"));
-      }
-    }
+    Status built = store.BuildRestartIndex(run);
+    if (!built.ok()) return fail(built);
   }
   return store;
+}
+
+Status SegmentStore::BuildRestartIndex(RunOrder order) {
+  Run& r = order == RunOrder::kPso ? pso_ : pos_;
+  const char* run_name = order == RunOrder::kPso ? "PSO" : "POS";
+  size_t num_restarts = 0;
+  for (const BlockMeta& m : r.metas) {
+    num_restarts += m.num_triples / kRestartInterval;
+  }
+  r.restarts.reserve(num_restarts);
+  r.restart_begin.reserve(r.metas.size() + 1);
+  r.restart_begin.push_back(0);
+  for (size_t i = 0; i < r.metas.size(); ++i) {
+    const BlockMeta& m = r.metas[i];
+    const uint8_t* payload = BlockPayload(order, i);
+    auto refuse = [&](const std::string& what) {
+      return Status::ParseError(std::string(run_name) + " block " +
+                                std::to_string(i) + ": " + what);
+    };
+    if (HashString(BytesView(payload, m.payload_len)) != m.checksum) {
+      return refuse("payload checksum mismatch");
+    }
+    // The decoder refuses keys that do not strictly increase inside a
+    // block; the TOC checks already made the blocks' [first, last]
+    // ranges strictly increasing, so matching them here orders the
+    // whole run — which the probes' binary searches rely on.
+    BlockDecoder dec(order, payload, m.payload_len, m.num_triples);
+    rdf::Triple t;
+    Key3 key = kFirstKey;
+    uint32_t n = 0;
+    while (dec.Next(&t)) {
+      key = KeyOf(order, t);
+      if (n == 0 && key != m.first) {
+        return refuse("first key disagrees with TOC");
+      }
+      if (++n % kRestartInterval == 0) {
+        r.restarts.push_back({key, static_cast<uint32_t>(dec.pos())});
+      }
+    }
+    if (!dec.AtCleanEnd()) return refuse("payload does not decode cleanly");
+    if (key != m.last) return refuse("last key disagrees with TOC");
+    r.restart_begin.push_back(r.restarts.size());
+  }
+  return Status::Ok();
 }
 
 const uint8_t* SegmentStore::BlockPayload(RunOrder run, size_t index) const {
@@ -207,21 +245,52 @@ const uint8_t* SegmentStore::BlockPayload(RunOrder run, size_t index) const {
   return base_ + section + uint64_t{index} * header_.block_size;
 }
 
+BlockDecoder SegmentStore::SeekBlock(RunOrder order, size_t index,
+                                     const Key3& bound, bool inclusive,
+                                     uint32_t* skipped) const {
+  const Run& r = run(order);
+  const BlockMeta& m = r.metas[index];
+  BlockDecoder dec(order, BlockPayload(order, index), m.payload_len,
+                   m.num_triples);
+  const Restart* first = r.restarts.data() + r.restart_begin[index];
+  const Restart* last = r.restarts.data() + r.restart_begin[index + 1];
+  const Restart* after = std::partition_point(
+      first, last, [&](const Restart& x) {
+        return inclusive ? x.key <= bound : x.key < bound;
+      });
+  *skipped = static_cast<uint32_t>(after - first) * kRestartInterval;
+  if (after != first) {
+    dec.ResumeAfter(after[-1].key, after[-1].pos, m.num_triples - *skipped);
+  }
+  return dec;
+}
+
+uint32_t SegmentStore::RankInBlock(RunOrder order, size_t index,
+                                   const Key3& bound, bool inclusive) const {
+  uint32_t rank = 0;
+  BlockDecoder dec = SeekBlock(order, index, bound, inclusive, &rank);
+  rdf::Triple t;
+  while (dec.Next(&t)) {
+    const Key3 key = KeyOf(order, t);
+    if (inclusive ? bound < key : !(key < bound)) break;
+    ++rank;
+  }
+  return rank;
+}
+
 template <typename Visit>
 bool SegmentStore::DecodeBlock(RunOrder run, size_t index, const Key3& lo,
                                const Key3& hi, Visit visit) const {
-  const BlockMeta& m = metas(run)[index];
   stats_->IncDecoded();
-  BlockDecoder dec(run, BlockPayload(run, index), m.payload_len,
-                   m.num_triples);
+  uint32_t skipped = 0;
+  BlockDecoder dec = SeekBlock(run, index, lo, false, &skipped);
   rdf::Triple t;
   while (dec.Next(&t)) {
     const Key3 key = KeyOf(run, t);
     if (key < lo) continue;
     if (hi < key || !visit(t, key)) return false;
   }
-  if (!dec.ok()) stats_->MarkCorrupt();
-  return dec.ok();
+  return true;
 }
 
 size_t SegmentStore::PropertyCount(rdf::PropertyId p) const {
@@ -331,12 +400,14 @@ size_t SegmentStore::CountKeyRange(RunOrder run, const Key3& lo,
       count += m.num_triples;
       continue;
     }
-    if (!DecodeBlock(run, i, lo, hi, [&](const rdf::Triple&, const Key3&) {
-          ++count;
-          return true;
-        })) {
-      break;
-    }
+    // An edge block: the match count is the rank of hi's edge minus the
+    // rank of lo's, each found from the restart index.
+    stats_->IncDecoded();
+    const uint32_t below_lo = m.first < lo ? RankInBlock(run, i, lo, false) : 0;
+    const uint32_t upto_hi =
+        hi < m.last ? RankInBlock(run, i, hi, true) : m.num_triples;
+    count += upto_hi - below_lo;
+    if (hi < m.last) break;
   }
   return count;
 }
@@ -371,8 +442,13 @@ size_t SegmentStore::EstimateCardinality(rdf::VertexId s, rdf::PropertyId p,
 }
 
 size_t SegmentStore::MemoryUsage() const {
-  return size_ + properties_.capacity() * sizeof(PropertyEntry) +
-         (pso_metas_.capacity() + pos_metas_.capacity()) * sizeof(BlockMeta);
+  size_t bytes = size_ + properties_.capacity() * sizeof(PropertyEntry);
+  for (const Run* r : {&pso_, &pos_}) {
+    bytes += r->metas.capacity() * sizeof(BlockMeta) +
+             r->restarts.capacity() * sizeof(Restart) +
+             r->restart_begin.capacity() * sizeof(size_t);
+  }
+  return bytes;
 }
 
 Status SegmentStore::DeepCheck() const {

@@ -193,14 +193,22 @@ std::vector<size_t> OrderPatterns(const TripleSource& store,
   std::vector<size_t> order;
   std::vector<bool> var_bound(query.num_vars, false);
 
-  auto static_cost = [&](const ResolvedPattern& p) -> size_t {
-    // Cardinality estimate with constants and already-bound vars treated
-    // as bound (value unknown for vars, so use the constant-only
-    // estimate divided by a nominal factor per bound var).
-    uint32_t s = (!p.s_is_var) ? p.s : kInvalidVertex;
-    uint32_t pp = (!p.p_is_var) ? p.p : kInvalidProperty;
-    uint32_t o = (!p.o_is_var) ? p.o : kInvalidVertex;
-    size_t est = store.EstimateCardinality(s, pp, o);
+  // The constant-only cardinality estimate of each remaining pattern,
+  // computed once: bound variables enter the cost only through shrink.
+  std::vector<size_t> estimates;
+  estimates.reserve(remaining.size());
+  for (size_t idx : remaining) {
+    const ResolvedPattern& p = query.patterns[idx];
+    estimates.push_back(store.EstimateCardinality(
+        p.s_is_var ? kInvalidVertex : p.s,
+        p.p_is_var ? kInvalidProperty : p.p,
+        p.o_is_var ? kInvalidVertex : p.o));
+  }
+
+  auto static_cost = [&](const ResolvedPattern& p, size_t est) -> size_t {
+    // The constant-only estimate with already-bound vars treated as
+    // bound (value unknown, so divided by a nominal factor per bound
+    // var).
     auto shrink = [&](bool is_var, uint32_t var) {
       if (is_var && var_bound[var]) est = est / 8 + 1;
     };
@@ -222,7 +230,7 @@ std::vector<size_t> OrderPatterns(const TripleSource& store,
     for (size_t i = 0; i < remaining.size(); ++i) {
       const ResolvedPattern& p = query.patterns[remaining[i]];
       bool conn = order.empty() || connected(p);
-      size_t cost = static_cost(p);
+      size_t cost = static_cost(p, estimates[i]);
       // Connected patterns always beat disconnected ones.
       if (std::make_tuple(!conn, cost) <
           std::make_tuple(!best_connected, best_cost)) {
@@ -233,6 +241,7 @@ std::vector<size_t> OrderPatterns(const TripleSource& store,
     }
     size_t chosen = remaining[best_pos];
     remaining.erase(remaining.begin() + best_pos);
+    estimates.erase(estimates.begin() + best_pos);
     order.push_back(chosen);
     const ResolvedPattern& p = query.patterns[chosen];
     if (p.s_is_var) var_bound[p.s] = true;

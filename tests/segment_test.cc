@@ -4,12 +4,15 @@
 // corruption handling, and the delta-overlay dynamic path.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -281,6 +284,28 @@ TEST(SegmentWriterTest, FingerprintMismatchIsRefused) {
 // Bit-identity with TripleStore: same emission sequences, same (exact)
 // cardinalities, same early-stop behavior, for every bound combination.
 
+/// One probe on both sources: the same rows in the same order, exact
+/// estimates, and the same prefix and stop report when stopped early.
+void ExpectProbeIdentical(const store::TripleSource& a,
+                          const store::TripleSource& b, rdf::VertexId s,
+                          rdf::PropertyId p, rdf::VertexId o) {
+  const std::vector<Triple> rows = Collect(b, s, p, o);
+  ASSERT_EQ(Collect(a, s, p, o), rows)
+      << "scan mismatch s=" << s << " p=" << p << " o=" << o;
+  EXPECT_EQ(a.EstimateCardinality(s, p, o), rows.size())
+      << "s=" << s << " p=" << p << " o=" << o;
+  EXPECT_EQ(b.EstimateCardinality(s, p, o), rows.size());
+  if (rows.size() > 1) {
+    bool done_a = true;
+    bool done_b = true;
+    const size_t limit = rows.size() / 2;
+    EXPECT_EQ(Collect(a, s, p, o, limit, &done_a),
+              Collect(b, s, p, o, limit, &done_b));
+    EXPECT_FALSE(done_a);
+    EXPECT_FALSE(done_b);
+  }
+}
+
 void ExpectSourcesIdentical(const store::TripleSource& a,
                             const store::TripleSource& b, size_t num_vertices,
                             size_t num_properties) {
@@ -302,22 +327,7 @@ void ExpectSourcesIdentical(const store::TripleSource& a,
   for (rdf::VertexId s : vertices) {
     for (rdf::PropertyId p : properties) {
       for (rdf::VertexId o : vertices) {
-        const std::vector<Triple> rows_a = Collect(a, s, p, o);
-        const std::vector<Triple> rows_b = Collect(b, s, p, o);
-        ASSERT_EQ(rows_a, rows_b)
-            << "scan mismatch s=" << s << " p=" << p << " o=" << o;
-        EXPECT_EQ(a.EstimateCardinality(s, p, o), rows_a.size());
-        EXPECT_EQ(b.EstimateCardinality(s, p, o), rows_a.size());
-        if (rows_a.size() > 1) {
-          // Early stop: same prefix, both report the stop.
-          bool done_a = true;
-          bool done_b = true;
-          const size_t limit = rows_a.size() / 2;
-          EXPECT_EQ(Collect(a, s, p, o, limit, &done_a),
-                    Collect(b, s, p, o, limit, &done_b));
-          EXPECT_FALSE(done_a);
-          EXPECT_FALSE(done_b);
-        }
+        ASSERT_NO_FATAL_FAILURE(ExpectProbeIdentical(a, b, s, p, o));
       }
     }
   }
@@ -471,6 +481,176 @@ TEST(SegmentStoreTest, CardinalityDecodesAtMostTheTwoEdgeBlocks) {
 }
 
 // ---------------------------------------------------------------------------
+// Restart-index probes: differential against TripleStore at, around and
+// between the restart points, and under concurrent use.
+
+/// Random triples plus a subject hub (p 0, s 7: 4,000 objects) and an
+/// object hub (p 1, o 11: 4,000 subjects), whose (p,s) and (p,o) key
+/// ranges span several blocks at block sizes 512 and 4096.
+std::vector<Triple> ProbeTestTriples(Rng& rng) {
+  std::vector<Triple> triples;
+  for (int i = 0; i < 12000; ++i) {
+    triples.push_back(Triple{static_cast<uint32_t>(rng.Next() % 400),
+                             static_cast<uint32_t>(rng.Next() % 6),
+                             static_cast<uint32_t>(rng.Next() % 400)});
+  }
+  for (uint32_t v = 0; v < 4000; ++v) {
+    triples.push_back(Triple{7, 0, v});
+    triples.push_back(Triple{v, 1, 11});
+  }
+  return triples;
+}
+
+/// The keys of `run` the probes aim at, read by decoding the file: each
+/// block's first and last key and its every kRestartInterval-th key
+/// (the restart points SegmentStore indexes).
+std::vector<Key3> BoundaryKeys(const std::string& path, RunOrder run) {
+  const std::string bytes = ReadFileBytes(path);
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
+  Result<SegmentHeader> h =
+      DecodeSegmentHeader(data, bytes.size(), bytes.size());
+  EXPECT_TRUE(h.ok()) << h.status().ToString();
+  if (!h.ok()) return {};
+  const uint64_t section =
+      run == RunOrder::kPso ? h->pso_offset : h->pos_offset;
+  const std::vector<BlockMeta> metas = ReadBlockMetas(path, run);
+  std::vector<Key3> keys;
+  for (size_t i = 0; i < metas.size(); ++i) {
+    const BlockMeta& m = metas[i];
+    BlockDecoder dec(run, data + section + i * h->block_size, m.payload_len,
+                     m.num_triples);
+    Triple t;
+    uint32_t n = 0;
+    while (dec.Next(&t)) {
+      ++n;
+      if (n == 1 || n % kRestartInterval == 0 || n == m.num_triples) {
+        keys.push_back(KeyOf(run, t));
+      }
+    }
+  }
+  return keys;
+}
+
+using Probe = std::array<uint32_t, 3>;  // (s, p, o); kInvalid* = unbound
+
+/// Probes before, at and after every boundary key of both runs: point
+/// probes on the key and its last component +-1, the key's (p, mid)
+/// range with mid +-1, and the (p, x) range of the other run. Every
+/// eighth key also adds the four unbound-property combinations and the
+/// property-only scan.
+std::set<Probe> RestartProbes(const std::string& path) {
+  std::set<Probe> probes = {
+      {kInvalidVertex, kInvalidProperty, kInvalidVertex}};
+  for (RunOrder run : {RunOrder::kPso, RunOrder::kPos}) {
+    const std::vector<Key3> keys = BoundaryKeys(path, run);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const Key3& key = keys[i];
+      for (int d = -1; d <= 1; ++d) {
+        Key3 point = key;
+        point[2] += static_cast<uint32_t>(d);  // wraps harmlessly at 0
+        const Triple t = TripleOf(run, point);
+        probes.insert({t.subject, t.property, t.object});
+        const uint32_t mid = key[1] + static_cast<uint32_t>(d);
+        probes.insert(run == RunOrder::kPso
+                          ? Probe{mid, key[0], kInvalidVertex}
+                          : Probe{kInvalidVertex, key[0], mid});
+      }
+      const Triple t = TripleOf(run, key);
+      probes.insert(run == RunOrder::kPso
+                        ? Probe{kInvalidVertex, t.property, t.object}
+                        : Probe{t.subject, t.property, kInvalidVertex});
+      if (i % 8 == 0) {
+        probes.insert({kInvalidVertex, t.property, kInvalidVertex});
+        probes.insert({t.subject, kInvalidProperty, t.object});
+        probes.insert({t.subject, kInvalidProperty, kInvalidVertex});
+        probes.insert({kInvalidVertex, kInvalidProperty, t.object});
+      }
+    }
+  }
+  return probes;
+}
+
+TEST(SegmentStoreTest, RestartProbesMatchTripleStore) {
+  Rng rng(37);
+  const std::vector<Triple> triples = ProbeTestTriples(rng);
+  const store::TripleStore memory(triples);
+  for (uint32_t block_size : {512u, 4096u}) {
+    SCOPED_TRACE("block_size " + std::to_string(block_size));
+    const std::string dir =
+        TempDir("seg_restart_" + std::to_string(block_size));
+    const std::string path = SegmentPath(dir, 0);
+    SegmentWriterOptions options;
+    options.block_size = block_size;
+    ASSERT_TRUE(WriteSegment(path, triples, options).ok());
+    Result<SegmentStore> segment = SegmentStore::Open(path);
+    ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+    ASSERT_GT(BlocksOverlapping(ReadBlockMetas(path, RunOrder::kPso),
+                                {0, 7, 0}, {0, 7, UINT32_MAX}),
+              2u);
+    ASSERT_GT(BlocksOverlapping(ReadBlockMetas(path, RunOrder::kPos),
+                                {1, 11, 0}, {1, 11, UINT32_MAX}),
+              2u);
+    // The hubs themselves: several-block ranges, each direction.
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectProbeIdentical(*segment, memory, 7, 0, kInvalidVertex));
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectProbeIdentical(*segment, memory, kInvalidVertex, 1, 11));
+    for (const Probe& probe : RestartProbes(path)) {
+      ASSERT_NO_FATAL_FAILURE(ExpectProbeIdentical(
+          *segment, memory, probe[0], probe[1], probe[2]));
+    }
+  }
+}
+
+TEST(SegmentStoreTest, ConcurrentProbesMatchSerial) {
+  Rng rng(41);
+  const std::vector<Triple> triples = ProbeTestTriples(rng);
+  const std::string dir = TempDir("seg_concurrent");
+  const std::string path = SegmentPath(dir, 0);
+  SegmentWriterOptions options;
+  options.block_size = 512;
+  ASSERT_TRUE(WriteSegment(path, triples, options).ok());
+  Result<SegmentStore> segment = SegmentStore::Open(path);
+  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+
+  // Every fourth restart probe keeps this quick under ThreadSanitizer.
+  std::vector<Probe> probes;
+  size_t seen = 0;
+  for (const Probe& probe : RestartProbes(path)) {
+    if (seen++ % 4 == 0) probes.push_back(probe);
+  }
+  struct Answer {
+    std::vector<Triple> rows;
+    size_t estimate = 0;
+    bool operator==(const Answer&) const = default;
+  };
+  auto answer = [&](const Probe& probe) {
+    return Answer{Collect(*segment, probe[0], probe[1], probe[2]),
+                  segment->EstimateCardinality(probe[0], probe[1], probe[2])};
+  };
+  std::vector<Answer> serial;
+  for (const Probe& probe : probes) serial.push_back(answer(probe));
+
+  constexpr int kThreads = 4;
+  std::vector<size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      // Each thread walks the probes from its own offset, so different
+      // threads decode the same blocks at the same time.
+      for (size_t i = 0; i < probes.size(); ++i) {
+        const size_t at = (i + w * probes.size() / kThreads) % probes.size();
+        if (!(answer(probes[at]) == serial[at])) ++mismatches[w];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int w = 0; w < kThreads; ++w) {
+    EXPECT_EQ(mismatches[w], 0u) << "thread " << w;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Corruption: every mutation is a clean error, never a crash.
 
 TEST(SegmentStoreTest, HeaderBitFlipsAreParseErrors) {
@@ -590,11 +770,14 @@ TEST(SegmentStoreTest, FlippedPayloadByteIsRefusedAtOpen) {
       << segment.status().ToString();
 }
 
-TEST(SegmentStoreTest, UndecodableBlockWithForgedChecksumsFlagsCorruption) {
-  // A payload that does not decode yet carries matching checksums (a
-  // writer bug, or a forged file) passes Open; the scan that reaches it
-  // must stop emitting at that block and raise the sticky flag.
-  const std::string dir = TempDir("seg_forged");
+/// Packs a 2,000-triple segment, lets `forge` rewrite the first PSO
+/// block's payload (the bytes up to its payload_len) and TOC entry,
+/// re-stamps the block, TOC and header checksums so only decoding can
+/// tell, and returns the segment's path.
+std::string ForgeFirstPsoBlock(
+    const std::string& name,
+    const std::function<void(std::string*, BlockMeta*)>& forge) {
+  const std::string dir = TempDir(name);
   const std::string path = SegmentPath(dir, 0);
   std::vector<Triple> triples;
   for (uint32_t i = 0; i < 2000; ++i) {
@@ -602,21 +785,23 @@ TEST(SegmentStoreTest, UndecodableBlockWithForgedChecksumsFlagsCorruption) {
   }
   SegmentWriterOptions options;
   options.block_size = 512;
-  ASSERT_TRUE(WriteSegment(path, triples, options).ok());
+  EXPECT_TRUE(WriteSegment(path, triples, options).ok());
   std::string bytes = ReadFileBytes(path);
   const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
   Result<SegmentHeader> header =
       DecodeSegmentHeader(data, bytes.size(), bytes.size());
-  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_TRUE(header.ok()) << header.status().ToString();
+  if (!header.ok()) return path;
 
-  // First PSO block: an overlong varint opens its payload. Re-stamp its
-  // TOC checksum, then the TOC and header checksums.
   const size_t meta_at =
       header->toc_offset + header->num_properties * kPropertyEntrySize;
   BlockMeta meta = DecodeBlockMeta(data + meta_at);
-  for (size_t i = 0; i < kMaxVarint32Bytes; ++i) {
-    bytes[header->pso_offset + i] = '\xff';
-  }
+  std::string payload = bytes.substr(header->pso_offset, meta.payload_len);
+  forge(&payload, &meta);
+  EXPECT_LE(payload.size(), options.block_size);
+  meta.payload_len = static_cast<uint32_t>(payload.size());
+  payload.resize(options.block_size, '\0');
+  bytes.replace(header->pso_offset, payload.size(), payload);
   meta.checksum = HashString(
       std::string_view(bytes.data() + header->pso_offset, meta.payload_len));
   std::string encoded_meta;
@@ -626,18 +811,58 @@ TEST(SegmentStoreTest, UndecodableBlockWithForgedChecksumsFlagsCorruption) {
       std::string_view(bytes.data() + header->toc_offset, header->toc_size));
   bytes.replace(0, kSegmentHeaderSize, EncodeSegmentHeader(*header));
   WriteFileBytes(path, bytes);
+  return path;
+}
 
+void ExpectRefusedAtOpen(const std::string& path, const std::string& what) {
   Result<SegmentStore> segment = SegmentStore::Open(path);
-  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
-  EXPECT_FALSE(segment->corruption_detected());
-  const rdf::PropertyId p = meta.first[0];
-  bool completed = false;
-  EXPECT_TRUE(Collect(*segment, kInvalidVertex, p, kInvalidVertex, SIZE_MAX,
-                      &completed)
-                  .empty());
-  EXPECT_TRUE(completed);
-  EXPECT_TRUE(segment->corruption_detected());
-  EXPECT_FALSE(segment->DeepCheck().ok());
+  ASSERT_FALSE(segment.ok()) << what;
+  EXPECT_EQ(segment.status().code(), StatusCode::kParseError);
+  EXPECT_NE(segment.status().message().find("PSO block 0: " + what),
+            std::string::npos)
+      << segment.status().ToString();
+}
+
+TEST(SegmentStoreTest, UndecodableBlockWithForgedChecksumsIsRefusedAtOpen) {
+  // A payload whose checksums match (a writer bug, or a forged file)
+  // but which does not decode to what its TOC entry says is refused by
+  // Open, naming the run and block: no scan ever meets it.
+  ExpectRefusedAtOpen(
+      ForgeFirstPsoBlock("seg_forged_varint",
+                         [](std::string* payload, BlockMeta*) {
+                           // An overlong varint opens the payload.
+                           for (size_t i = 0; i < kMaxVarint32Bytes; ++i) {
+                             (*payload)[i] = '\xff';
+                           }
+                         }),
+      "payload does not decode cleanly");
+  ExpectRefusedAtOpen(
+      ForgeFirstPsoBlock(
+          "seg_forged_repeat",
+          [](std::string* payload, BlockMeta*) {
+            // The second triple repeats the first (an all-zero delta):
+            // keys that do not strictly increase.
+            const uint8_t* data =
+                reinterpret_cast<const uint8_t*>(payload->data());
+            BlockDecoder dec(RunOrder::kPso, data, payload->size(), 2);
+            Triple t;
+            ASSERT_TRUE(dec.Next(&t));
+            const size_t first_end = dec.pos();
+            ASSERT_TRUE(dec.Next(&t));
+            *payload = payload->substr(0, first_end) +
+                       std::string(3, '\0') + payload->substr(dec.pos());
+          }),
+      "payload does not decode cleanly");
+  ExpectRefusedAtOpen(ForgeFirstPsoBlock("seg_forged_first",
+                                         [](std::string*, BlockMeta* meta) {
+                                           ++meta->first[2];
+                                         }),
+                      "first key disagrees with TOC");
+  ExpectRefusedAtOpen(ForgeFirstPsoBlock("seg_forged_last",
+                                         [](std::string*, BlockMeta* meta) {
+                                           meta->last = meta->first;
+                                         }),
+                      "last key disagrees with TOC");
 }
 
 // ---------------------------------------------------------------------------
@@ -802,6 +1027,85 @@ TEST(DeltaOverlayTest, OverlayOverSegmentBaseMatchesToo) {
              live.end());
   store::TripleStore rebuilt(std::move(live));
   ExpectSourcesIdentical(overlay, rebuilt, 210, 6);
+}
+
+TEST(DeltaOverlayTest, RandomBatchesOverSegmentBaseMatchRebuiltStore) {
+  // Cumulative add and delete sets over a segment base, as
+  // ServingState::Capture composes them, batch after batch. Adds share
+  // (p,s) or (p,o) with base triples, so their ranges interleave with
+  // the base's, or carry properties 5 and 6, which the base lacks.
+  Rng rng(43);
+  auto vertex = [&] { return static_cast<uint32_t>(rng.Next() % 160); };
+  std::vector<Triple> base;
+  for (int i = 0; i < 3000; ++i) {
+    base.push_back(Triple{vertex(), static_cast<uint32_t>(rng.Next() % 5),
+                          vertex()});
+  }
+  base = SortedDeduped(base);
+  const std::string dir = TempDir("seg_overlay_batches");
+  const std::string path = SegmentPath(dir, 0);
+  SegmentWriterOptions options;
+  options.block_size = 512;
+  ASSERT_TRUE(WriteSegment(path, base, options).ok());
+  Result<SegmentStore> segment = SegmentStore::Open(path);
+  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+  auto seg_base = std::make_shared<const SegmentStore>(std::move(*segment));
+
+  std::vector<Triple> added;
+  std::vector<Triple> deleted;
+  for (int batch = 0; batch < 4; ++batch) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    for (int i = 0; i < 60; ++i) {
+      const Triple& b = base[rng.Next() % base.size()];
+      const uint64_t add_kind = rng.Next() % 4;
+      if (add_kind == 0) {
+        added.push_back(Triple{b.subject, b.property, vertex()});
+      } else if (add_kind == 1) {
+        added.push_back(Triple{vertex(), b.property, b.object});
+      } else if (add_kind == 2) {
+        added.push_back(Triple{
+            vertex(), static_cast<uint32_t>(5 + rng.Next() % 2), vertex()});
+      } else {
+        added.push_back(b);  // a no-op add
+      }
+      // Deletes: base triples, earlier adds (delete wins) and misses.
+      const uint64_t delete_kind = rng.Next() % 4;
+      if (delete_kind <= 1) {
+        deleted.push_back(base[rng.Next() % base.size()]);
+      } else if (delete_kind == 2) {
+        deleted.push_back(added[rng.Next() % added.size()]);
+      } else {
+        deleted.push_back(Triple{vertex(), 2, vertex()});
+      }
+    }
+    DeltaOverlaySource overlay(seg_base, added, deleted);
+
+    std::vector<Triple> live = base;
+    live.insert(live.end(), added.begin(), added.end());
+    const std::set<Triple> deleted_set(deleted.begin(), deleted.end());
+    live.erase(std::remove_if(
+                   live.begin(), live.end(),
+                   [&](const Triple& t) { return deleted_set.count(t) != 0; }),
+               live.end());
+    const store::TripleStore rebuilt(std::move(live));
+
+    ASSERT_NO_FATAL_FAILURE(ExpectSourcesIdentical(overlay, rebuilt, 160, 7));
+    // All eight bound combinations around every add and delete.
+    std::set<Probe> probes;
+    for (const std::vector<Triple>* delta : {&added, &deleted}) {
+      for (const Triple& t : *delta) {
+        for (int mask = 0; mask < 8; ++mask) {
+          probes.insert({(mask & 1) ? t.subject : kInvalidVertex,
+                         (mask & 2) ? t.property : kInvalidProperty,
+                         (mask & 4) ? t.object : kInvalidVertex});
+        }
+      }
+    }
+    for (const Probe& probe : probes) {
+      ASSERT_NO_FATAL_FAILURE(ExpectProbeIdentical(overlay, rebuilt, probe[0],
+                                                   probe[1], probe[2]));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

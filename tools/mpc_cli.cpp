@@ -1479,11 +1479,6 @@ void RenderTop(const obs::JsonValue& root) {
               << FormatWithCommas(static_cast<uint64_t>(
                      StatsField(root, "counters",
                                 "storage.segment.blocks_pruned", "value")))
-              << ", corrupt "
-              << static_cast<uint64_t>(
-                     StatsField(root, "counters",
-                                "storage.segment.corruption_detected",
-                                "value"))
               << "\n";
   }
 }
