@@ -83,7 +83,7 @@ int Run(int argc, char** argv) {
   // --- pack -------------------------------------------------------------
   Timer pack_timer;
   storage::SegmentWriteStats pack_stats;
-  Status pack_status = exec::PackSegments(partitioning, graph, dir,
+  Status pack_status = exec::PackSegments(partitioning, dir,
                                           storage::kDefaultBlockSize,
                                           &pack_stats);
   if (!pack_status.ok()) {
@@ -100,7 +100,7 @@ int Run(int argc, char** argv) {
   constexpr int kColdRepeats = 3;
 
   // Memory backend: re-parse the N-Triples file and build the four-index
-  // TripleStore for every site (exactly site_worker's memory path).
+  // TripleStore for every site.
   double memory_cold_millis = 0.0;
   rdf::RdfGraph reparsed;
   exec::Cluster memory_cluster;

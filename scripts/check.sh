@@ -229,7 +229,8 @@ EOF
 # spawns 4 `mpc site` worker processes over socket RPC.
 #  A) One worker SIGKILLs itself mid-reply (--kill-site/--kill-after-
 #     queries); the supervisor respawns it and the retried RPC completes
-#     every query: zero failures, exit 0.
+#     every query: zero failures, exit 0. The segments the coordinator
+#     packed for its workers then pass segment_check's deep validation.
 #  B) Same crash with the restart budget pinned to zero and best-effort
 #     enabled: the coordinator must degrade cleanly (exit 0) and report a
 #     completeness bound, which must equal the ComputeReplicaCoverage
@@ -275,6 +276,7 @@ EOF
   grep -q "remote cluster: 4 site processes up" <<< "${out}"
   grep -q "^failed:   0$" <<< "${out}"
   grep -q "^served:   100/100" <<< "${out}"
+  "${dir}/tools/segment_check" "${tmp}/part"
 
   echo "--- B: exhausted restart budget -> coverage-bounded best effort ---"
   out="$("${dir}/tools/mpc" serve "${tmp}/g.nt" "${tmp}/part" \
@@ -297,7 +299,7 @@ EOF
   [[ "${remote_bound}" == "${sim_bound}" ]]
 
   echo "--- C: SIGTERM graceful drain (worker + coordinator) ---"
-  "${dir}/tools/mpc" site "${tmp}/g.nt" "${tmp}/part" \
+  "${dir}/tools/mpc" site "${tmp}/part" \
     --site=0 --socket="${tmp}/drain.sock" > "${tmp}/site.out" &
   local site_pid=$!
   for _ in $(seq 1 100); do

@@ -41,27 +41,37 @@ std::vector<uint8_t> PropertyPresence(const partition::Partition& partition,
 }
 
 Status PackSegments(const partition::Partitioning& partitioning,
-                    const rdf::RdfGraph& graph, const std::string& dir,
-                    uint32_t block_size, storage::SegmentWriteStats* stats) {
+                    const std::string& dir, uint32_t block_size,
+                    storage::SegmentWriteStats* stats) {
   Result<uint64_t> fingerprint = partition::PartitionIo::Fingerprint(dir);
   if (!fingerprint.ok()) return fingerprint.status();
   storage::SegmentWriterOptions options;
   options.block_size = block_size;
   options.k = partitioning.k();
-  options.num_properties = graph.num_properties();
-  options.num_vertices = graph.num_vertices();
+  options.num_properties = partitioning.crossing_property_mask().size();
+  // An edge-disjoint partitioning has no assignment: the writer then
+  // derives each site's vertex universe from its triples.
+  options.num_vertices = partitioning.assignment().part.size();
   options.partition_fingerprint = *fingerprint;
+  const uint32_t k = partitioning.k();
+  std::vector<storage::SegmentWriteStats> site(k);
+  std::vector<Status> site_status(k);
+  // Each site writes its own file from its own partition.
+  ParallelFor(0, k, 1, /*num_threads=*/0, [&](size_t i) {
+    storage::SegmentWriterOptions site_options = options;
+    site_options.site = static_cast<uint32_t>(i);
+    site_status[i] = storage::WriteSegment(
+        storage::SegmentPath(dir, site_options.site),
+        SiteTriples(partitioning.partition(site_options.site)), site_options,
+        &site[i]);
+  });
   storage::SegmentWriteStats total;
-  for (uint32_t i = 0; i < partitioning.k(); ++i) {
-    options.site = i;
-    storage::SegmentWriteStats site;
-    MPC_RETURN_IF_ERROR(storage::WriteSegment(
-        storage::SegmentPath(dir, i), SiteTriples(partitioning.partition(i)),
-        options, &site));
-    total.num_triples += site.num_triples;
-    total.file_bytes += site.file_bytes;
-    total.pso_blocks += site.pso_blocks;
-    total.pos_blocks += site.pos_blocks;
+  for (uint32_t i = 0; i < k; ++i) {
+    MPC_RETURN_IF_ERROR(site_status[i]);
+    total.num_triples += site[i].num_triples;
+    total.file_bytes += site[i].file_bytes;
+    total.pso_blocks += site[i].pso_blocks;
+    total.pos_blocks += site[i].pos_blocks;
   }
   if (stats != nullptr) *stats = total;
   return Status::Ok();
@@ -84,6 +94,17 @@ Result<storage::SegmentStore> OpenSiteSegment(const std::string& dir,
         ", expected " + expected);
   }
   return segment;
+}
+
+store::TripleStore DecodeToTripleStore(const store::TripleSource& source) {
+  std::vector<rdf::Triple> triples;
+  triples.reserve(source.num_triples());
+  source.Scan(rdf::kInvalidVertex, rdf::kInvalidProperty, rdf::kInvalidVertex,
+              [&triples](const rdf::Triple& t) {
+                triples.push_back(t);
+                return true;
+              });
+  return store::TripleStore(std::move(triples));
 }
 
 Cluster Cluster::Build(partition::Partitioning partitioning,

@@ -23,7 +23,8 @@ namespace mpc::exec {
 // --- How a site's store comes into being -------------------------------
 // Every backend (in-process Cluster, `mpc site` worker, `mpc pack`) builds
 // a site from these, so the stored triples, the property-presence rule
-// and the segment checks are the same everywhere.
+// and the segment checks are the same everywhere. A worker loads only
+// the segment its coordinator packed (RemoteCluster::Start).
 
 /// The triples a site stores (Def. 3.3-3.4): its partition's internal
 /// edges followed by the 1-hop crossing-edge replicas.
@@ -39,11 +40,15 @@ std::vector<uint8_t> PropertyPresence(const partition::Partition& partition,
                                       size_t num_properties);
 
 /// Writes every site's SiteTriples as `partition_<i>.mpcseg` into `dir`
-/// (where `partitioning` over `graph` was saved), each stamped with the
-/// directory's PartitionIo fingerprint. `stats`, if given, receives the
-/// totals over all sites.
+/// (where `partitioning` was saved), each stamped with the directory's
+/// PartitionIo fingerprint. Needs no graph: the property universe is the
+/// crossing-property mask's size, the vertex universe the assignment's
+/// (an edge-disjoint partitioning has none, so each site's is derived
+/// from its triples). The sites are written concurrently; the bytes are
+/// those of a serial write. `stats`, if given, receives the totals over
+/// all sites.
 Status PackSegments(const partition::Partitioning& partitioning,
-                    const rdf::RdfGraph& graph, const std::string& dir,
+                    const std::string& dir,
                     uint32_t block_size = storage::kDefaultBlockSize,
                     storage::SegmentWriteStats* stats = nullptr);
 
@@ -55,6 +60,12 @@ Result<storage::SegmentStore> OpenSiteSegment(const std::string& dir,
                                               uint32_t site,
                                               uint64_t fingerprint,
                                               std::optional<uint32_t> k);
+
+/// An in-memory TripleStore holding exactly `source`'s triples, read
+/// with one all-unbound Scan. A worker decodes its segment with it and
+/// serves from the result, so its site is the TripleStore the in-process
+/// Cluster builds from SiteTriples.
+store::TripleStore DecodeToTripleStore(const store::TripleSource& source);
 
 /// The coordinator's per-query view of which sites are reachable. A
 /// crash marks the site down for the rest of the query (fail-stop); the

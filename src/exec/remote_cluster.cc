@@ -12,6 +12,7 @@
 #include "net/frame.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "partition/partition_io.h"
 
 namespace mpc::exec {
 
@@ -62,6 +63,11 @@ Result<std::unique_ptr<RemoteCluster>> RemoteCluster::Start(
     return Status::NotFound("socket directory '" + options.socket_dir +
                             "' does not exist");
   }
+  // The workers load what is packed here, so a directory that holds
+  // another partitioning is refused before anything is written into it.
+  MPC_RETURN_IF_ERROR(
+      partition::PartitionIo::CheckSaved(options.partition_dir, partitioning));
+  MPC_RETURN_IF_ERROR(PackSegments(partitioning, options.partition_dir));
   std::unique_ptr<RemoteCluster> cluster(new RemoteCluster());
   cluster->partitioning_ = std::move(partitioning);
   cluster->options_ = std::move(options);
@@ -78,17 +84,10 @@ Result<std::unique_ptr<RemoteCluster>> RemoteCluster::Start(
   for (uint32_t i = 0; i < k; ++i) {
     net::WorkerSpec spec;
     spec.socket_path = SocketPathFor(cluster->options_.socket_dir, i);
-    spec.argv = {cluster->options_.worker_binary,
-                 "site",
-                 cluster->options_.graph_path,
+    spec.argv = {cluster->options_.worker_binary, "site",
                  cluster->options_.partition_dir,
                  "--site=" + std::to_string(i),
-                 "--socket=" + spec.socket_path,
-                 "--threads=" +
-                     std::to_string(cluster->options_.worker_threads),
-                 "--store=" + (cluster->options_.store_kind.empty()
-                                   ? std::string("memory")
-                                   : cluster->options_.store_kind)};
+                 "--socket=" + spec.socket_path};
     if (i == cluster->options_.kill_site &&
         cluster->options_.kill_after_queries > 0) {
       // chaos_argv, not argv: the supervisor drops it on respawn, so the
@@ -152,9 +151,10 @@ Status RemoteCluster::AcceptHello(uint32_t i, const std::string& payload,
         std::to_string(hello->site) + "/" + std::to_string(hello->k) +
         ", expected " + std::to_string(i) + "/" + std::to_string(k()));
   }
-  // The worker derives its presence row from the same partition files;
+  // The worker derives its presence row from the segment Start packed;
   // disagreement means it loaded different data than the coordinator
-  // believes it serves — refuse before wrong answers become possible.
+  // believes it serves (a segment replaced on disk) — refuse before
+  // wrong answers become possible.
   if (hello->property_present != property_present_[i]) {
     return Status::Internal("worker " + std::to_string(i) +
                             " property-presence row disagrees with the "

@@ -30,18 +30,15 @@ class RemoteCluster final : public ClusterBackend {
   struct Options {
     /// The mpc binary to exec as `<binary> site ...` workers.
     std::string worker_binary;
-    /// Graph file every process (coordinator and workers) parses; the
-    /// shared parse is what makes dictionary-encoded queries shippable.
+    /// Unread: workers parse no graph, they load the segments Start
+    /// packs. Kept only because servebench's lubm_remote setup still
+    /// assigns it; drop it together with that assignment.
     std::string graph_path;
-    /// PartitionIo::Save output the workers load their sites from.
+    /// PartitionIo::Save output of the partitioning passed to Start;
+    /// Start packs every site's segment here for the workers to load.
     std::string partition_dir;
-    /// Store backend workers open: "memory" (re-parse + in-memory
-    /// indexes) or "segment" (mmap `mpc pack` output, no parse).
-    std::string store_kind = "memory";
     /// Directory for the per-site socket files (site_<i>.sock).
     std::string socket_dir;
-    /// Worker-side parse threads.
-    int worker_threads = 1;
     /// Chaos: pass --kill-after-queries=N to this one site's worker (it
     /// SIGKILLs itself mid-reply on its Nth evaluation).
     uint32_t kill_site = UINT32_MAX;
@@ -56,13 +53,16 @@ class RemoteCluster final : public ClusterBackend {
     net::SupervisorOptions supervisor;
   };
 
-  /// Spawns the worker fleet, waits for every socket to accept, performs
-  /// the Hello handshake (validating site ids, k, and that the worker's
-  /// property-presence row matches the coordinator's), and returns the
-  /// ready cluster. `partitioning` is the coordinator's own materialized
-  /// copy — the same data the workers load from `partition_dir`. The
-  /// fleet serves that one partitioning for its lifetime; only the
-  /// per-site connections change after Start.
+  /// Checks that `partition_dir` holds `partitioning`
+  /// (PartitionIo::CheckSaved; InvalidArgument, with nothing written and
+  /// nothing spawned, when it does not), packs every site's segment
+  /// there (PackSegments, the same bytes `mpc pack` writes), spawns the
+  /// worker fleet, waits for every socket to accept, performs the Hello
+  /// handshake (validating site ids, k, and that the worker's
+  /// property-presence row matches the coordinator's, which catches a
+  /// segment replaced on disk behind the coordinator's back), and
+  /// returns the ready cluster. The fleet serves that one partitioning
+  /// for its lifetime; only the per-site connections change after Start.
   static Result<std::unique_ptr<RemoteCluster>> Start(
       partition::Partitioning partitioning, Options options);
 

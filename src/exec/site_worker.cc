@@ -15,7 +15,6 @@
 #include "net/socket.h"
 #include "obs/trace.h"
 #include "partition/partition_io.h"
-#include "rdf/ntriples.h"
 #include "store/triple_store.h"
 
 namespace mpc::exec {
@@ -29,7 +28,7 @@ constexpr double kPollMillis = 200.0;
 /// Everything a worker serves: its partition's store plus the Hello
 /// self-description. Loaded once, before the worker listens.
 struct SiteData {
-  std::unique_ptr<const store::TripleSource> store;
+  store::TripleStore store;
   std::vector<uint8_t> property_present;
   uint32_t k = 0;
   double load_millis = 0.0;
@@ -40,47 +39,20 @@ struct SiteData {
     hello.k = k;
     hello.pid = static_cast<uint64_t>(::getpid());
     hello.load_millis = load_millis;
-    hello.memory_bytes = store->MemoryUsage();
+    hello.memory_bytes = store.MemoryUsage();
     hello.property_present = property_present;
     return hello;
   }
 };
 
-/// In-memory path: re-parse the graph, load the partitioning, build
-/// the four-index store for this site.
-Status LoadMemorySiteData(const std::string& graph_path,
-                          const std::string& partition_dir, uint32_t site,
-                          int num_threads, SiteData* data) {
-  Timer timer;
-  rdf::GraphBuilder builder;
-  MPC_RETURN_IF_ERROR(
-      rdf::NTriplesParser::ParseFile(graph_path, &builder, num_threads));
-  rdf::RdfGraph graph = builder.Build();
-  Result<partition::Partitioning> partitioning =
-      partition::PartitionIo::Load(graph, partition_dir);
-  if (!partitioning.ok()) return partitioning.status();
-  if (site >= partitioning->k()) {
-    return Status::InvalidArgument(
-        "site " + std::to_string(site) + " out of range: partitioning has " +
-        std::to_string(partitioning->k()) + " sites");
-  }
-  auto store = std::make_unique<store::TripleStore>(
-      SiteTriples(partitioning->partition(site)));
-  data->property_present = PropertyPresence(
-      *store, partitioning->crossing_property_mask().size());
-  data->store = std::move(store);
-  data->k = partitioning->k();
-  data->load_millis = timer.ElapsedMillis();
-  return Status::Ok();
-}
-
-/// Segment path: mmap this site's `.mpcseg` — no graph parse at all.
-/// Every id a query needs was resolved at the coordinator, and the
-/// Hello metadata (k, property presence) lives in the segment header
-/// and TOC. The fingerprint check pins the segment to the partition
-/// directory being served.
-Status LoadSegmentSiteData(const std::string& partition_dir, uint32_t site,
-                           SiteData* data) {
+/// Loads this site from the segment its coordinator packed: opens
+/// `partition_<site>.mpcseg` (checksums, the directory's fingerprint and
+/// the site id are checked), decodes it with one all-unbound Scan into
+/// an in-memory TripleStore and unmaps it. No graph is parsed: every id
+/// a query needs was resolved at the coordinator, and the Hello metadata
+/// (k, property universe) lives in the segment header.
+Status LoadSiteData(const std::string& partition_dir, uint32_t site,
+                    SiteData* data) {
   Timer timer;
   Result<uint64_t> fingerprint =
       partition::PartitionIo::Fingerprint(partition_dir);
@@ -90,11 +62,10 @@ Status LoadSegmentSiteData(const std::string& partition_dir, uint32_t site,
   Result<storage::SegmentStore> segment = OpenSiteSegment(
       partition_dir, site, *fingerprint, /*k=*/std::nullopt);
   if (!segment.ok()) return segment.status();
+  data->store = DecodeToTripleStore(*segment);
   data->property_present = PropertyPresence(
-      *segment, static_cast<size_t>(segment->header().num_properties));
+      data->store, static_cast<size_t>(segment->header().num_properties));
   data->k = segment->header().k;
-  data->store =
-      std::make_unique<storage::SegmentStore>(std::move(*segment));
   data->load_millis = timer.ElapsedMillis();
   return Status::Ok();
 }
@@ -142,7 +113,7 @@ std::string HandleEval(const SiteData& data, uint32_t site,
       root.Attr("site", static_cast<uint64_t>(site));
       if (!msg.trace.query_tag.empty()) root.Attr("tag", msg.trace.query_tag);
     }
-    reply = EvaluateSiteRequest(*data.store, msg.resolved, request);
+    reply = EvaluateSiteRequest(data.store, msg.resolved, request);
   }
   if (!traced) return EncodeEvalReply(reply);
   std::vector<obs::TraceEvent> spans;
@@ -212,11 +183,7 @@ void ServeConnection(const net::Socket& conn, const SiteWorkerOptions& options,
 Status RunSiteWorker(const SiteWorkerOptions& options) {
   CrashAfter crash(options.kill_after_queries);
   SiteData data;
-  MPC_RETURN_IF_ERROR(
-      options.store_kind == "segment"
-          ? LoadSegmentSiteData(options.partition_dir, options.site, &data)
-          : LoadMemorySiteData(options.graph_path, options.partition_dir,
-                               options.site, options.num_threads, &data));
+  MPC_RETURN_IF_ERROR(LoadSiteData(options.partition_dir, options.site, &data));
   Result<net::Socket> listener = net::Socket::Listen(options.socket_path);
   if (!listener.ok()) return listener.status();
   // One connection at a time: the coordinator keeps a single persistent

@@ -12,13 +12,9 @@ namespace mpc::exec {
 /// Configuration for one `mpc site` worker process: which partition it
 /// serves, where it listens, and the fault/drain hooks.
 struct SiteWorkerOptions {
-  std::string graph_path;     // same file the coordinator parses
-  std::string partition_dir;  // PartitionIo::Save output
-  /// "memory" re-parses the graph and builds an in-memory TripleStore;
-  /// "segment" mmaps `mpc pack`'s partition_<site>.mpcseg instead — no
-  /// N-Triples parse at all (the RPC protocol ships resolved ids), so
-  /// worker cold start is the segment open.
-  std::string store_kind = "memory";
+  /// PartitionIo::Save output holding the coordinator-packed
+  /// `partition_<site>.mpcseg` (RemoteCluster::Start packs it).
+  std::string partition_dir;
   uint32_t site = 0;
   std::string socket_path;
   /// Chaos hook: SIGKILL this process right before sending the reply to
@@ -26,7 +22,6 @@ struct SiteWorkerOptions {
   /// stream die mid-query — the survivable fault the failover tests
   /// exercise.
   uint64_t kill_after_queries = 0;
-  int num_threads = 1;
   /// Graceful-drain flag, set from a SIGTERM/SIGINT handler. Checked
   /// between frames: an in-flight evaluation finishes and its reply is
   /// sent before the worker returns.
@@ -35,9 +30,11 @@ struct SiteWorkerOptions {
   uint64_t* queries_served = nullptr;
 };
 
-/// Runs one site worker to completion: loads this site's partition once,
-/// listens on the socket, sends a Hello on every accepted connection and
-/// answers Ping/Eval frames until the stop flag drains it. Returns Ok on
+/// Runs one site worker to completion: loads this site's segment once
+/// into an in-memory store (a missing, damaged or foreign segment's
+/// status is returned before the socket is created), listens on the
+/// socket, sends a Hello on every accepted connection and answers
+/// Ping/Eval frames until the stop flag drains it. Returns Ok on
 /// a clean drain; any malformed or unexpected frame is answered with an
 /// error frame (or, if the stream itself is torn, the connection is
 /// dropped) — never a crash.

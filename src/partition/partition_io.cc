@@ -45,6 +45,64 @@ void WriteTriple(std::ofstream& out, const rdf::RdfGraph& graph,
       << graph.VertexName(t.object) << " .\n";
 }
 
+/// The manifest's header fields (the crossing list that follows is
+/// recomputed on load).
+struct Manifest {
+  std::string kind;
+  uint32_t k = 0;
+  uint64_t vertices = 0;
+  uint64_t properties = 0;
+};
+
+Result<Manifest> ReadManifest(const std::string& dir) {
+  std::ifstream in(dir + "/" + kManifestName, std::ios::binary);
+  if (!in) return Status::IoError("cannot open " + dir + "/" + kManifestName);
+  Manifest manifest;
+  bool saw_kind = false;
+  bool saw_k = false;
+  std::string line;
+  size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    std::istringstream fields(line);
+    std::string key;
+    std::string value;
+    fields >> key;
+    if (key == "kind") {
+      if (!(fields >> manifest.kind) || manifest.kind.empty()) {
+        return Status::ParseError("manifest line " + std::to_string(line_no) +
+                                  ": malformed kind");
+      }
+      saw_kind = true;
+    } else if (key == "k") {
+      uint64_t parsed = 0;
+      if (!(fields >> value) ||
+          !ParseUintField(value, UINT32_MAX, &parsed) || parsed == 0) {
+        return Status::ParseError("manifest line " + std::to_string(line_no) +
+                                  ": invalid k '" + value + "'");
+      }
+      manifest.k = static_cast<uint32_t>(parsed);
+      saw_k = true;
+    } else if (key == "vertices" || key == "properties") {
+      const bool vertices = key == "vertices";
+      uint64_t* out = vertices ? &manifest.vertices : &manifest.properties;
+      if (!(fields >> value) || !ParseUintField(value, UINT64_MAX, out)) {
+        return Status::ParseError("manifest line " + std::to_string(line_no) +
+                                  ": invalid " +
+                                  (vertices ? "vertex" : "property") +
+                                  " count '" + value + "'");
+      }
+    } else if (key == "crossing:") {
+      break;
+    }
+  }
+  if (!saw_kind) {
+    return Status::ParseError("manifest missing kind in " + dir);
+  }
+  if (!saw_k) return Status::ParseError("manifest missing k in " + dir);
+  return manifest;
+}
+
 }  // namespace
 
 Status PartitionIo::Save(const rdf::RdfGraph& graph,
@@ -103,53 +161,12 @@ Status PartitionIo::Save(const rdf::RdfGraph& graph,
 
 Result<Partitioning> PartitionIo::Load(const rdf::RdfGraph& graph,
                                        const std::string& dir) {
-  std::ifstream manifest(dir + "/" + kManifestName, std::ios::binary);
-  if (!manifest) {
-    return Status::IoError("cannot open " + dir + "/" + kManifestName);
-  }
-  std::string kind;
-  uint32_t k = 0;
-  size_t vertices = 0;
-  bool saw_kind = false;
-  bool saw_k = false;
+  Result<Manifest> manifest = ReadManifest(dir);
+  if (!manifest.ok()) return manifest.status();
+  const std::string& kind = manifest->kind;
+  const uint32_t k = manifest->k;
+  const size_t vertices = manifest->vertices;
   std::string line;
-  size_t line_no = 0;
-  while (std::getline(manifest, line)) {
-    ++line_no;
-    std::istringstream in(line);
-    std::string key;
-    std::string value;
-    in >> key;
-    if (key == "kind") {
-      if (!(in >> kind) || kind.empty()) {
-        return Status::ParseError("manifest line " + std::to_string(line_no) +
-                                  ": malformed kind");
-      }
-      saw_kind = true;
-    } else if (key == "k") {
-      uint64_t parsed = 0;
-      if (!(in >> value) ||
-          !ParseUintField(value, UINT32_MAX, &parsed) || parsed == 0) {
-        return Status::ParseError("manifest line " + std::to_string(line_no) +
-                                  ": invalid k '" + value + "'");
-      }
-      k = static_cast<uint32_t>(parsed);
-      saw_k = true;
-    } else if (key == "vertices") {
-      uint64_t parsed = 0;
-      if (!(in >> value) || !ParseUintField(value, UINT64_MAX, &parsed)) {
-        return Status::ParseError("manifest line " + std::to_string(line_no) +
-                                  ": invalid vertex count '" + value + "'");
-      }
-      vertices = parsed;
-    } else if (key == "crossing:") {
-      break;  // remainder is the crossing list; recomputed on load
-    }
-  }
-  if (!saw_kind) {
-    return Status::ParseError("manifest missing kind in " + dir);
-  }
-  if (!saw_k) return Status::ParseError("manifest missing k in " + dir);
 
   if (kind == "vertex-disjoint") {
     if (vertices != graph.num_vertices()) {
@@ -247,6 +264,45 @@ Result<Partitioning> PartitionIo::Load(const rdf::RdfGraph& graph,
   }
 
   return Status::ParseError("unknown partitioning kind '" + kind + "'");
+}
+
+Status PartitionIo::CheckSaved(const std::string& dir,
+                               const Partitioning& partitioning) {
+  Result<Manifest> manifest = ReadManifest(dir);
+  if (!manifest.ok()) return manifest.status();
+  auto refuse = [&dir](const std::string& what) {
+    return Status::InvalidArgument(dir + " holds another partitioning: " +
+                                   what + " differs");
+  };
+  const bool vertex_disjoint =
+      partitioning.kind() == PartitioningKind::kVertexDisjoint;
+  if (manifest->kind != (vertex_disjoint ? "vertex-disjoint"
+                                         : "edge-disjoint")) {
+    return refuse("the kind");
+  }
+  if (manifest->k != partitioning.k()) return refuse("k");
+  if (manifest->properties != partitioning.crossing_property_mask().size()) {
+    return refuse("the property count");
+  }
+  // An edge-disjoint partitioning has no assignment to compare.
+  if (!vertex_disjoint) return Status::Ok();
+  const std::vector<uint32_t>& part = partitioning.assignment().part;
+  if (manifest->vertices != part.size()) return refuse("the vertex count");
+  std::ifstream in(dir + "/" + kAssignmentName, std::ios::binary);
+  if (!in) return Status::IoError("cannot open " + dir + "/" + kAssignmentName);
+  // Save writes vertex v's owner on line v, after the last tab.
+  std::string line;
+  for (size_t v = 0; v < part.size(); ++v) {
+    uint64_t owner = 0;
+    if (!std::getline(in, line) ||
+        !ParseUintField(std::string_view(line).substr(line.rfind('\t') + 1),
+                        UINT32_MAX, &owner) ||
+        owner != part[v]) {
+      return refuse("the owner of vertex " + std::to_string(v));
+    }
+  }
+  if (std::getline(in, line)) return refuse("the assignment's length");
+  return Status::Ok();
 }
 
 Result<uint64_t> PartitionIo::Fingerprint(const std::string& dir) {

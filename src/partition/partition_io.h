@@ -35,6 +35,14 @@ class PartitionIo {
   static Result<Partitioning> Load(const rdf::RdfGraph& graph,
                                    const std::string& dir);
 
+  /// Refuses (InvalidArgument) a directory that does not hold
+  /// `partitioning`: the manifest's kind, k and property count must be
+  /// `partitioning`'s and, for a vertex-disjoint partitioning, so must
+  /// its vertex count and the owner on every assignment line. Reads no
+  /// graph and no site file.
+  static Status CheckSaved(const std::string& dir,
+                           const Partitioning& partitioning);
+
   /// Content fingerprint of a saved partitioning (FNV over the manifest
   /// and assignment bytes). The dynamic update journal and checkpoints
   /// are stamped with it, so recovery refuses to replay a journal onto a

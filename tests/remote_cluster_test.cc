@@ -18,12 +18,14 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "exec/cluster.h"
 #include "exec/distributed_executor.h"
 #include "exec/remote_cluster.h"
+#include "exec/site_worker.h"
 #include "gtest/gtest.h"
 #include "mpc/mpc_partitioner.h"
 #include "net/chaos_proxy.h"
@@ -33,6 +35,7 @@
 #include "partition/vp_partitioner.h"
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
+#include "storage/segment_writer.h"
 #include "test_util.h"
 
 namespace mpc::exec {
@@ -65,14 +68,12 @@ const char* kQueryMix[] = {
     "SELECT * WHERE { ?x <t:p1> ?y . ?y <t:p3> ?z . ?z <t:p4> ?w . }",
 };
 
-/// One deployment: a graph serialized to disk, a saved k-way MPC
-/// partitioning, the coordinator's re-parse of the same bytes (the
-/// workers parse them too, and parsing is bit-identical at any thread
-/// count, so dictionary ids line up across processes), and the running
-/// worker fleet.
+/// One deployment: a graph serialized to disk, the coordinator's parse
+/// of it, a saved k-way MPC partitioning, and the running worker fleet.
+/// The workers parse nothing: they load the segments Start packs from
+/// the coordinator's own partitioning, so their ids are its ids.
 struct Deployment {
   std::string dir;
-  std::string graph_path;
   std::string partition_dir;
   RdfGraph graph;
   partition::Partitioning partitioning;  // coordinator's own copy
@@ -106,14 +107,14 @@ std::unique_ptr<Deployment> PrepareDeployment(uint32_t k,
   Rng rng(5);
   RdfGraph seed = testutil::RandomGraph(rng, 60, 240, 5, /*community=*/12,
                                         /*escape=*/0.2);
-  d->graph_path = d->dir + "/graph.nt";
-  Status st = rdf::WriteNTriplesFile(seed, d->graph_path);
+  const std::string graph_path = d->dir + "/graph.nt";
+  Status st = rdf::WriteNTriplesFile(seed, graph_path);
   if (!st.ok()) {
     ADD_FAILURE() << st.ToString();
     return nullptr;
   }
   rdf::GraphBuilder builder;
-  st = rdf::NTriplesParser::ParseFile(d->graph_path, &builder);
+  st = rdf::NTriplesParser::ParseFile(graph_path, &builder);
   if (!st.ok()) {
     ADD_FAILURE() << st.ToString();
     return nullptr;
@@ -142,7 +143,6 @@ std::unique_ptr<Deployment> PrepareDeployment(uint32_t k,
   d->partitioning = *loaded;
 
   options->worker_binary = binary;
-  options->graph_path = d->graph_path;
   options->partition_dir = d->partition_dir;
   options->socket_dir = d->dir;
   options->supervisor.heartbeat_interval_ms = 10;
@@ -283,33 +283,18 @@ TEST(RemoteClusterTest, GStoredOverRpcMatchesSimulator) {
   }
 }
 
-// Workers started with --store=segment open `mpc pack` output instead
-// of re-parsing the graph; the bindings must not change.
+// Workers load the segments Start packs and serve the decoded in-memory
+// store: the bindings and the reported footprint are the simulator's.
 TEST(RemoteClusterTest, SegmentWorkersMatchSimulator) {
-  std::unique_ptr<Deployment> d =
-      MakeDeployment(4, [](RemoteCluster::Options* options) {
-        options->store_kind = "segment";
-        // Pack before the workers spawn, from the files they read.
-        rdf::GraphBuilder builder;
-        ASSERT_TRUE(
-            rdf::NTriplesParser::ParseFile(options->graph_path, &builder).ok());
-        RdfGraph graph = builder.Build();
-        Result<partition::Partitioning> loaded =
-            partition::PartitionIo::Load(graph, options->partition_dir);
-        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-        ASSERT_TRUE(
-            PackSegments(*loaded, graph, options->partition_dir).ok());
-      });
+  std::unique_ptr<Deployment> d = MakeDeployment(4);
   if (d == nullptr) GTEST_SKIP() << "worker binary not built";
-  // The workers' reported footprints are their segments', not in-memory
-  // indexes: they really opened the packed files.
-  Result<Cluster> segments =
-      Cluster::BuildFromSegments(d->partitioning, d->partition_dir);
-  ASSERT_TRUE(segments.ok()) << segments.status().ToString();
-  EXPECT_EQ(d->remote->MemoryUsage(), segments->MemoryUsage());
-
+  for (uint32_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(std::filesystem::exists(
+        storage::SegmentPath(d->partition_dir, i)))
+        << "site " << i;
+  }
   Cluster sim = Cluster::Build(d->partitioning);
-  EXPECT_NE(d->remote->MemoryUsage(), sim.MemoryUsage());
+  EXPECT_EQ(d->remote->MemoryUsage(), sim.MemoryUsage());
   DistributedExecutor sim_exec(sim, d->graph, RemoteExecOptions());
   DistributedExecutor remote_exec(*d->remote, d->graph, RemoteExecOptions());
   for (const char* text : kQueryMix) {
@@ -324,6 +309,102 @@ TEST(RemoteClusterTest, SegmentWorkersMatchSimulator) {
     EXPECT_EQ(remote_r->bindings.rows, sim_r->bindings.rows) << text;
     EXPECT_EQ(remote_r->stats.sites_pruned, sim_r->stats.sites_pruned);
   }
+}
+
+/// The bytes of every file in `dir` whose name ends in `.mpcseg`.
+std::map<std::string, std::string> SegmentFiles(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".mpcseg") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] =
+        std::string((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
+// Start packs exactly what `mpc pack` writes (PackSegments over
+// PartitionIo::Load of the same directory), for an MPC and a VP
+// partitioning at k=4.
+TEST(RemoteClusterTest, StartPacksTheSegmentsMpcPackWrites) {
+  RemoteCluster::Options options;
+  std::unique_ptr<Deployment> d = PrepareDeployment(4, &options);
+  if (d == nullptr) GTEST_SKIP() << "worker binary not built";
+  partition::PartitionerOptions vp;
+  vp.k = 4;
+  const std::string vp_dir = d->dir + "/vp";
+  const partition::Partitioning vp_fresh =
+      partition::VpPartitioner(vp).Partition(d->graph);
+  ASSERT_TRUE(partition::PartitionIo::Save(d->graph, vp_fresh, vp_dir).ok());
+
+  const std::pair<std::string, const partition::Partitioning*> cases[] = {
+      {d->partition_dir, &d->partitioning}, {vp_dir, &vp_fresh}};
+  for (const auto& [dir, partitioning] : cases) {
+    RemoteCluster::Options run = options;
+    run.partition_dir = dir;
+    Result<std::unique_ptr<RemoteCluster>> remote =
+        RemoteCluster::Start(*partitioning, run);
+    ASSERT_TRUE(remote.ok()) << dir << ": " << remote.status().ToString();
+    remote->reset();
+    const std::map<std::string, std::string> started = SegmentFiles(dir);
+    ASSERT_EQ(started.size(), 4u) << dir;
+
+    Result<partition::Partitioning> loaded =
+        partition::PartitionIo::Load(d->graph, dir);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_TRUE(PackSegments(*loaded, dir).ok());
+    EXPECT_TRUE(SegmentFiles(dir) == started) << dir;
+  }
+}
+
+// A worker whose segment is missing, truncated or packed for another
+// site returns OpenSiteSegment's status and never creates its socket.
+TEST(SiteWorkerTest, RefusedSegmentIsReturnedBeforeListening) {
+  char tmpl[] = "/tmp/mpc_swt_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  Rng rng(11);
+  RdfGraph graph = testutil::RandomGraph(rng, 40, 160, 4);
+  core::MpcOptions mpc;
+  mpc.base.k = 3;
+  const partition::Partitioning partitioning =
+      core::MpcPartitioner(mpc).Partition(graph);
+  ASSERT_TRUE(partition::PartitionIo::Save(graph, partitioning, dir).ok());
+  ASSERT_TRUE(PackSegments(partitioning, dir).ok());
+  Result<uint64_t> fingerprint = partition::PartitionIo::Fingerprint(dir);
+  ASSERT_TRUE(fingerprint.ok());
+
+  const std::string segment = storage::SegmentPath(dir, 0);
+  const std::function<void()> damage[] = {
+      [&] { std::filesystem::remove(segment); },
+      [&] {
+        std::filesystem::resize_file(
+            segment, std::filesystem::file_size(segment) / 2);
+      },
+      [&] {
+        std::filesystem::remove(segment);
+        std::filesystem::copy_file(storage::SegmentPath(dir, 1), segment);
+      },
+  };
+  for (const auto& fault : damage) {
+    std::filesystem::remove(segment);
+    ASSERT_TRUE(PackSegments(partitioning, dir).ok());
+    fault();
+    const Result<storage::SegmentStore> open =
+        OpenSiteSegment(dir, 0, *fingerprint, std::nullopt);
+    ASSERT_FALSE(open.ok());
+
+    SiteWorkerOptions options;
+    options.partition_dir = dir;
+    options.site = 0;
+    options.socket_path = dir + "/site_0.sock";
+    const Status st = RunSiteWorker(options);
+    EXPECT_EQ(st.code(), open.status().code()) << st.ToString();
+    EXPECT_EQ(st.message(), open.status().message());
+    EXPECT_FALSE(std::filesystem::exists(options.socket_path));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // A socket directory that does not exist is a deployment error: Start
@@ -672,15 +753,15 @@ TEST(RemoteClusterTest, TornFrameInsideBatchFailsOnlyThatSite) {
   d.reset();  // stop the fleet before the proxy goes away
 }
 
-// --- The Hello's property-presence check is what refuses a worker that
-// serves other data than the coordinator believes. ---
+// --- Start refuses a partition directory that holds another
+// partitioning before it writes a segment there or spawns a worker. ---
 
 TEST(RemoteClusterTest, WorkersOnAnotherPartitioningAreRefused) {
   RemoteCluster::Options options;
   std::unique_ptr<Deployment> d = PrepareDeployment(4, &options);
   if (d == nullptr) GTEST_SKIP() << "worker binary not built";
 
-  // The workers load another partitioning of the same graph, same k:
+  // The directory holds another partitioning of the same graph, same k:
   // VP, whose sites each hold only the properties hashed to them.
   partition::PartitionerOptions vp;
   vp.k = 4;
@@ -689,40 +770,79 @@ TEST(RemoteClusterTest, WorkersOnAnotherPartitioningAreRefused) {
                   d->graph, partition::VpPartitioner(vp).Partition(d->graph),
                   other_dir)
                   .ok());
-  Result<partition::Partitioning> other =
-      partition::PartitionIo::Load(d->graph, other_dir);
-  ASSERT_TRUE(other.ok()) << other.status().ToString();
-  const size_t num_properties =
-      d->partitioning.crossing_property_mask().size();
-  bool rows_differ = false;
-  for (uint32_t i = 0; i < 4; ++i) {
-    rows_differ |=
-        PropertyPresence(d->partitioning.partition(i), num_properties) !=
-        PropertyPresence(other->partition(i), num_properties);
-  }
-  ASSERT_TRUE(rows_differ) << "both partitionings give every site the same "
-                              "presence row; the check has nothing to catch";
 
   options.partition_dir = other_dir;
   Result<std::unique_ptr<RemoteCluster>> remote =
       RemoteCluster::Start(d->partitioning, options);
   ASSERT_FALSE(remote.ok());
-  EXPECT_EQ(remote.status().code(), StatusCode::kInternal);
-  EXPECT_NE(remote.status().message().find("property-presence row disagrees"),
+  EXPECT_EQ(remote.status().code(), StatusCode::kInvalidArgument)
+      << remote.status().ToString();
+  EXPECT_NE(remote.status().message().find("holds another partitioning"),
             std::string::npos)
       << remote.status().ToString();
+  EXPECT_TRUE(SegmentFiles(other_dir).empty());
 
-  // Every worker of the refused fleet was stopped: no live process still
-  // names this deployment's graph file in its argv.
+  // No worker of the refused fleet is running: no live process names
+  // this deployment's directory in its argv.
   for (const auto& entry : std::filesystem::directory_iterator("/proc")) {
     const std::string pid = entry.path().filename().string();
     if (pid.find_first_not_of("0123456789") != std::string::npos) continue;
     std::ifstream in(entry.path() / "cmdline", std::ios::binary);
     const std::string cmdline((std::istreambuf_iterator<char>(in)),
                               std::istreambuf_iterator<char>());
-    EXPECT_EQ(cmdline.find(d->graph_path), std::string::npos)
+    EXPECT_EQ(cmdline.find(d->dir), std::string::npos)
         << "worker pid " << pid << " outlived the refused Start";
   }
+}
+
+// --- The Hello's property-presence check still refuses a worker whose
+// segment was replaced on disk behind the coordinator's back. ---
+
+TEST(RemoteClusterTest, SegmentReplacedOnDiskIsRefusedAtHello) {
+  std::unique_ptr<Deployment> d = MakeDeployment(4);
+  if (d == nullptr) GTEST_SKIP() << "worker binary not built";
+  const uint32_t kSite = 1;
+
+  // A well-formed segment for site 1, stamped with the directory's
+  // fingerprint, that lacks one of the site's properties.
+  std::vector<rdf::Triple> triples =
+      SiteTriples(d->partitioning.partition(kSite));
+  ASSERT_FALSE(triples.empty());
+  const rdf::PropertyId dropped = triples.front().property;
+  std::erase_if(triples, [dropped](const rdf::Triple& t) {
+    return t.property == dropped;
+  });
+  Result<uint64_t> fingerprint =
+      partition::PartitionIo::Fingerprint(d->partition_dir);
+  ASSERT_TRUE(fingerprint.ok());
+  storage::SegmentWriterOptions writer;
+  writer.site = kSite;
+  writer.k = 4;
+  writer.num_properties = d->partitioning.crossing_property_mask().size();
+  writer.num_vertices = d->graph.num_vertices();
+  writer.partition_fingerprint = *fingerprint;
+  ASSERT_TRUE(storage::WriteSegment(
+                  storage::SegmentPath(d->partition_dir, kSite),
+                  std::move(triples), writer)
+                  .ok());
+
+  // The respawned worker loads the replacement and announces its row.
+  ASSERT_TRUE(d->remote->supervisor().Kill(kSite).ok());
+  AwaitReaped(*d->remote, kSite);
+  const store::ResolvedQuery resolved = store::ResolveQuery(
+      testutil::ParseQueryOrDie(kQueryMix[0]), d->graph);
+  SiteEvalRequest request;
+  const std::vector<size_t> patterns = {0};
+  request.pattern_indices = patterns;
+  SiteEvalReply reply;
+  const Status st = d->remote->EvaluateOnSite(
+      kSite, resolved, request,
+      SiteCallPolicy{.timeout_ms = 0.0, .max_retries = 2, .backoff_ms = 100.0},
+      &reply);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("property-presence row disagrees"),
+            std::string::npos)
+      << st.ToString();
 }
 
 // --- Several clients share one executor over one fleet, as a serving

@@ -23,8 +23,10 @@
 #include "dynamic/incremental_maintainer.h"
 #include "exec/cluster.h"
 #include "exec/distributed_executor.h"
+#include "mpc/mpc_partitioner.h"
 #include "partition/partition_io.h"
 #include "partition/subject_hash_partitioner.h"
+#include "partition/vp_partitioner.h"
 #include "serve/serving_state.h"
 #include "storage/delta_overlay.h"
 #include "storage/segment_format.h"
@@ -876,7 +878,7 @@ TEST(SegmentClusterTest, SwappedSiteSegmentsAreRefused) {
       partition::SubjectHashPartitioner(popt).Partition(graph);
   const std::string dir = TempDir("seg_swap");
   ASSERT_TRUE(partition::PartitionIo::Save(graph, partitioning, dir).ok());
-  ASSERT_TRUE(exec::PackSegments(partitioning, graph, dir).ok());
+  ASSERT_TRUE(exec::PackSegments(partitioning, dir).ok());
   ASSERT_TRUE(exec::Cluster::BuildFromSegments(partitioning, dir).ok());
 
   // Same fingerprint, wrong site: only the header's site id tells them
@@ -902,6 +904,45 @@ TEST(SegmentClusterTest, SwappedSiteSegmentsAreRefused) {
   EXPECT_FALSE(exec::OpenSiteSegment(dir, 2, *fingerprint, 4).ok());
 }
 
+// The worker's loader: every packed site, decoded into a TripleStore, is
+// the store the in-process Cluster builds from SiteTriples, for an MPC
+// and a VP partitioning at k=4 — the same rows in the same order on all
+// 8 bound combinations, exact estimates, and the same footprint.
+TEST(SegmentClusterTest, DecodedSitesEqualSiteTriplesStores) {
+  Rng rng(23);
+  rdf::RdfGraph graph = testutil::RandomGraph(rng, 90, 360, 6,
+                                              /*community=*/15,
+                                              /*escape=*/0.2);
+  core::MpcOptions mpc;
+  mpc.base.k = 4;
+  mpc.base.epsilon = 0.3;
+  partition::PartitionerOptions vp{.k = 4};
+  const partition::Partitioning cases[] = {
+      core::MpcPartitioner(mpc).Partition(graph),
+      partition::VpPartitioner(vp).Partition(graph)};
+  for (size_t c = 0; c < std::size(cases); ++c) {
+    const partition::Partitioning& partitioning = cases[c];
+    const std::string dir = TempDir("seg_decode_" + std::to_string(c));
+    ASSERT_TRUE(partition::PartitionIo::Save(graph, partitioning, dir).ok());
+    ASSERT_TRUE(exec::PackSegments(partitioning, dir).ok());
+    Result<uint64_t> fingerprint = partition::PartitionIo::Fingerprint(dir);
+    ASSERT_TRUE(fingerprint.ok());
+    for (uint32_t site = 0; site < partitioning.k(); ++site) {
+      SCOPED_TRACE("case " + std::to_string(c) + " site " +
+                   std::to_string(site));
+      Result<SegmentStore> segment =
+          exec::OpenSiteSegment(dir, site, *fingerprint, partitioning.k());
+      ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+      const store::TripleStore decoded = exec::DecodeToTripleStore(*segment);
+      const store::TripleStore built(
+          exec::SiteTriples(partitioning.partition(site)));
+      EXPECT_EQ(decoded.MemoryUsage(), built.MemoryUsage());
+      ExpectSourcesIdentical(decoded, built, graph.num_vertices(),
+                             graph.num_properties());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Executor-level equivalence on the LUBM mix.
 
@@ -917,7 +958,7 @@ TEST(SegmentClusterTest, LubmQueryMixIsBitIdenticalAcrossBackends) {
   const std::string dir = TempDir("seg_lubm");
   ASSERT_TRUE(
       partition::PartitionIo::Save(dataset.graph, partitioning, dir).ok());
-  ASSERT_TRUE(exec::PackSegments(partitioning, dataset.graph, dir).ok());
+  ASSERT_TRUE(exec::PackSegments(partitioning, dir).ok());
 
   exec::Cluster memory_cluster = exec::Cluster::Build(partitioning);
   Result<exec::Cluster> segment_cluster =

@@ -115,7 +115,7 @@ struct TempDir {
 Cluster SegmentCluster(const partition::Partitioning& partitioning,
                        const RdfGraph& graph, const std::string& dir) {
   EXPECT_TRUE(partition::PartitionIo::Save(graph, partitioning, dir).ok());
-  EXPECT_TRUE(PackSegments(partitioning, graph, dir).ok());
+  EXPECT_TRUE(PackSegments(partitioning, dir).ok());
   Result<Cluster> segments = Cluster::BuildFromSegments(partitioning, dir);
   EXPECT_TRUE(segments.ok()) << segments.status().ToString();
   return segments.ok() ? std::move(*segments) : Cluster();

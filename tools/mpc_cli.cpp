@@ -65,14 +65,15 @@
 //
 // `pack` writes each site's triples as an immutable compressed segment
 // (partition_<i>.mpcseg) next to the partition's N-Triples files; with
-// --store=segment, query/serve/site then mmap those segments instead of
-// re-parsing and re-indexing — cold start becomes a file map plus a TOC
-// read, and resident memory is bounded by the pages queries touch.
-// Results are bit-identical between the two backends. Packing and
-// opening go through the shared site loader in exec/cluster.h
-// (PackSegments; Cluster::BuildFromSegments, which `serve --updates`
-// also uses for its overlay bases), so every command refuses a segment
-// packed for another partitioning or another site the same way.
+// --store=segment, query/serve then mmap those segments instead of
+// re-indexing — cold start becomes a file map plus a TOC read, and
+// resident memory is bounded by the pages queries touch. Results are
+// bit-identical between the two backends. `serve --remote` packs the
+// same segments itself before it spawns its workers, and each `site`
+// worker decodes its own into an in-memory store: no worker parses the
+// graph. Packing and opening go through the shared site loader in
+// exec/cluster.h, so every command refuses a segment packed for another
+// partitioning or another site the same way.
 //
 // The SPARQL argument may be a file path or an inline query string.
 // --threads=0 (the default) uses every hardware thread; --threads=1 runs
@@ -175,8 +176,7 @@ int Usage() {
       [--remote] [--socket-dir=DIR] [--worker-binary=PATH]
       [--max-restarts=N] [--kill-site=I] [--kill-after-queries=N]
       [--admin-socket=PATH] [--slow-query-ms=T] [--slow-log=FILE]
-  mpc site <data.nt> <partition_dir> --site=I --socket=PATH
-      [--store=memory|segment] [--kill-after-queries=N]
+  mpc site <partition_dir> --site=I --socket=PATH [--kill-after-queries=N]
   mpc top --socket=ADMIN_PATH [--json] [--interval-ms=I] [--count=N]
 observability (any command):
       [--trace-out=FILE] [--trace-summary] [--metrics-out=FILE]
@@ -196,8 +196,9 @@ struct Flags {
   uint64_t seed = 1;
   int threads = 0;  // 0 = hardware_concurrency
 
-  // Store backend for query/serve/site ("segment" needs a prior
-  // `mpc pack`), and the pack command's block size.
+  // Store backend for query/serve ("segment" needs a prior `mpc pack`;
+  // serve --remote workers always load segments), and the pack
+  // command's block size.
   std::string store = "memory";
   uint32_t block_size = storage::kDefaultBlockSize;
 
@@ -711,8 +712,8 @@ int CmdPack(const Flags& flags) {
   if (!loaded) return 1;
   const auto start = std::chrono::steady_clock::now();
   storage::SegmentWriteStats stats;
-  Status st = exec::PackSegments(loaded->partitioning, loaded->graph,
-                                 flags.positional[1], flags.block_size, &stats);
+  Status st = exec::PackSegments(loaded->partitioning, flags.positional[1],
+                                 flags.block_size, &stats);
   if (!st.ok()) {
     std::cerr << st.ToString() << "\n";
     return 1;
@@ -939,24 +940,23 @@ int CmdUpdate(const Flags& flags) {
 }
 
 
-/// One partition-site worker process: loads its site, serves the framed
-/// RPC protocol on --socket until SIGTERM/SIGINT drains it. Spawned by
-/// serve --remote (via the SiteSupervisor) or run by hand.
+/// One partition-site worker process: loads its site from the segment
+/// in <partition_dir> (written by serve --remote's coordinator or by
+/// `mpc pack`), serves the framed RPC protocol on --socket until
+/// SIGTERM/SIGINT drains it. Spawned by serve --remote (via the
+/// SiteSupervisor) or run by hand.
 int CmdSite(const Flags& flags) {
-  if (flags.positional.size() != 2) return Usage();
+  if (flags.positional.size() != 1) return Usage();
   if (flags.socket_path.empty()) {
     std::cerr << "site requires --socket=PATH\n";
     return 2;
   }
   InstallDrainHandlers();
   exec::SiteWorkerOptions options;
-  options.graph_path = flags.positional[0];
-  options.partition_dir = flags.positional[1];
-  options.store_kind = flags.store;
+  options.partition_dir = flags.positional[0];
   options.site = flags.site;
   options.socket_path = flags.socket_path;
   options.kill_after_queries = flags.kill_after_queries;
-  options.num_threads = flags.threads;
   options.stop = &g_drain;
   uint64_t served = 0;
   options.queries_served = &served;
@@ -1038,12 +1038,9 @@ int CmdServe(const Flags& flags) {
     exec::RemoteCluster::Options ropt;
     ropt.worker_binary =
         flags.worker_binary.empty() ? SelfExePath() : flags.worker_binary;
-    ropt.graph_path = flags.positional[0];
     ropt.partition_dir = flags.positional[1];
-    ropt.store_kind = flags.store;
     ropt.socket_dir =
         flags.socket_dir.empty() ? flags.positional[1] : flags.socket_dir;
-    ropt.worker_threads = flags.threads;
     ropt.kill_site = flags.kill_site;
     ropt.kill_after_queries = flags.kill_after_queries;
     ropt.supervisor.max_restarts = flags.max_restarts;
