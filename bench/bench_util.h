@@ -14,8 +14,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "exec/cluster.h"
+#include "exec/decomposer.h"
 #include "exec/distributed_executor.h"
-#include "exec/query_classifier.h"
 #include "mpc/mpc_partitioner.h"
 #include "partition/edge_cut_partitioner.h"
 #include "partition/subject_hash_partitioner.h"
@@ -85,11 +85,11 @@ inline sparql::QueryGraph MustParse(const std::string& text) {
   return std::move(q).value();
 }
 
-/// IEQ share (%) of `queries` under `partitioning`. For vertex-disjoint
-/// partitionings this is the Section V-A classifier; for VP it is the
-/// single-site locality test. `stars_only` restricts credit to star
-/// queries (the plain Subject_Hash / METIS columns of Table III, before
-/// their "+" crossing-property extension).
+/// IEQ share (%) of `queries` under `partitioning`: the share of
+/// union-only plans (PlanQuery — the Section V-A classifier, or VP's
+/// single-site locality test). `stars_only` instead credits star
+/// queries only (the plain Subject_Hash / METIS columns of Table III,
+/// before their "+" crossing-property extension).
 inline double IeqPercent(const std::vector<workload::NamedQuery>& queries,
                          const partition::Partitioning& partitioning,
                          const rdf::RdfGraph& graph,
@@ -98,16 +98,8 @@ inline double IeqPercent(const std::vector<workload::NamedQuery>& queries,
   size_t ieq = 0;
   for (const workload::NamedQuery& nq : queries) {
     sparql::QueryGraph q = MustParse(nq.sparql);
-    bool independent;
-    if (partitioning.kind() == partition::PartitioningKind::kEdgeDisjoint) {
-      independent = exec::IsVpLocalQuery(q, partitioning, graph);
-    } else if (stars_only) {
-      independent = sparql::IsStarQuery(q);
-    } else {
-      independent = exec::ClassifyQuery(q, partitioning, graph)
-                        .independently_executable();
-    }
-    ieq += independent;
+    ieq += stars_only ? sparql::IsStarQuery(q)
+                      : exec::PlanQuery(q, partitioning, graph).union_only;
   }
   return 100.0 * static_cast<double>(ieq) /
          static_cast<double>(queries.size());

@@ -287,6 +287,13 @@ SiteSelection SelectSites(const ClusterBackend& cluster,
                           const std::vector<bool>& crossing_pattern,
                           std::span<const size_t> pattern_indices) {
   SiteSelection selection;
+  // A pattern naming a term the data lacks matches nowhere.
+  if (std::any_of(pattern_indices.begin(), pattern_indices.end(),
+                  [&](size_t idx) {
+                    return resolved.patterns[idx].impossible;
+                  })) {
+    return selection;
+  }
   const partition::Partitioning& partitioning = cluster.partitioning();
   // Ownership: an internal triple is stored at its subject's owner only,
   // which is also its object's owner, so a non-crossing pattern with a
@@ -297,7 +304,7 @@ SiteSelection SelectSites(const ClusterBackend& cluster,
     const std::vector<uint32_t>& part = partitioning.assignment().part;
     for (size_t idx : pattern_indices) {
       const store::ResolvedPattern& p = resolved.patterns[idx];
-      if (p.p_is_var || p.impossible || crossing_pattern[idx]) continue;
+      if (p.p_is_var || crossing_pattern[idx]) continue;
       for (const auto& [is_var, c] : {std::pair(p.s_is_var, p.s),
                                       std::pair(p.o_is_var, p.o)}) {
         if (is_var || c >= part.size()) continue;
@@ -318,7 +325,7 @@ SiteSelection SelectSites(const ClusterBackend& cluster,
                        [&](size_t idx) {
                          const store::ResolvedPattern& p =
                              resolved.patterns[idx];
-                         return p.p_is_var || p.impossible ||
+                         return p.p_is_var ||
                                 cluster.SiteHasProperty(site, p.p);
                        });
   };

@@ -269,7 +269,9 @@ struct SiteSelection {
 
 /// The sites that can hold a match of the sub-BGP `pattern_indices` of
 /// `resolved`; `crossing_pattern` is the plan's per-pattern crossing
-/// flag (Classification::crossing_pattern). A site is skipped when
+/// flag (Classification::crossing_pattern). No site is selected when a
+/// pattern is `impossible` (a constant the dictionaries lack). A site is
+/// skipped when
 ///  - it stores no triple with some constant predicate the sub-BGP
 ///    requires (property presence), or
 ///  - on a vertex-disjoint partitioning, a pattern with a constant,
@@ -277,7 +279,9 @@ struct SiteSelection {
 ///    site is not owner(c) (ownership: such a triple is internal, so it
 ///    is stored at owner(c) only). A constant the partitioning does not
 ///    know skips this rule.
-/// DESIGN.md §5 has the proof. Both the executor and `mpc explain`
+/// On an edge-disjoint (VP) partitioning a property is stored at its
+/// home site only, so presence alone selects that site (all k for a
+/// variable predicate). DESIGN.md §5 has the proof. Both the executor and `mpc explain`
 /// select sites here.
 SiteSelection SelectSites(const ClusterBackend& cluster,
                           const store::ResolvedQuery& resolved,

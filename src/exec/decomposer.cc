@@ -1,5 +1,7 @@
 #include "exec/decomposer.h"
 
+#include <string>
+
 #include "sparql/shape.h"
 
 namespace mpc::exec {
@@ -39,6 +41,58 @@ Decomposition CutAtCrossingEdges(const sparql::QueryGraph& query,
   return result;
 }
 
+/// One subquery holding every pattern.
+Decomposition WholeQuery(const sparql::QueryGraph& query) {
+  Decomposition result;
+  result.subqueries.emplace_back(query.num_patterns());
+  for (size_t i = 0; i < query.num_patterns(); ++i) {
+    result.subqueries.back()[i] = i;
+  }
+  return result;
+}
+
+/// VP locality: a query runs at a single site iff it has no variable
+/// predicate and every constant predicate present in the data has the
+/// same home site. A property absent from the data matches nowhere, so
+/// it never splits the query.
+bool IsVpLocal(const sparql::QueryGraph& query,
+               const partition::Partitioning& partitioning,
+               const rdf::RdfGraph& graph) {
+  if (query.has_variable_predicate()) return false;
+  uint32_t home = UINT32_MAX;
+  for (const std::string& pred : query.ConstantPredicates()) {
+    rdf::PropertyId p = graph.property_dict().Lookup(pred);
+    if (p == rdf::kInvalidVertex) continue;
+    uint32_t site = partitioning.PropertyHome(p);
+    if (home == UINT32_MAX) {
+      home = site;
+    } else if (home != site) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The VP plans of Section II (see PlanQuery). In the cloud-style one,
+/// property presence sends each pattern to its property's home site.
+QueryPlan PlanVp(const sparql::QueryGraph& query,
+                 const partition::Partitioning& partitioning,
+                 const rdf::RdfGraph& graph) {
+  QueryPlan plan;
+  plan.classification.crossing_pattern.assign(query.num_patterns(), false);
+  if (IsVpLocal(query, partitioning, graph)) {
+    plan.classification.cls = IeqClass::kInternal;
+    plan.decomposition = WholeQuery(query);
+    plan.union_only = true;
+  } else {
+    plan.classification.cls = IeqClass::kNonIeq;
+    for (size_t i = 0; i < query.num_patterns(); ++i) {
+      plan.decomposition.subqueries.push_back({i});
+    }
+  }
+  return plan;
+}
+
 }  // namespace
 
 Decomposition DecomposeQuery(const sparql::QueryGraph& query,
@@ -75,6 +129,9 @@ Decomposition DecomposeQuery(const sparql::QueryGraph& query,
 QueryPlan PlanQuery(const sparql::QueryGraph& query,
                     const partition::Partitioning& partitioning,
                     const rdf::RdfGraph& graph, ExecStrategy strategy) {
+  if (partitioning.kind() == partition::PartitioningKind::kEdgeDisjoint) {
+    return PlanVp(query, partitioning, graph);
+  }
   QueryPlan plan;
   plan.classification = ClassifyQuery(query, partitioning, graph);
   const std::vector<bool>& crossing = plan.classification.crossing_pattern;
@@ -82,11 +139,7 @@ QueryPlan PlanQuery(const sparql::QueryGraph& query,
     plan.decomposition = CutAtCrossingEdges(query, crossing);
     plan.union_only = plan.decomposition.num_subqueries() == 1;
   } else if (plan.classification.independently_executable()) {
-    // One subquery holding every pattern; union-only execution.
-    plan.decomposition.subqueries.emplace_back();
-    for (size_t i = 0; i < query.num_patterns(); ++i) {
-      plan.decomposition.subqueries.back().push_back(i);
-    }
+    plan.decomposition = WholeQuery(query);
     plan.union_only = true;
   } else {
     plan.decomposition = DecomposeQuery(query, crossing);

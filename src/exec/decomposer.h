@@ -32,13 +32,12 @@ struct Decomposition {
 Decomposition DecomposeQuery(const sparql::QueryGraph& query,
                              const std::vector<bool>& crossing_pattern);
 
-/// The reusable per-query plan for vertex-disjoint execution: the
-/// classification against the partitioning's crossing set plus the
-/// subqueries the executor ships to the sites. A plan is valid for every
-/// query with the same canonical shape (sparql::CanonicalShapeKey)
-/// against the same crossing-property set and strategy — the
-/// QueryService's plan cache keys on exactly that, with the maintainer
-/// generation standing in for the crossing set.
+/// The reusable per-query plan: the classification against the
+/// partitioning plus the subqueries the executor ships to the sites. A
+/// plan is valid for every query with the same canonical shape
+/// (sparql::CanonicalShapeKey) against the same partitioning and
+/// strategy — the QueryService's plan cache keys on exactly that, with
+/// the maintainer generation standing in for the partitioning.
 struct QueryPlan {
   Classification classification;
   Decomposition decomposition;
@@ -55,6 +54,12 @@ struct QueryPlan {
 ///    each non-empty WCC left is one subquery, and so is each crossing
 ///    edge on its own, whatever the IEQ class. Union-only iff that leaves
 ///    a single subquery.
+///  - An edge-disjoint (VP) partitioning, either strategy (the executor
+///    rejects kGstored there): the plans of Section II. When the query
+///    has no variable predicate and every constant predicate present in
+///    the data has one home site, one all-pattern subquery, union-only,
+///    class internal; otherwise one subquery per pattern in pattern
+///    order, class non-IEQ. No pattern is crossing.
 QueryPlan PlanQuery(const sparql::QueryGraph& query,
                     const partition::Partitioning& partitioning,
                     const rdf::RdfGraph& graph,

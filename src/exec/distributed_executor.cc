@@ -120,9 +120,7 @@ Result<QueryResponse> DistributedExecutor::Execute(
   // With the span open this is the query's trace id (inherited from a
   // serving-layer span, or freshly rooted here); 0 when tracing is off.
   stats->trace_id = obs::CurrentTraceContext().trace_id;
-  Result<BindingTable> result =
-      vp ? ExecuteVp(*query, &run)
-         : ExecuteVertexDisjoint(*query, strategy, plan, &run);
+  Result<BindingTable> result = ExecutePlan(*query, strategy, plan, &run);
   span.Attr("subqueries", static_cast<uint64_t>(stats->num_subqueries))
       .Attr("sites_evaluated", static_cast<uint64_t>(stats->sites_evaluated))
       .Attr("sites_pruned", static_cast<uint64_t>(stats->sites_pruned))
@@ -137,7 +135,7 @@ Result<QueryResponse> DistributedExecutor::Execute(
   return response;
 }
 
-Result<BindingTable> DistributedExecutor::ExecuteVertexDisjoint(
+Result<BindingTable> DistributedExecutor::ExecutePlan(
     const sparql::QueryGraph& query, ExecStrategy strategy,
     const QueryPlan* plan, QueryRun* run) const {
   ExecutionStats* stats = run->stats;
@@ -278,79 +276,7 @@ Result<BindingTable> DistributedExecutor::ExecuteVertexDisjoint(
       stats->independent
           ? std::move(subquery_results.front())
           : JoinAtCoordinator(std::move(subquery_results), stats);
-  size_t contacted = 0;
-  for (uint8_t c : run->contacted) contacted += c;
-  return Finish(query, run, std::move(final_table), stats->sites_evaluated,
-                contacted, classify_millis);
-}
-
-Result<BindingTable> DistributedExecutor::ExecuteVp(
-    const sparql::QueryGraph& query, QueryRun* run) const {
-  ExecutionStats* stats = run->stats;
-  Timer timer;
-  const partition::Partitioning& partitioning = cluster_.partitioning();
-  const bool local = IsVpLocalQuery(query, partitioning, graph_);
-  stats->independent = local;
-  stats->cls = local ? IeqClass::kInternal : IeqClass::kNonIeq;
-  run->resolved = store::ResolveQuery(query, graph_);
-  const double plan_millis = timer.ElapsedMillis();
-
-  if (local) {
-    // All predicates live at one site: run the whole BGP there. VP
-    // stores each property at exactly one site; without replicas a down
-    // home site leaves nothing to fail over to.
-    uint32_t home = 0;
-    for (const std::string& pred : query.ConstantPredicates()) {
-      rdf::PropertyId p = graph_.property_dict().Lookup(pred);
-      if (p != rdf::kInvalidVertex) {
-        home = partitioning.PropertyHome(p);
-        break;
-      }
-    }
-    stats->num_subqueries = 1;
-    stats->sites_pruned += cluster_.k() - 1;
-    std::vector<size_t> all_patterns(run->resolved.patterns.size());
-    for (size_t i = 0; i < all_patterns.size(); ++i) all_patterns[i] = i;
-    const uint32_t sites[] = {home};
-    Result<BindingTable> table =
-        ScatterGather(run, all_patterns, sites, /*step=*/0, nullptr);
-    if (!table.ok()) return table.status();
-    return Finish(query, run, std::move(*table), stats->sites_evaluated,
-                  cluster_.k(), plan_millis);
-  }
-
-  // Cloud-style plan: every triple pattern is scanned at its property's
-  // home site (or every site for variable predicates), shipped to the
-  // coordinator, and joined there.
-  stats->num_subqueries = query.num_patterns();
-  std::vector<BindingTable> pattern_tables;
-  std::vector<uint32_t> sites;
-  for (size_t i = 0; i < query.num_patterns(); ++i) {
-    const sparql::QueryTerm& predicate = query.patterns()[i].predicate;
-    sites.clear();
-    if (predicate.is_variable()) {
-      for (uint32_t site = 0; site < cluster_.k(); ++site) {
-        sites.push_back(site);
-      }
-    } else {
-      // A property absent from the data matches nowhere: no site.
-      rdf::PropertyId p = graph_.property_dict().Lookup(predicate.text);
-      if (p != rdf::kInvalidVertex) {
-        sites.push_back(partitioning.PropertyHome(p));
-      }
-    }
-    // Sites not scanned for this pattern were localized away.
-    stats->sites_pruned += cluster_.k() - sites.size();
-    const size_t pattern[] = {i};
-    Result<BindingTable> table =
-        ScatterGather(run, pattern, sites, /*step=*/i, nullptr);
-    if (!table.ok()) return table.status();
-    table->Deduplicate();
-    pattern_tables.push_back(std::move(*table));
-  }
-  BindingTable joined = JoinAtCoordinator(std::move(pattern_tables), stats);
-  return Finish(query, run, std::move(joined), query.num_patterns(),
-                cluster_.k(), plan_millis);
+  return Finish(query, run, std::move(final_table), classify_millis);
 }
 
 Result<BindingTable> DistributedExecutor::ScatterGather(
@@ -434,13 +360,14 @@ Result<BindingTable> DistributedExecutor::ScatterGather(
 
 BindingTable DistributedExecutor::Finish(const sparql::QueryGraph& query,
                                          QueryRun* run, BindingTable table,
-                                         size_t messages, size_t dispatched,
                                          double plan_millis) const {
   ExecutionStats* stats = run->stats;
+  size_t contacted = 0;
+  for (uint8_t c : run->contacted) contacted += c;
   stats->decomposition_millis =
-      plan_millis + options_.network.DispatchMillis(dispatched);
-  stats->network_millis =
-      options_.network.TransferMillis(stats->shipped_bytes, messages);
+      plan_millis + options_.network.DispatchMillis(contacted);
+  stats->network_millis = options_.network.TransferMillis(
+      stats->shipped_bytes, stats->sites_evaluated);
 
   // --- Partial-result accounting (best-effort only; kFail returned
   // earlier). Lost contributions make the answer a subset of the true

@@ -29,9 +29,10 @@ namespace mpc::exec {
 ///    every site, union per subquery, hash-join at the coordinator.
 ///  - ExecStrategy::kGstored: the same loop over gStoreD's partial-
 ///    evaluation fragments instead (PlanQuery), the Fig. 11 baseline.
-///  - VP clusters: a query local to one site runs there; otherwise each
-///    pattern is scanned at its property's home site and everything is
-///    joined at the coordinator (the cloud-style plan of Section II).
+///  - VP clusters: the same loop over PlanQuery's VP plans — a query
+///    local to one site runs there; otherwise each pattern is scanned at
+///    its property's home site and everything is joined at the
+///    coordinator (the cloud-style plan of Section II).
 /// "Every site" is every site SelectSites keeps when site_pruning is on.
 struct ExecutorOptions {
   NetworkModel network;
@@ -99,8 +100,7 @@ class DistributedExecutor {
   /// path. `plan` may be null (plans inline); when non-null it must
   /// have been built by PlanQuery, with the request's strategy, for a
   /// query of the same canonical shape against this executor's
-  /// partitioning. Only consulted on the vertex-disjoint path; VP
-  /// planning is per-pattern and cheap.
+  /// partitioning.
   Result<QueryResponse> Execute(const QueryRequest& request,
                                 const QueryPlan* plan) const;
 
@@ -111,17 +111,19 @@ class DistributedExecutor {
     PartialResultPolicy partial_results = PartialResultPolicy::kFail;
     /// Sites known down so far (fail-stop for the rest of the query).
     SiteAvailability avail;
-    /// Sites called at least once (the vertex-disjoint dispatch count).
+    /// Sites called at least once (the modeled dispatch count).
     std::vector<uint8_t> contacted;
     ExecutionStats* stats = nullptr;
   };
   using VarFilters = std::vector<std::unique_ptr<BloomFilter>>;
 
-  Result<store::BindingTable> ExecuteVertexDisjoint(
-      const sparql::QueryGraph& query, ExecStrategy strategy,
-      const QueryPlan* plan, QueryRun* run) const;
-  Result<store::BindingTable> ExecuteVp(const sparql::QueryGraph& query,
-                                        QueryRun* run) const;
+  /// Plans the query (or takes `plan`), then runs ScatterGather per
+  /// subquery and joins the tables at the coordinator unless the plan
+  /// is union-only.
+  Result<store::BindingTable> ExecutePlan(const sparql::QueryGraph& query,
+                                          ExecStrategy strategy,
+                                          const QueryPlan* plan,
+                                          QueryRun* run) const;
 
   /// The execution primitive of Section V-B2: ships the sub-BGP
   /// `patterns` to every site in `sites` in one batch call
@@ -140,13 +142,13 @@ class DistributedExecutor {
                                             size_t step,
                                             const VarFilters* filters) const;
 
-  /// The shared tail of every plan: network charges (`messages`
-  /// transfers, `dispatched` query broadcasts on top of the measured
-  /// `plan_millis`), partial-result accounting, canonical column order,
-  /// LIMIT and the totals.
+  /// The shared tail of every plan: network charges (one transfer per
+  /// site evaluation, one query dispatch per site contacted, on top of
+  /// the measured `plan_millis`), partial-result accounting, canonical
+  /// column order, LIMIT and the totals.
   store::BindingTable Finish(const sparql::QueryGraph& query, QueryRun* run,
-                             store::BindingTable table, size_t messages,
-                             size_t dispatched, double plan_millis) const;
+                             store::BindingTable table,
+                             double plan_millis) const;
 
   const ClusterBackend& cluster_;
   const rdf::RdfGraph& graph_;

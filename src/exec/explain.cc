@@ -56,9 +56,9 @@ std::string ExplainQuery(const sparql::QueryGraph& query,
   for (size_t s = 0; s < decomposition.num_subqueries(); ++s) {
     const std::vector<size_t>& sub = decomposition.subqueries[s];
     sparql::QueryGraph extracted = sparql::ExtractSubquery(query, sub);
-    Classification sub_cls =
-        ClassifyQuery(extracted, partitioning, graph);
-    out << "subquery " << s << " (" << IeqClassName(sub_cls.cls) << "):\n";
+    const IeqClass sub_cls =
+        PlanQuery(extracted, partitioning, graph).classification.cls;
+    out << "subquery " << s << " (" << IeqClassName(sub_cls) << "):\n";
     for (size_t idx : sub) {
       out << "  [" << idx << "] " << PatternText(query.patterns()[idx])
           << "\n";

@@ -10,13 +10,14 @@
 
 namespace mpc::exec {
 
-/// Human-readable execution plan for a query over a vertex-disjoint
+/// Human-readable execution plan (PlanQuery) for a query over any
 /// partitioning: its IEQ class, the crossing patterns, and — when a join
-/// is needed — the Algorithm 2 decomposition with each subquery's own
-/// IEQ class (always internal/Type-I/Type-II, the Algorithm 2 guarantee)
-/// and, if a cluster is supplied, the sites each subquery actually
-/// contacts (SelectSites) and, for an owner-localized subquery, the
-/// constant and its owner site.
+/// is needed — the decomposition with each subquery's own class (on a
+/// vertex-disjoint partitioning always internal/Type-I/Type-II, the
+/// Algorithm 2 guarantee; on VP one subquery per pattern) and, if a
+/// cluster is supplied, the sites each subquery actually contacts
+/// (SelectSites) and, for an owner-localized subquery, the constant and
+/// its owner site. The single-site-loss table is vertex-disjoint only.
 std::string ExplainQuery(const sparql::QueryGraph& query,
                          const partition::Partitioning& partitioning,
                          const rdf::RdfGraph& graph,

@@ -120,22 +120,4 @@ Classification ClassifyQuery(const sparql::QueryGraph& query,
   return result;
 }
 
-bool IsVpLocalQuery(const sparql::QueryGraph& query,
-                    const partition::Partitioning& partitioning,
-                    const rdf::RdfGraph& graph) {
-  if (query.has_variable_predicate()) return false;
-  uint32_t home = UINT32_MAX;
-  for (const std::string& pred : query.ConstantPredicates()) {
-    rdf::PropertyId p = graph.property_dict().Lookup(pred);
-    if (p == rdf::kInvalidVertex) continue;  // matches nothing anywhere
-    uint32_t site = partitioning.PropertyHome(p);
-    if (home == UINT32_MAX) {
-      home = site;
-    } else if (home != site) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace mpc::exec

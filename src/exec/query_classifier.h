@@ -47,15 +47,6 @@ Classification ClassifyQuery(const sparql::QueryGraph& query,
                              const partition::Partitioning& partitioning,
                              const rdf::RdfGraph& graph);
 
-/// VP-side locality test: an edge-disjoint (VP) partitioning can run a
-/// query at a single site iff every (constant) predicate of the query is
-/// stored at the same site and the query has no variable predicates.
-/// Queries whose predicates are absent from the data are trivially local
-/// (empty result everywhere).
-bool IsVpLocalQuery(const sparql::QueryGraph& query,
-                    const partition::Partitioning& partitioning,
-                    const rdf::RdfGraph& graph);
-
 }  // namespace mpc::exec
 
 #endif  // MPC_EXEC_QUERY_CLASSIFIER_H_

@@ -6,7 +6,6 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "partition/partitioning.h"
 #include "sparql/shape.h"
 
 namespace mpc::serve {
@@ -223,13 +222,10 @@ Result<exec::QueryResponse> QueryService::Run(
     metrics.CounterRef("serve.result_cache.misses").Inc();
   }
 
-  // Plan cache: vertex-disjoint partitionings only (VP planning is
-  // per-pattern and trivial).
+  // Plan cache: one PlanQuery per canonical shape and generation.
   std::shared_ptr<const exec::QueryPlan> plan;
   bool plan_was_cached = false;
-  const bool plannable = state->cluster().partitioning().kind() ==
-                         partition::PartitioningKind::kVertexDisjoint;
-  if (plannable && options_.plan_cache_capacity > 0) {
+  if (options_.plan_cache_capacity > 0) {
     const std::string shape_key =
         strategy_key + sparql::CanonicalShapeKey(*query);
     std::shared_ptr<const PlanEntry> entry;

@@ -214,19 +214,19 @@ TEST(VpLocalityTest, SingleSiteQueriesAreLocal) {
   // A query over one property is always local.
   sparql::QueryGraph q1 = testutil::ParseQueryOrDie(
       "SELECT * WHERE { ?x <t:p0> ?y . }");
-  EXPECT_TRUE(IsVpLocalQuery(q1, vp, g));
+  EXPECT_TRUE(PlanQuery(q1, vp, g).union_only);
 
   // A var-predicate query never is.
   sparql::QueryGraph q2 =
       testutil::ParseQueryOrDie("SELECT * WHERE { ?x ?p ?y . }");
-  EXPECT_FALSE(IsVpLocalQuery(q2, vp, g));
+  EXPECT_FALSE(PlanQuery(q2, vp, g).union_only);
 
   // Two properties: local iff same home.
   rdf::PropertyId p0 = g.property_dict().Lookup("<t:p0>");
   rdf::PropertyId p1 = g.property_dict().Lookup("<t:p1>");
   sparql::QueryGraph q3 = testutil::ParseQueryOrDie(
       "SELECT * WHERE { ?x <t:p0> ?y . ?y <t:p1> ?z . }");
-  EXPECT_EQ(IsVpLocalQuery(q3, vp, g),
+  EXPECT_EQ(PlanQuery(q3, vp, g).union_only,
             vp.PropertyHome(p0) == vp.PropertyHome(p1));
 }
 
@@ -237,7 +237,7 @@ TEST(VpLocalityTest, UnknownPropertyIsTriviallyLocal) {
   Partitioning vp = partition::VpPartitioner(options).Partition(g);
   sparql::QueryGraph q = testutil::ParseQueryOrDie(
       "SELECT * WHERE { ?x <t:ghost> ?y . }");
-  EXPECT_TRUE(IsVpLocalQuery(q, vp, g));
+  EXPECT_TRUE(PlanQuery(q, vp, g).union_only);
 }
 
 }  // namespace

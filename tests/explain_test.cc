@@ -81,6 +81,42 @@ TEST(ExplainTest, ClusterAddsSiteLists) {
   EXPECT_NE(plan.find("sites:"), std::string::npos) << plan;
 }
 
+TEST(ExplainTest, VpPlanScansEachPatternAtItsHomeSite) {
+  Fixture f;
+  // in1 and cross at site 0, in2 at site 1.
+  std::vector<uint32_t> triple_part;
+  for (const rdf::Triple& t : f.graph.triples()) {
+    triple_part.push_back(f.graph.PropertyName(t.property) == "<t:in2>" ? 1
+                                                                        : 0);
+  }
+  Cluster cluster = Cluster::Build(
+      Partitioning::MaterializeEdgeDisjoint(f.graph, 2, triple_part));
+  sparql::QueryGraph q = testutil::ParseQueryOrDie(
+      "SELECT * WHERE { ?x <t:in1> ?y . ?y <t:in2> ?z . }");
+  std::string plan =
+      ExplainQuery(q, cluster.partitioning(), f.graph, &cluster);
+  EXPECT_NE(plan.find("class: non-IEQ -> decompose + inter-partition join"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("decomposition: 2 subqueries"), std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("<t:in1> ?y .\n  sites: 0\n"), std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("<t:in2> ?z .\n  sites: 1\n"), std::string::npos)
+      << plan;
+  EXPECT_EQ(plan.find("crossing patterns"), std::string::npos) << plan;
+
+  // Both properties at one home: one union-only subquery there.
+  sparql::QueryGraph local = testutil::ParseQueryOrDie(
+      "SELECT * WHERE { ?x <t:in1> ?y . ?y <t:cross> ?z . }");
+  plan = ExplainQuery(local, cluster.partitioning(), f.graph, &cluster);
+  EXPECT_NE(plan.find("class: internal -> independent execution"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("<t:cross> ?z .\n  sites: 0\n"), std::string::npos)
+      << plan;
+}
+
 // The Algorithm 2 guarantee, tested as a property: every subquery of a
 // decomposition — extracted and classified standalone — is itself
 // independently executable (internal, Type-I or Type-II; Section V-B1).

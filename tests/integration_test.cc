@@ -5,8 +5,8 @@
 #include <map>
 
 #include "exec/cluster.h"
+#include "exec/decomposer.h"
 #include "exec/distributed_executor.h"
-#include "exec/query_classifier.h"
 #include "gtest/gtest.h"
 #include "mpc/mpc_partitioner.h"
 #include "partition/edge_cut_partitioner.h"
@@ -19,9 +19,6 @@
 namespace mpc {
 namespace {
 
-using exec::Classification;
-using exec::ClassifyQuery;
-using exec::IsVpLocalQuery;
 using partition::Partitioning;
 using workload::DatasetId;
 using workload::GeneratedDataset;
@@ -57,11 +54,7 @@ double IeqPercent(const std::vector<NamedQuery>& queries,
   size_t ieq = 0;
   for (const NamedQuery& nq : queries) {
     sparql::QueryGraph q = testutil::ParseQueryOrDie(nq.sparql);
-    if (p.kind() == partition::PartitioningKind::kEdgeDisjoint) {
-      ieq += IsVpLocalQuery(q, p, g);
-    } else {
-      ieq += ClassifyQuery(q, p, g).independently_executable();
-    }
+    ieq += exec::PlanQuery(q, p, g).union_only;
   }
   return 100.0 * static_cast<double>(ieq) /
          static_cast<double>(queries.size());

@@ -25,6 +25,7 @@
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "partition/subject_hash_partitioner.h"
+#include "partition/vp_partitioner.h"
 #include "serve/admin.h"
 #include "serve/lru_cache.h"
 #include "serve/serving_state.h"
@@ -345,6 +346,39 @@ TEST(QueryServiceTest, PlanCacheHitsOnRepeatedShape) {
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->stats.plan_cache_hit);
   EXPECT_EQ(second->bindings.rows, first->bindings.rows);
+}
+
+TEST(QueryServiceTest, VpPlansAreCachedAndMatchDirectExecution) {
+  rdf::RdfGraph graph = SmallGraph();
+  partition::PartitionerOptions vp_options;
+  vp_options.k = 2;
+  partition::Partitioning vp =
+      partition::VpPartitioner(vp_options).Partition(graph);
+  std::shared_ptr<const ServingState> state =
+      ServingState::Build(std::move(graph), std::move(vp));
+  QueryServiceOptions options;
+  options.result_cache_capacity = 0;  // every query reaches the planner
+  QueryService service(state, options);
+  for (const std::string& text :
+       {std::string("SELECT * WHERE { ?x <t:knows> ?y . ?y <t:likes> ?z . }"),
+        std::string("SELECT * WHERE { ?x <t:worksAt> ?y . }"),
+        std::string("SELECT * WHERE { ?x ?p ?y . ?y <t:likes> ?z . }")}) {
+    Result<exec::QueryResponse> direct =
+        state->distributed().Execute(exec::QueryRequest::FromText(text));
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    for (bool cached : {false, true}) {
+      Result<exec::QueryResponse> served =
+          service.Execute(exec::QueryRequest::FromText(text));
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      EXPECT_EQ(served->stats.plan_cache_hit, cached) << text;
+      EXPECT_EQ(served->stats.independent, direct->stats.independent);
+      EXPECT_EQ(served->stats.num_subqueries, direct->stats.num_subqueries);
+      EXPECT_EQ(served->stats.sites_evaluated,
+                direct->stats.sites_evaluated);
+      EXPECT_EQ(served->bindings.var_ids, direct->bindings.var_ids) << text;
+      EXPECT_EQ(served->bindings.rows, direct->bindings.rows) << text;
+    }
+  }
 }
 
 TEST(QueryServiceTest, PlanCacheKeepsStrategiesApart) {

@@ -21,6 +21,7 @@
 #include "mpc/mpc_partitioner.h"
 #include "partition/partition_io.h"
 #include "partition/subject_hash_partitioner.h"
+#include "partition/vp_partitioner.h"
 #include "serve/serving_state.h"
 #include "test_util.h"
 #include "workload/datasets.h"
@@ -320,30 +321,36 @@ TEST(SitePruningTest, ResultsIdenticalWithAndWithoutPruning) {
     core::MpcOptions mpc_options;
     mpc_options.base.k = 4;
     mpc_options.base.epsilon = 0.3;
-    Cluster cluster = Cluster::Build(
-        core::MpcPartitioner(mpc_options).Partition(graph));
+    const Cluster clusters[] = {
+        Cluster::Build(core::MpcPartitioner(mpc_options).Partition(graph)),
+        Cluster::Build(
+            partition::VpPartitioner(mpc_options.base).Partition(graph))};
 
     DistributedExecutor::Options with, without;
     with.site_pruning = true;
     without.site_pruning = false;
-    DistributedExecutor pruned(cluster, graph, with);
-    DistributedExecutor full(cluster, graph, without);
+    for (const Cluster& cluster : clusters) {
+      DistributedExecutor pruned(cluster, graph, with);
+      DistributedExecutor full(cluster, graph, without);
 
-    for (const std::string& text :
-         {std::string("SELECT * WHERE { ?x <t:p0> ?y . ?y <t:p1> ?z . }"),
-          std::string("SELECT * WHERE { ?a <t:p0> ?b . ?b <t:p2> ?c . ?c "
-                      "<t:p3> ?d . }"),
-          std::string("SELECT * WHERE { ?x ?p ?y . }")}) {
-      sparql::QueryGraph query = testutil::ParseQueryOrDie(text);
-      Result<QueryResponse> a = pruned.Execute(QueryRequest::FromQuery(query));
-      Result<QueryResponse> b = full.Execute(QueryRequest::FromQuery(query));
-      ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ(testutil::RowSet(a->bindings), testutil::RowSet(b->bindings))
-          << text;
-      EXPECT_EQ(testutil::RowSet(a->bindings),
-                testutil::RowSet(testutil::GroundTruth(graph, query)));
-      EXPECT_EQ(b->stats.sites_pruned, 0u);
-      EXPECT_LE(a->stats.sites_evaluated, b->stats.sites_evaluated);
+      for (const std::string& text :
+           {std::string("SELECT * WHERE { ?x <t:p0> ?y . ?y <t:p1> ?z . }"),
+            std::string("SELECT * WHERE { ?a <t:p0> ?b . ?b <t:p2> ?c . ?c "
+                        "<t:p3> ?d . }"),
+            std::string("SELECT * WHERE { ?x ?p ?y . }")}) {
+        sparql::QueryGraph query = testutil::ParseQueryOrDie(text);
+        Result<QueryResponse> a =
+            pruned.Execute(QueryRequest::FromQuery(query));
+        Result<QueryResponse> b = full.Execute(QueryRequest::FromQuery(query));
+        ASSERT_TRUE(a.ok() && b.ok());
+        EXPECT_EQ(testutil::RowSet(a->bindings),
+                  testutil::RowSet(b->bindings))
+            << text;
+        EXPECT_EQ(testutil::RowSet(a->bindings),
+                  testutil::RowSet(testutil::GroundTruth(graph, query)));
+        EXPECT_EQ(b->stats.sites_pruned, 0u);
+        EXPECT_LE(a->stats.sites_evaluated, b->stats.sites_evaluated);
+      }
     }
   }
 }
@@ -352,17 +359,56 @@ TEST(SitePruningTest, AccountingAddsUp) {
   Rng rng(5);
   RdfGraph graph = testutil::RandomGraph(rng, 60, 180, 4, 12);
   partition::PartitionerOptions options{.k = 4, .epsilon = 0.2, .seed = 2};
-  Cluster cluster = Cluster::Build(
-      partition::SubjectHashPartitioner(options).Partition(graph));
-  DistributedExecutor executor(cluster, graph);
+  const Cluster clusters[] = {
+      Cluster::Build(
+          partition::SubjectHashPartitioner(options).Partition(graph)),
+      Cluster::Build(partition::VpPartitioner(options).Partition(graph))};
   sparql::QueryGraph query = testutil::ParseQueryOrDie(
       "SELECT * WHERE { ?a <t:p0> ?b . ?b <t:p1> ?c . ?c <t:p2> ?d . }");
-  Result<QueryResponse> response =
-      executor.Execute(QueryRequest::FromQuery(query));
-  ASSERT_TRUE(response.ok());
-  const ExecutionStats& stats = response->stats;
-  EXPECT_EQ(stats.sites_evaluated + stats.sites_pruned,
-            static_cast<size_t>(cluster.k()) * stats.num_subqueries);
+  for (const Cluster& cluster : clusters) {
+    DistributedExecutor executor(cluster, graph);
+    Result<QueryResponse> response =
+        executor.Execute(QueryRequest::FromQuery(query));
+    ASSERT_TRUE(response.ok());
+    const ExecutionStats& stats = response->stats;
+    EXPECT_EQ(stats.sites_evaluated + stats.sites_pruned,
+              static_cast<size_t>(cluster.k()) * stats.num_subqueries);
+  }
+}
+
+// A pattern naming a property absent from the data, or a constant absent
+// from the dictionary, matches nowhere: its sub-BGP contacts no site, on
+// a vertex-disjoint and on an edge-disjoint partitioning alike.
+TEST(SitePruningTest, ImpossiblePatternContactsNoSite) {
+  Rng rng(7);
+  RdfGraph graph = testutil::RandomGraph(rng, 60, 200, 5, 12, 0.15);
+  partition::PartitionerOptions base{.k = 4, .epsilon = 0.3, .seed = 2};
+  core::MpcOptions mpc_options;
+  mpc_options.base = base;
+  const Cluster clusters[] = {
+      Cluster::Build(core::MpcPartitioner(mpc_options).Partition(graph)),
+      Cluster::Build(partition::VpPartitioner(base).Partition(graph))};
+  for (const Cluster& cluster : clusters) {
+    DistributedExecutor executor(cluster, graph);
+    for (const std::string text :
+         {"SELECT * WHERE { ?x <t:ghost> ?y . }",
+          "SELECT * WHERE { ?x <t:p0> <t:nowhere> . }"}) {
+      const sparql::QueryGraph query = testutil::ParseQueryOrDie(text);
+      Result<QueryResponse> response =
+          executor.Execute(QueryRequest::FromQuery(query));
+      ASSERT_TRUE(response.ok()) << text;
+      const ExecutionStats& stats = response->stats;
+      ASSERT_EQ(stats.num_subqueries, 1u) << text;
+      EXPECT_EQ(stats.sites_evaluated, 0u) << text;
+      EXPECT_EQ(stats.sites_pruned, cluster.k()) << text;
+      const store::ResolvedQuery resolved = store::ResolveQuery(query, graph);
+      const std::vector<size_t> all = {0};
+      EXPECT_EQ(response->bindings.var_ids,
+                SchemaTable(resolved, all).var_ids)
+          << text;
+      EXPECT_EQ(response->bindings.num_rows(), 0u) << text;
+    }
+  }
 }
 
 TEST(SitePruningTest, ConcentratedPropertySkipsMostSites) {

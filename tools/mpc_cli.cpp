@@ -71,7 +71,7 @@
 // bit-identical between the two backends. `serve --remote` packs the
 // same segments itself before it spawns its workers, and each `site`
 // worker decodes its own into an in-memory store: no worker parses the
-// graph. Packing and opening go through the shared site loader in
+// graph, and both commands refuse --store=segment. Packing and opening go through the shared site loader in
 // exec/cluster.h, so every command refuses a segment packed for another
 // partitioning or another site the same way.
 //
@@ -606,10 +606,6 @@ int CmdExplain(const Flags& flags) {
     std::cerr << query.status().ToString() << "\n";
     return 1;
   }
-  if (partitioning.kind() != partition::PartitioningKind::kVertexDisjoint) {
-    std::cerr << "explain requires a vertex-disjoint partitioning\n";
-    return 1;
-  }
   exec::Cluster cluster =
       exec::Cluster::Build(std::move(partitioning), flags.threads);
   std::cout << exec::ExplainQuery(*query, cluster.partitioning(), graph,
@@ -630,27 +626,16 @@ int CmdClassifyOrQuery(const Flags& flags, bool execute) {
     return 1;
   }
 
-  if (partitioning.kind() == partition::PartitioningKind::kVertexDisjoint) {
-    exec::Classification cls =
-        exec::ClassifyQuery(*query, partitioning, graph);
-    std::cout << "class:      " << exec::IeqClassName(cls.cls) << "\n"
-              << "independent: "
-              << (cls.independently_executable() ? "yes (union only)"
-                                                 : "no (join needed)")
-              << "\ncrossing patterns: " << cls.num_crossing_patterns
-              << " / " << query->num_patterns() << "\n";
-    if (!cls.independently_executable()) {
-      exec::Decomposition dec =
-          exec::DecomposeQuery(*query, cls.crossing_pattern);
-      std::cout << "decomposes into " << dec.num_subqueries()
-                << " subqueries\n";
-    }
-  } else {
-    std::cout << "edge-disjoint (VP) partitioning; local: "
-              << (exec::IsVpLocalQuery(*query, partitioning, graph)
-                      ? "yes"
-                      : "no")
-              << "\n";
+  const exec::QueryPlan plan = exec::PlanQuery(*query, partitioning, graph);
+  std::cout << "class:      " << exec::IeqClassName(plan.classification.cls)
+            << "\nindependent: "
+            << (plan.union_only ? "yes (union only)" : "no (join needed)")
+            << "\ncrossing patterns: "
+            << plan.classification.num_crossing_patterns << " / "
+            << query->num_patterns() << "\n";
+  if (!plan.union_only) {
+    std::cout << "decomposes into " << plan.decomposition.num_subqueries()
+              << " subqueries\n";
   }
   if (!execute) return 0;
 
@@ -951,6 +936,11 @@ int CmdSite(const Flags& flags) {
     std::cerr << "site requires --socket=PATH\n";
     return 2;
   }
+  if (flags.store == "segment") {
+    std::cerr << "site does not take --store=segment (a worker always "
+                 "loads its packed segment into memory)\n";
+    return 2;
+  }
   InstallDrainHandlers();
   exec::SiteWorkerOptions options;
   options.partition_dir = flags.positional[0];
@@ -979,6 +969,11 @@ int CmdServe(const Flags& flags) {
   if (flags.remote && !flags.updates_file.empty()) {
     std::cerr << "--remote and --updates are mutually exclusive (the "
                  "workers serve the partitioning they were started with)\n";
+    return 2;
+  }
+  if (flags.remote && flags.store == "segment") {
+    std::cerr << "--remote does not take --store=segment (the workers "
+                 "always load the coordinator's segments into memory)\n";
     return 2;
   }
   InstallDrainHandlers();
