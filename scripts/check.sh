@@ -23,7 +23,9 @@
 #  - a remote-cluster chaos smoke runs `mpc serve --remote` over 4 real
 #    `mpc site` worker processes, SIGKILLs one mid-reply, and checks both
 #    recovery via supervisor respawn and coverage-bounded best-effort
-#    degradation, plus SIGTERM graceful drain of worker and coordinator;
+#    degradation, plus SIGTERM graceful drain of worker and coordinator,
+#    and requires `mpc site` and `mpc serve --remote` to refuse
+#    --store=segment with exit 2;
 #  - a live-introspection smoke drives `mpc top` / SIGUSR1 / the
 #    slow-query log against a chaos remote serve run and validates a
 #    retained per-query trace with `trace_check merged`;
@@ -32,7 +34,9 @@
 #    the induced drift without a single full repartition;
 #  - a localization smoke requires `mpc query` to contact one site of
 #    eight for a LUBM query anchored at a constant, and `mpc explain` to
-#    name that constant's owner;
+#    name that constant's owner; on a VP partitioning of the same sample
+#    `mpc explain` must list each subquery's sites and `mpc query` must
+#    count the same results;
 #  - a serving-benchmark smoke replays a short dbpedia_log query-log
 #    profile through servebench, whose oracle checks every answer;
 #  - the tracer and metrics tests run under ThreadSanitizer, since their
@@ -298,6 +302,20 @@ EOF
   echo "remote bound: ${remote_bound}  simulator bound: ${sim_bound}"
   [[ "${remote_bound}" == "${sim_bound}" ]]
 
+  echo "--- --store=segment is refused by site and serve --remote ---"
+  local refused=0
+  "${dir}/tools/mpc" site "${tmp}/part" --site=0 \
+    --socket="${tmp}/refused.sock" --store=segment \
+    > "${tmp}/refused.out" 2>&1 || refused=$?
+  [[ "${refused}" -eq 2 ]]
+  grep -q -- "--store=segment" "${tmp}/refused.out"
+  refused=0
+  "${dir}/tools/mpc" serve "${tmp}/g.nt" "${tmp}/part" \
+    --queries="${tmp}/q.txt" --remote --socket-dir="${tmp}" \
+    --store=segment > "${tmp}/refused.out" 2>&1 || refused=$?
+  [[ "${refused}" -eq 2 ]]
+  grep -q -- "--store=segment" "${tmp}/refused.out"
+
   echo "--- C: SIGTERM graceful drain (worker + coordinator) ---"
   "${dir}/tools/mpc" site "${tmp}/part" \
     --site=0 --socket="${tmp}/drain.sock" > "${tmp}/site.out" &
@@ -444,6 +462,30 @@ localization_smoke() {
     "${lq1}")"
   grep -q "owner-localized: <http://example.org/lubm/Course0> is owned by site" \
     <<< "${out}"
+  # VP is a plan too: explain shows where each subquery goes, and the
+  # query answers as many rows as on MPC.
+  "${dir}/tools/mpc" partition "${tmp}/mpc_sample.nt" "${tmp}/vp" \
+    --strategy=vp --k=4
+  out="$("${dir}/tools/mpc" explain "${tmp}/mpc_sample.nt" "${tmp}/vp" \
+    "${lq1}")"
+  echo "${out}"
+  local subqueries site_lines
+  subqueries="$(grep -c "^subquery " <<< "${out}" || true)"
+  site_lines="$(grep -c "^  sites:" <<< "${out}" || true)"
+  [[ "${subqueries}" -gt 0 && "${subqueries}" -eq "${site_lines}" ]]
+  # LQ1 has no answer on this sample (Course0 is taken by undergraduates
+  # only), so its undergraduate variant checks a non-empty join too.
+  local lq1_ug="${lq1/GraduateStudent0/UndergraduateStudent0}"
+  local query mpc_results vp_results
+  for query in "${lq1}" "${lq1_ug}"; do
+    mpc_results="$("${dir}/tools/mpc" query "${tmp}/mpc_sample.nt" \
+      "${tmp}/part" "${query}" | grep -oE "^results: [0-9,]+")"
+    vp_results="$("${dir}/tools/mpc" query "${tmp}/mpc_sample.nt" \
+      "${tmp}/vp" "${query}" | grep -oE "^results: [0-9,]+")"
+    echo "MPC ${mpc_results}; VP ${vp_results}"
+    [[ -n "${mpc_results}" && "${mpc_results}" == "${vp_results}" ]]
+  done
+  [[ "${vp_results}" != "results: 0" ]]
   echo "localization smoke passed"
 }
 

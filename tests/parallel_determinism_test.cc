@@ -3,6 +3,7 @@
 // tests pin that for the partitioning pipeline, the chunked N-Triples
 // parse and the concurrent per-site executor on real generated datasets.
 
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,6 +18,15 @@
 #include "rdf/ntriples.h"
 #include "test_util.h"
 #include "workload/datasets.h"
+
+namespace mpc::workload {
+
+/// Parameters print as their dataset's name (gtest's default prints the
+/// enum's raw bytes). Found by argument-dependent lookup, so it lives in
+/// DatasetId's namespace.
+void PrintTo(DatasetId id, std::ostream* os) { *os << DatasetName(id); }
+
+}  // namespace mpc::workload
 
 namespace mpc {
 namespace {
