@@ -281,8 +281,8 @@ struct SiteSelection {
 ///    know skips this rule.
 /// On an edge-disjoint (VP) partitioning a property is stored at its
 /// home site only, so presence alone selects that site (all k for a
-/// variable predicate). DESIGN.md §5 has the proof. Both the executor and `mpc explain`
-/// select sites here.
+/// variable predicate). DESIGN.md §5 has the proof. Both the executor
+/// and `mpc explain` select sites here.
 SiteSelection SelectSites(const ClusterBackend& cluster,
                           const store::ResolvedQuery& resolved,
                           const std::vector<bool>& crossing_pattern,

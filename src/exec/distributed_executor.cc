@@ -276,7 +276,46 @@ Result<BindingTable> DistributedExecutor::ExecutePlan(
       stats->independent
           ? std::move(subquery_results.front())
           : JoinAtCoordinator(std::move(subquery_results), stats);
-  return Finish(query, run, std::move(final_table), classify_millis);
+
+  // --- Modeled network: one query dispatch per site contacted, one
+  // transfer per site evaluation. ---
+  size_t contacted = 0;
+  for (uint8_t c : run->contacted) contacted += c;
+  stats->decomposition_millis =
+      classify_millis + options_.network.DispatchMillis(contacted);
+  stats->network_millis = options_.network.TransferMillis(
+      stats->shipped_bytes, stats->sites_evaluated);
+
+  // --- Partial-result accounting (best-effort only; kFail returned
+  // earlier). Lost contributions make the answer a subset of the true
+  // result; the replication analysis bounds what survived (VP keeps no
+  // replicas: its bound only reflects how much data survived at all). ---
+  if (stats->sites_failed > 0) {
+    stats->complete = false;
+    const ReplicaCoverage coverage =
+        cluster_.ComputeReplicaCoverage(run->avail);
+    stats->failed_site_vertices = coverage.failed_owned_vertices;
+    stats->replicated_failed_vertices = coverage.replicated_on_live;
+    stats->completeness_bound =
+        graph_.num_edges() == 0
+            ? 1.0
+            : 1.0 - static_cast<double>(coverage.lost_triples) /
+                        static_cast<double>(graph_.num_edges());
+    if (run->avail.num_down() > 0) {
+      stats->failover_hits = CountReplicaServedRows(
+          final_table, run->resolved, cluster_.partitioning(), run->avail);
+    }
+  }
+
+  final_table.SortColumnsAscending();
+  if (query.limit() != SIZE_MAX && final_table.rows.size() > query.limit()) {
+    final_table.rows.resize(query.limit());
+  }
+  stats->num_results = final_table.num_rows();
+  stats->total_millis = stats->decomposition_millis +
+                        stats->local_eval_millis + stats->join_millis +
+                        stats->network_millis;
+  return final_table;
 }
 
 Result<BindingTable> DistributedExecutor::ScatterGather(
@@ -356,49 +395,6 @@ Result<BindingTable> DistributedExecutor::ScatterGather(
   // with the right columns, so downstream joins see the schema.
   if (!answered) return SchemaTable(run->resolved, patterns);
   return merged;
-}
-
-BindingTable DistributedExecutor::Finish(const sparql::QueryGraph& query,
-                                         QueryRun* run, BindingTable table,
-                                         double plan_millis) const {
-  ExecutionStats* stats = run->stats;
-  size_t contacted = 0;
-  for (uint8_t c : run->contacted) contacted += c;
-  stats->decomposition_millis =
-      plan_millis + options_.network.DispatchMillis(contacted);
-  stats->network_millis = options_.network.TransferMillis(
-      stats->shipped_bytes, stats->sites_evaluated);
-
-  // --- Partial-result accounting (best-effort only; kFail returned
-  // earlier). Lost contributions make the answer a subset of the true
-  // result; the replication analysis bounds what survived (VP keeps no
-  // replicas: its bound only reflects how much data survived at all). ---
-  if (stats->sites_failed > 0) {
-    stats->complete = false;
-    const ReplicaCoverage coverage =
-        cluster_.ComputeReplicaCoverage(run->avail);
-    stats->failed_site_vertices = coverage.failed_owned_vertices;
-    stats->replicated_failed_vertices = coverage.replicated_on_live;
-    stats->completeness_bound =
-        graph_.num_edges() == 0
-            ? 1.0
-            : 1.0 - static_cast<double>(coverage.lost_triples) /
-                        static_cast<double>(graph_.num_edges());
-    if (run->avail.num_down() > 0) {
-      stats->failover_hits = CountReplicaServedRows(
-          table, run->resolved, cluster_.partitioning(), run->avail);
-    }
-  }
-
-  table.SortColumnsAscending();
-  if (query.limit() != SIZE_MAX && table.rows.size() > query.limit()) {
-    table.rows.resize(query.limit());
-  }
-  stats->num_results = table.num_rows();
-  stats->total_millis = stats->decomposition_millis +
-                        stats->local_eval_millis + stats->join_millis +
-                        stats->network_millis;
-  return table;
 }
 
 }  // namespace mpc::exec

@@ -117,9 +117,10 @@ class DistributedExecutor {
   };
   using VarFilters = std::vector<std::unique_ptr<BloomFilter>>;
 
-  /// Plans the query (or takes `plan`), then runs ScatterGather per
-  /// subquery and joins the tables at the coordinator unless the plan
-  /// is union-only.
+  /// Plans the query (or takes `plan`), runs ScatterGather per
+  /// subquery, joins the tables at the coordinator unless the plan is
+  /// union-only, then charges the modeled network, accounts for partial
+  /// results, orders the columns and applies LIMIT.
   Result<store::BindingTable> ExecutePlan(const sparql::QueryGraph& query,
                                           ExecStrategy strategy,
                                           const QueryPlan* plan,
@@ -141,14 +142,6 @@ class DistributedExecutor {
                                             std::span<const uint32_t> sites,
                                             size_t step,
                                             const VarFilters* filters) const;
-
-  /// The shared tail of every plan: network charges (one transfer per
-  /// site evaluation, one query dispatch per site contacted, on top of
-  /// the measured `plan_millis`), partial-result accounting, canonical
-  /// column order, LIMIT and the totals.
-  store::BindingTable Finish(const sparql::QueryGraph& query, QueryRun* run,
-                             store::BindingTable table,
-                             double plan_millis) const;
 
   const ClusterBackend& cluster_;
   const rdf::RdfGraph& graph_;

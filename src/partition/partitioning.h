@@ -78,8 +78,8 @@ class Partitioning {
 
   /// Materializes an edge-disjoint (VP-style) partitioning from a triple
   /// assignment: triple_part[i] gives the partition of graph.triples()[i].
-  /// Also records, per partition, which properties it holds (used by the
-  /// VP executor to decide whether a query touches one site only).
+  /// Also records each property's home partition (used by PlanQuery to
+  /// decide whether a VP query touches one site only).
   /// num_threads parallelizes the per-site vertex dedup, deterministically.
   static Partitioning MaterializeEdgeDisjoint(
       const rdf::RdfGraph& graph, uint32_t k,

@@ -71,9 +71,10 @@
 // bit-identical between the two backends. `serve --remote` packs the
 // same segments itself before it spawns its workers, and each `site`
 // worker decodes its own into an in-memory store: no worker parses the
-// graph, and both commands refuse --store=segment. Packing and opening go through the shared site loader in
-// exec/cluster.h, so every command refuses a segment packed for another
-// partitioning or another site the same way.
+// graph, and both commands refuse --store=segment. Packing and opening
+// go through the shared site loader in exec/cluster.h, so every command
+// refuses a segment packed for another partitioning or another site the
+// same way.
 //
 // The SPARQL argument may be a file path or an inline query string.
 // --threads=0 (the default) uses every hardware thread; --threads=1 runs
