@@ -25,7 +25,7 @@
 #    recovery via supervisor respawn and coverage-bounded best-effort
 #    degradation, plus SIGTERM graceful drain of worker and coordinator,
 #    and requires `mpc site` and `mpc serve --remote` to refuse
-#    --store=segment with exit 2;
+#    --store=segment, and `mpc site` to refuse --threads, with exit 2;
 #  - a live-introspection smoke drives `mpc top` / SIGUSR1 / the
 #    slow-query log against a chaos remote serve run and validates a
 #    retained per-query trace with `trace_check merged`;
@@ -302,7 +302,7 @@ EOF
   echo "remote bound: ${remote_bound}  simulator bound: ${sim_bound}"
   [[ "${remote_bound}" == "${sim_bound}" ]]
 
-  echo "--- --store=segment is refused by site and serve --remote ---"
+  echo "--- site and serve --remote refuse --store=segment, site --threads ---"
   local refused=0
   "${dir}/tools/mpc" site "${tmp}/part" --site=0 \
     --socket="${tmp}/refused.sock" --store=segment \
@@ -315,6 +315,12 @@ EOF
     --store=segment > "${tmp}/refused.out" 2>&1 || refused=$?
   [[ "${refused}" -eq 2 ]]
   grep -q -- "--store=segment" "${tmp}/refused.out"
+  refused=0
+  "${dir}/tools/mpc" site "${tmp}/part" --site=0 \
+    --socket="${tmp}/refused.sock" --threads=0 \
+    > "${tmp}/refused.out" 2>&1 || refused=$?
+  [[ "${refused}" -eq 2 ]]
+  grep -q -- "--threads" "${tmp}/refused.out"
 
   echo "--- C: SIGTERM graceful drain (worker + coordinator) ---"
   "${dir}/tools/mpc" site "${tmp}/part" \
@@ -729,14 +735,18 @@ run_config build-ubsan -DMPC_SANITIZE=undefined
 # share one fleet's per-site connections, which a pipelined batch locks
 # several at a time. The site-pruning test covers the overlay snapshot
 # the localization rule reads ownership from. The segment test probes
-# one SegmentStore (and its restart index) from four threads.
+# one SegmentStore (and its restart index) from four threads. The pool,
+# parse and determinism tests run here because every ParallelFor shares
+# one process-wide pool: nested and concurrent callers, the sharded
+# N-Triples parse and the selectors' per-thread scratch all meet there.
 echo "=== configure+build: build-tsan (-DMPC_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DMPC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${JOBS}" \
   --target obs_trace_test obs_metrics_test obs_snapshot_test \
   trace_context_test serve_test dynamic_test migration_test \
   executor_test fault_tolerance_test site_pruning_test segment_test \
-  net_frame_test remote_cluster_test mpc_cli trace_check
+  net_frame_test remote_cluster_test thread_pool_test \
+  parallel_determinism_test ntriples_test mpc_cli trace_check
 echo "=== tracer/metrics/serving/executor tests under tsan ==="
 ./build-tsan/tests/obs_trace_test
 ./build-tsan/tests/obs_metrics_test
@@ -751,6 +761,9 @@ echo "=== tracer/metrics/serving/executor tests under tsan ==="
 ./build-tsan/tests/segment_test
 ./build-tsan/tests/net_frame_test
 ./build-tsan/tests/remote_cluster_test
+./build-tsan/tests/thread_pool_test
+./build-tsan/tests/parallel_determinism_test
+./build-tsan/tests/ntriples_test
 serve_smoke build-tsan
 adaptive_smoke build-tsan
 obs_smoke build-tsan

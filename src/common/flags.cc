@@ -153,6 +153,7 @@ void FlagParser::AddChoice(const std::string& name, std::string* out,
 
 Result<std::vector<std::string>> FlagParser::Parse(int argc, char** argv,
                                                    int first) {
+  given_.clear();
   std::vector<std::string> positional;
   for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
@@ -175,6 +176,7 @@ Result<std::vector<std::string>> FlagParser::Parse(int argc, char** argv,
         eq == std::string::npos ? "true" : arg.substr(eq + 1);
     Status st = it->apply(value);
     if (!st.ok()) return st;
+    given_.insert(key);
   }
   return positional;
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,10 @@ class FlagParser {
   /// or InvalidArgument naming the failing flag.
   Result<std::vector<std::string>> Parse(int argc, char** argv, int first);
 
+  /// Names (without "--") of the flags the last Parse saw, so a caller
+  /// can tell an explicit value from the default.
+  const std::set<std::string>& given() const { return given_; }
+
  private:
   struct Flag {
     std::string name;
@@ -48,6 +53,7 @@ class FlagParser {
            bool valueless = false);
 
   std::vector<Flag> flags_;
+  std::set<std::string> given_;
 };
 
 }  // namespace mpc

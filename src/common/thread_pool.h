@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/function_ref.h"
+
 namespace mpc {
 
 /// Resolves a user-facing thread-count option: n >= 1 is taken verbatim,
@@ -24,10 +26,9 @@ int ResolveNumThreads(int num_threads);
 /// stealing, no priorities. Tasks are void() callables; the first
 /// exception a task throws is captured and rethrown from Wait().
 ///
-/// The pool is the shared concurrency substrate for the offline
-/// pipeline: per-property cost evaluation, chunked N-Triples parsing,
-/// per-site partition materialization and per-site BGP matching all run
-/// through it (via ParallelFor below).
+/// One process-wide instance (below) backs every ParallelFor: per-property
+/// cost evaluation, the sharded N-Triples parse, per-site partition
+/// materialization and save, and per-site BGP matching all run through it.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (resolved via ResolveNumThreads).
@@ -62,17 +63,33 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+namespace internal {
+
+/// Runs run_chunk(c) once for every c in [0, num_chunks) on the calling
+/// thread plus up to `threads - 1` workers of the process-wide pool
+/// (created on first use with hardware_concurrency - 1 workers, at least
+/// one). The caller claims chunks too and only waits for chunks that a
+/// worker is already running, so a nested call, or calls from several
+/// threads at once, always finish even when every worker is busy. After
+/// the first exception no further chunk starts; it is rethrown here once
+/// the running chunks have finished.
+void RunChunks(size_t num_chunks, int threads,
+               FunctionRef<void(size_t)> run_chunk);
+
+}  // namespace internal
+
 /// Data-parallel loop: invokes fn(i) for every i in [begin, end). The
 /// range is cut into contiguous chunks of at most `grain` indices and
-/// the chunks are executed by ResolveNumThreads(num_threads) workers.
+/// the chunks are executed by the caller plus at most
+/// ResolveNumThreads(num_threads) - 1 workers of the process-wide pool.
 ///
-/// With one worker (or a single chunk) this degenerates to the plain
-/// serial loop — no pool is created. Chunk boundaries depend only on
-/// (begin, end, grain), never on the worker count, and workers only
-/// decide *when* a chunk runs, not what it computes — so callers that
-/// write results into per-index (or per-chunk) slots get bit-identical
-/// output at every thread count. The first exception thrown by fn
-/// propagates to the caller.
+/// With one thread (or a single chunk) this is the plain serial loop on
+/// the calling thread; the pool is not touched. Chunk boundaries depend
+/// only on (begin, end, grain), never on the thread count, and threads
+/// only decide *when* a chunk runs, not what it computes — so callers
+/// that write results into per-index (or per-chunk) slots get
+/// bit-identical output at every thread count. The first exception
+/// thrown by fn propagates to the caller.
 template <typename Fn>
 void ParallelFor(size_t begin, size_t end, size_t grain, int num_threads,
                  Fn&& fn) {
@@ -80,22 +97,16 @@ void ParallelFor(size_t begin, size_t end, size_t grain, int num_threads,
   if (grain == 0) grain = 1;
   const size_t count = end - begin;
   const size_t num_chunks = (count + grain - 1) / grain;
-  int threads = ResolveNumThreads(num_threads);
+  const int threads = ResolveNumThreads(num_threads);
   if (threads <= 1 || num_chunks <= 1) {
     for (size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  threads = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(threads), num_chunks));
-  ThreadPool pool(threads);
-  for (size_t c = 0; c < num_chunks; ++c) {
+  internal::RunChunks(num_chunks, threads, [&](size_t c) {
     const size_t lo = begin + c * grain;
     const size_t hi = std::min(end, lo + grain);
-    pool.Submit([lo, hi, &fn] {
-      for (size_t i = lo; i < hi; ++i) fn(i);
-    });
-  }
-  pool.Wait();
+    for (size_t i = lo; i < hi; ++i) fn(i);
+  });
 }
 
 }  // namespace mpc

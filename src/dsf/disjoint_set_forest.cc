@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 namespace mpc::dsf {
 
@@ -86,43 +85,67 @@ void DisjointSetForest::AddEdges(std::span<const rdf::Triple> edges) {
 }
 
 std::vector<uint32_t> DisjointSetForest::ComponentLabels() {
+  constexpr uint32_t kUnlabelled = UINT32_MAX;
   std::vector<uint32_t> labels(parent_.size());
-  std::unordered_map<uint32_t, uint32_t> root_to_label;
-  root_to_label.reserve(num_components_);
+  std::vector<uint32_t> label_of_root(parent_.size(), kUnlabelled);
+  uint32_t next_label = 0;
   for (size_t v = 0; v < parent_.size(); ++v) {
-    uint32_t root = Find(static_cast<uint32_t>(v));
-    auto [it, inserted] = root_to_label.emplace(
-        root, static_cast<uint32_t>(root_to_label.size()));
-    labels[v] = it->second;
+    const uint32_t root = Find(static_cast<uint32_t>(v));
+    if (label_of_root[root] == kUnlabelled) label_of_root[root] = next_label++;
+    labels[v] = label_of_root[root];
   }
   return labels;
 }
 
 namespace {
 
-/// Tiny array-backed union-find over dense local ids; used by the two
-/// touched-vertices-only computations below.
+/// Union-find over the few keys (vertices, or roots of a base forest) one
+/// property's edges touch, for the two touched-keys-only computations
+/// below. A key finds its local id through a dense slot array indexed by
+/// the key itself: one array per thread, grown to the largest key seen and
+/// reset through the touched-key list when the forest dies, so an
+/// evaluation costs O(|edges| α) with no hashing and, once warm, no
+/// allocation. At most one LocalForest may live per thread at a time.
 class LocalForest {
  public:
+  LocalForest() : scratch_(ThreadScratch()) {}
+
+  ~LocalForest() {
+    for (uint32_t key : scratch_.keys) scratch_.slot[key] = kNoSlot;
+    scratch_.keys.clear();
+    scratch_.parent.clear();
+    scratch_.size.clear();
+  }
+
+  LocalForest(const LocalForest&) = delete;
+  LocalForest& operator=(const LocalForest&) = delete;
+
   /// Returns the local id for `key`, creating a singleton of weight
   /// `initial_size` on first sight.
   uint32_t LocalId(uint32_t key, uint32_t initial_size) {
-    auto [it, inserted] = ids_.emplace(
-        key, static_cast<uint32_t>(parent_.size()));
-    if (inserted) {
-      parent_.push_back(it->second);
-      size_.push_back(initial_size);
+    if (key >= scratch_.slot.size()) {
+      scratch_.slot.resize(std::max<size_t>(key + 1,
+                                            2 * scratch_.slot.size()),
+                           kNoSlot);
+    }
+    uint32_t& slot = scratch_.slot[key];
+    if (slot == kNoSlot) {
+      slot = static_cast<uint32_t>(scratch_.parent.size());
+      scratch_.keys.push_back(key);
+      scratch_.parent.push_back(slot);
+      scratch_.size.push_back(initial_size);
       max_size_ = std::max<size_t>(max_size_, initial_size);
     }
-    return it->second;
+    return slot;
   }
 
   uint32_t Find(uint32_t x) {
+    std::vector<uint32_t>& parent = scratch_.parent;
     uint32_t root = x;
-    while (parent_[root] != root) root = parent_[root];
-    while (parent_[x] != root) {
-      uint32_t next = parent_[x];
-      parent_[x] = root;
+    while (parent[root] != root) root = parent[root];
+    while (parent[x] != root) {
+      uint32_t next = parent[x];
+      parent[x] = root;
       x = next;
     }
     return root;
@@ -132,19 +155,32 @@ class LocalForest {
     uint32_t ra = Find(a);
     uint32_t rb = Find(b);
     if (ra == rb) return;
+    std::vector<uint32_t>& size = scratch_.size;
     // Union by size (weights differ, so size beats rank here).
-    if (size_[ra] < size_[rb]) std::swap(ra, rb);
-    parent_[rb] = ra;
-    size_[ra] += size_[rb];
-    max_size_ = std::max<size_t>(max_size_, size_[ra]);
+    if (size[ra] < size[rb]) std::swap(ra, rb);
+    scratch_.parent[rb] = ra;
+    size[ra] += size[rb];
+    max_size_ = std::max<size_t>(max_size_, size[ra]);
   }
 
   size_t max_size() const { return max_size_; }
 
  private:
-  std::unordered_map<uint32_t, uint32_t> ids_;
-  std::vector<uint32_t> parent_;
-  std::vector<uint32_t> size_;
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  struct Scratch {
+    std::vector<uint32_t> slot;  // key -> local id, kNoSlot when untouched
+    std::vector<uint32_t> keys;  // touched keys, for the reset
+    std::vector<uint32_t> parent;
+    std::vector<uint32_t> size;
+  };
+
+  static Scratch& ThreadScratch() {
+    thread_local Scratch scratch;
+    return scratch;
+  }
+
+  Scratch& scratch_;
   size_t max_size_ = 0;
 };
 
@@ -162,18 +198,26 @@ size_t MaxWccOfEdges(std::span<const rdf::Triple> edges) {
 
 size_t TrialMergeMaxComponent(const DisjointSetForest& base,
                               std::span<const rdf::Triple> edges) {
+  return TrialMergeMaxComponent(base, {edges});
+}
+
+size_t TrialMergeMaxComponent(
+    const DisjointSetForest& base,
+    std::initializer_list<std::span<const rdf::Triple>> edge_runs) {
   // Roots of `base` act as supervertices weighted by their component
-  // sizes; the candidate property's edges union them locally.
+  // sizes; the runs' edges union them locally.
   LocalForest forest;
-  for (const rdf::Triple& t : edges) {
-    uint32_t root_s = base.FindNoCompress(t.subject);
-    uint32_t root_o = base.FindNoCompress(t.object);
-    if (root_s == root_o) continue;  // already one component in base
-    uint32_t a = forest.LocalId(
-        root_s, static_cast<uint32_t>(base.SizeOfRoot(root_s)));
-    uint32_t b = forest.LocalId(
-        root_o, static_cast<uint32_t>(base.SizeOfRoot(root_o)));
-    forest.Union(a, b);
+  for (std::span<const rdf::Triple> edges : edge_runs) {
+    for (const rdf::Triple& t : edges) {
+      uint32_t root_s = base.FindNoCompress(t.subject);
+      uint32_t root_o = base.FindNoCompress(t.object);
+      if (root_s == root_o) continue;  // already one component in base
+      uint32_t a = forest.LocalId(
+          root_s, static_cast<uint32_t>(base.SizeOfRoot(root_s)));
+      uint32_t b = forest.LocalId(
+          root_o, static_cast<uint32_t>(base.SizeOfRoot(root_o)));
+      forest.Union(a, b);
+    }
   }
   return std::max(base.max_component_size(), forest.max_size());
 }

@@ -2,6 +2,7 @@
 #define MPC_DSF_DISJOINT_SET_FOREST_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -111,6 +112,11 @@ size_t MaxWccOfEdges(std::span<const rdf::Triple> edges);
 /// evaluation costs O(|edges(p)| α) instead of O(|V|).
 size_t TrialMergeMaxComponent(const DisjointSetForest& base,
                               std::span<const rdf::Triple> edges);
+
+/// The same over several edge runs at once: Cost(base ∪ every run).
+size_t TrialMergeMaxComponent(
+    const DisjointSetForest& base,
+    std::initializer_list<std::span<const rdf::Triple>> edge_runs);
 
 }  // namespace mpc::dsf
 

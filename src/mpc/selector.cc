@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <queue>
-#include <unordered_set>
+#include <span>
 
 #include "common/thread_pool.h"
 #include "dsf/disjoint_set_forest.h"
@@ -20,6 +20,19 @@ size_t BalanceCap(const rdf::RdfGraph& graph, uint32_t k, double epsilon) {
 }
 
 namespace {
+
+/// ParallelFor grain for loops over vertices.
+constexpr size_t kVertexGrain = 4096;
+
+/// ParallelFor grain for loops over properties, which do work in
+/// proportion to their edges: chunks of about 4,096 edges on average, so
+/// property-rich graphs do not pay one pool hand-off per tiny property.
+size_t PropertyGrain(const rdf::RdfGraph& graph) {
+  constexpr size_t kEdgesPerChunk = 4096;
+  if (graph.num_edges() == 0) return graph.num_properties();
+  return std::max<size_t>(
+      1, graph.num_properties() * kEdgesPerChunk / graph.num_edges());
+}
 
 SelectionResult MakeEmptyResult(size_t num_properties) {
   SelectionResult result;
@@ -47,6 +60,17 @@ void FlushSelectorMetrics(const SelectionResult& result, size_t num_props,
 
 }  // namespace
 
+std::vector<size_t> SingletonCosts(const rdf::RdfGraph& graph,
+                                   int num_threads) {
+  std::vector<size_t> cost(graph.num_properties());
+  ParallelFor(0, cost.size(), PropertyGrain(graph), num_threads,
+              [&](size_t p) {
+                cost[p] = dsf::MaxWccOfEdges(graph.EdgesWithProperty(
+                    static_cast<rdf::PropertyId>(p)));
+              });
+  return cost;
+}
+
 SelectionResult GreedySelector::Select(const rdf::RdfGraph& graph) const {
   const size_t num_props = graph.num_properties();
   const size_t cap = BalanceCap(graph, options_.base.k, options_.base.epsilon);
@@ -59,17 +83,10 @@ SelectionResult GreedySelector::Select(const rdf::RdfGraph& graph) const {
   uint64_t dsf_union_edges = 0;
 
   // Lines 2-4 of Algorithm 1: per-property WCC cost; prune properties
-  // that alone exceed the cap (Section IV-E heuristic 1). Each property's
-  // Cost({p}) uses a forest local to that property's edges, so the costs
+  // that alone exceed the cap (Section IV-E heuristic 1). The costs
   // evaluate in parallel; pruning and heap construction stay serial in
   // property order so the heap contents are thread-count independent.
-  std::vector<size_t> single_cost(num_props);
-  std::vector<size_t> frequency(num_props);
-  ParallelFor(0, num_props, 1, threads, [&](size_t p) {
-    auto edges = graph.EdgesWithProperty(static_cast<rdf::PropertyId>(p));
-    single_cost[p] = dsf::MaxWccOfEdges(edges);
-    frequency[p] = edges.size();
-  });
+  const std::vector<size_t> single_cost = SingletonCosts(graph, threads);
 
   struct Candidate {
     size_t cached_cost;  // lower bound on Cost(L_in ∪ {p})
@@ -91,7 +108,8 @@ SelectionResult GreedySelector::Select(const rdf::RdfGraph& graph) const {
       ++result.pruned_properties;
       continue;
     }
-    heap.push({std::max<size_t>(single_cost[p], 1), frequency[p],
+    heap.push({std::max<size_t>(single_cost[p], 1),
+               graph.PropertyFrequency(static_cast<rdf::PropertyId>(p)),
                static_cast<rdf::PropertyId>(p)});
   }
 
@@ -138,30 +156,63 @@ SelectionResult GreedySelector::Select(const rdf::RdfGraph& graph) const {
 
 SelectionResult BackwardSelector::Select(const rdf::RdfGraph& graph) const {
   const size_t num_props = graph.num_properties();
+  const size_t num_vertices = graph.num_vertices();
   const size_t cap = BalanceCap(graph, options_.base.k, options_.base.epsilon);
   const int threads = ResolveNumThreads(options_.base.num_threads);
   SelectionResult result = MakeEmptyResult(num_props);
   obs::TraceSpan select_span("mpc.select.backward");
   select_span.Attr("properties", static_cast<uint64_t>(num_props))
       .Attr("cap", static_cast<uint64_t>(cap));
+  uint64_t dsf_trial_merges = 0;
   uint64_t dsf_union_edges = 0;
+  const size_t grain = PropertyGrain(graph);
+  const size_t max_candidates =
+      static_cast<size_t>(std::max(options_.backward_candidates, 1));
 
   // Start with every property internal (Section IV-E heuristic 2).
   std::vector<bool> selected(num_props, true);
   size_t num_selected = num_props;
 
+  // Each step's candidates are evaluated against `rest`, the forest over
+  // every selected property outside the set `held_out`. held_out is a
+  // guess made one step ahead (twice as many properties as there are
+  // candidates, the most frequent ones at first), so the forest over all
+  // selected properties is `rest` plus the held-out edges. A step whose
+  // candidates escape the guess adds them to it and rebuilds `rest`.
+  std::vector<uint8_t> held_out(num_props, 0);
+  {
+    std::vector<rdf::PropertyId> by_frequency(num_props);
+    for (size_t p = 0; p < num_props; ++p) {
+      by_frequency[p] = static_cast<rdf::PropertyId>(p);
+    }
+    const size_t guess = std::min(num_props, 2 * max_candidates);
+    std::partial_sort(by_frequency.begin(), by_frequency.begin() + guess,
+                      by_frequency.end(),
+                      [&](rdf::PropertyId a, rdf::PropertyId b) {
+                        const size_t fa = graph.PropertyFrequency(a);
+                        const size_t fb = graph.PropertyFrequency(b);
+                        return fa != fb ? fa > fb : a < b;
+                      });
+    for (size_t i = 0; i < guess; ++i) held_out[by_frequency[i]] = 1;
+  }
+  auto union_selected = [&](dsf::DisjointSetForest* forest, bool held) {
+    for (size_t p = 0; p < num_props; ++p) {
+      if (!selected[p] || (held_out[p] != 0) != held) continue;
+      auto edges = graph.EdgesWithProperty(static_cast<rdf::PropertyId>(p));
+      forest->AddEdges(edges);
+      dsf_union_edges += edges.size();
+    }
+  };
+
   while (true) {
     obs::TraceSpan iter_span("mpc.select.iteration");
     iter_span.Attr("lcross", static_cast<uint64_t>(num_props - num_selected));
     ++result.iterations;
-    // Rebuild the forest over the currently selected properties.
-    dsf::DisjointSetForest forest(graph.num_vertices());
-    for (size_t p = 0; p < num_props; ++p) {
-      if (!selected[p]) continue;
-      auto edges = graph.EdgesWithProperty(static_cast<rdf::PropertyId>(p));
-      forest.AddEdges(edges);
-      dsf_union_edges += edges.size();
-    }
+    // The forest over the currently selected properties.
+    dsf::DisjointSetForest rest(num_vertices);
+    union_selected(&rest, /*held=*/false);
+    dsf::DisjointSetForest forest = rest;
+    union_selected(&forest, /*held=*/true);
     const size_t cost = forest.max_component_size();
     iter_span.Attr("cost", static_cast<uint64_t>(cost));
     if (cost <= cap || num_selected == 0) {
@@ -170,21 +221,23 @@ SelectionResult BackwardSelector::Select(const rdf::RdfGraph& graph) const {
     }
 
     // Identify the largest component's root and the second-largest
-    // component size (the floor any removal can reach this step). The
-    // scan also snapshots every vertex's root: Find() compresses paths
-    // (mutating), so the parallel sections below read this snapshot
-    // instead of touching the forest.
-    std::vector<uint32_t> root_of(graph.num_vertices());
+    // component size (the floor any removal can reach this step). Roots
+    // are looked up in parallel (read-only), then visited in order of
+    // their first vertex, so ties between equal components resolve the
+    // same way every time.
+    std::vector<uint32_t> root_of(num_vertices);
+    ParallelFor(0, num_vertices, kVertexGrain, threads, [&](size_t v) {
+      root_of[v] = forest.FindNoCompress(static_cast<uint32_t>(v));
+    });
     uint32_t giant_root = 0;
     size_t second_max = 0;
     {
-      std::unordered_set<uint32_t> seen_roots;
+      std::vector<uint8_t> seen_root(num_vertices, 0);
       size_t best = 0;
-      for (uint32_t v = 0; v < graph.num_vertices(); ++v) {
-        uint32_t root = forest.Find(v);
-        root_of[v] = root;
-        if (!seen_roots.insert(root).second) continue;
-        size_t size = forest.SizeOfRoot(root);
+      for (uint32_t root : root_of) {
+        if (seen_root[root]) continue;
+        seen_root[root] = 1;
+        const size_t size = forest.SizeOfRoot(root);
         if (size > best) {
           second_max = best;
           best = size;
@@ -197,21 +250,18 @@ SelectionResult BackwardSelector::Select(const rdf::RdfGraph& graph) const {
 
     // Candidates: properties with edges inside the giant component,
     // ranked by their edge count there (removing a heavy property is the
-    // likeliest to shatter it). Counting per property is independent;
-    // each property writes only its own slot.
+    // likeliest to shatter it). An edge of a selected property touching
+    // the giant WCC lies entirely inside it.
     std::vector<size_t> giant_edges(num_props, 0);
-    ParallelFor(0, num_props, 1, threads, [&](size_t p) {
+    ParallelFor(0, num_props, grain, threads, [&](size_t p) {
       if (!selected[p]) return;
       size_t count = 0;
       for (const rdf::Triple& t :
            graph.EdgesWithProperty(static_cast<rdf::PropertyId>(p))) {
-        // An edge of a selected property touching the giant WCC lies
-        // entirely inside it.
         if (root_of[t.subject] == giant_root) ++count;
       }
       giant_edges[p] = count;
     });
-
     std::vector<std::pair<size_t, rdf::PropertyId>> ranked;
     for (size_t p = 0; p < num_props; ++p) {
       if (giant_edges[p] > 0) {
@@ -219,36 +269,63 @@ SelectionResult BackwardSelector::Select(const rdf::RdfGraph& graph) const {
       }
     }
     assert(!ranked.empty());
-    std::sort(ranked.begin(), ranked.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
-    const size_t num_candidates =
-        std::min<size_t>(ranked.size(),
-                         static_cast<size_t>(options_.backward_candidates));
+    const size_t num_candidates = std::min(ranked.size(), max_candidates);
+    // Only the first ranks are read; (count, id) is a total order, so
+    // they come out as a full sort would put them. The next step's guess
+    // is this step's top 2 * max_candidates.
+    const size_t num_ranked = std::min(ranked.size(), 2 * max_candidates);
+    std::partial_sort(ranked.begin(), ranked.begin() + num_ranked,
+                      ranked.end(), [](const auto& a, const auto& b) {
+                        if (a.first != b.first) return a.first > b.first;
+                        return a.second < b.second;
+                      });
+    bool escaped = false;
+    for (size_t c = 0; c < num_candidates; ++c) {
+      uint8_t& held = held_out[ranked[c].second];
+      escaped = escaped || held == 0;
+      held = 1;
+    }
+    if (escaped) {
+      rest = dsf::DisjointSetForest(num_vertices);
+      union_selected(&rest, /*held=*/false);
+    }
+
+    // The giant's edges of the held-out properties, grouped by property:
+    // property p's edges occupy [offset[p], offset[p] + giant_edges[p]).
+    std::vector<size_t> offset(num_props + 1, 0);
+    for (size_t p = 0; p < num_props; ++p) {
+      offset[p + 1] = offset[p] + (held_out[p] != 0 ? giant_edges[p] : 0);
+    }
+    std::vector<rdf::Triple> held_edges(offset[num_props]);
+    for (size_t p = 0; p < num_props; ++p) {
+      if (held_out[p] == 0 || giant_edges[p] == 0) continue;
+      size_t out = offset[p];
+      for (const rdf::Triple& t :
+           graph.EdgesWithProperty(static_cast<rdf::PropertyId>(p))) {
+        if (root_of[t.subject] == giant_root) held_edges[out++] = t;
+      }
+    }
 
     // Exact evaluation of each candidate, restricted to the giant
     // component: removing p can only split the giant; everything else is
     // unchanged, so new_cost = max(second_max, maxWCC(giant minus p)).
-    // Candidates evaluate in parallel, each on its own local forest; the
-    // argmin over candidate rank order stays serial for determinism.
+    // Each candidate trial-merges every held-out giant edge but its own
+    // onto `rest` (Section IV-D); components outside the giant stay at
+    // most second_max. Candidates evaluate in parallel; the argmin over
+    // candidate rank order stays serial for determinism.
+    const std::span<const rdf::Triple> all_held(held_edges);
     std::vector<size_t> candidate_cost(num_candidates);
     ParallelFor(0, num_candidates, 1, threads, [&](size_t c) {
-      rdf::PropertyId candidate = ranked[c].second;
-      dsf::DisjointSetForest local(graph.num_vertices());
-      for (size_t p = 0; p < num_props; ++p) {
-        if (!selected[p] || p == candidate) continue;
-        for (const rdf::Triple& t :
-             graph.EdgesWithProperty(static_cast<rdf::PropertyId>(p))) {
-          if (root_of[t.subject] != giant_root) continue;
-          local.Union(t.subject, t.object);
-        }
-      }
-      // local's max component counts singletons as 1, which is correct:
-      // giant vertices isolated by the removal become singleton WCCs.
-      candidate_cost[c] = std::max(second_max, local.max_component_size());
+      const size_t lo = offset[ranked[c].second];
+      const size_t hi = offset[ranked[c].second + 1];
+      // A singleton counts as 1, which is correct: giant vertices
+      // isolated by the removal become singleton WCCs.
+      candidate_cost[c] = std::max(
+          second_max,
+          dsf::TrialMergeMaxComponent(
+              rest, {all_held.subspan(0, lo), all_held.subspan(hi)}));
     });
+    dsf_trial_merges += num_candidates;
     rdf::PropertyId best_property = ranked[0].second;
     size_t best_new_cost = SIZE_MAX;
     for (size_t c = 0; c < num_candidates; ++c) {
@@ -259,6 +336,8 @@ SelectionResult BackwardSelector::Select(const rdf::RdfGraph& graph) const {
     }
     selected[best_property] = false;
     --num_selected;
+    std::fill(held_out.begin(), held_out.end(), 0);
+    for (size_t r = 0; r < num_ranked; ++r) held_out[ranked[r].second] = 1;
   }
 
   result.internal = std::move(selected);
@@ -266,8 +345,7 @@ SelectionResult BackwardSelector::Select(const rdf::RdfGraph& graph) const {
   select_span.Attr("iterations", static_cast<uint64_t>(result.iterations))
       .Attr("internal", static_cast<uint64_t>(result.num_internal))
       .Attr("final_cost", static_cast<uint64_t>(result.final_cost));
-  FlushSelectorMetrics(result, num_props, /*dsf_trial_merges=*/0,
-                       dsf_union_edges);
+  FlushSelectorMetrics(result, num_props, dsf_trial_merges, dsf_union_edges);
   return result;
 }
 
@@ -292,11 +370,7 @@ SelectionResult ExactSelector::Select(const rdf::RdfGraph& graph) const {
     rdf::PropertyId id;
     size_t single_cost;
   };
-  std::vector<size_t> single_cost(num_props);
-  ParallelFor(0, num_props, 1, threads, [&](size_t p) {
-    single_cost[p] = dsf::MaxWccOfEdges(
-        graph.EdgesWithProperty(static_cast<rdf::PropertyId>(p)));
-  });
+  const std::vector<size_t> single_cost = SingletonCosts(graph, threads);
   std::vector<Prop> props;
   for (size_t p = 0; p < num_props; ++p) {
     if (single_cost[p] <= cap) {

@@ -15,6 +15,12 @@ namespace mpc::core {
 /// G[L'], Definition 4.2) stays at or below this bound.
 size_t BalanceCap(const rdf::RdfGraph& graph, uint32_t k, double epsilon);
 
+/// Cost({p}) of every property p (Algorithm 1 lines 2-4), evaluated in
+/// parallel on `num_threads` threads; the result is thread-count
+/// independent.
+std::vector<size_t> SingletonCosts(const rdf::RdfGraph& graph,
+                                   int num_threads);
+
 /// Output of internal property selection (Algorithm 1 and variants).
 struct SelectionResult {
   /// internal[p] is true iff property p was chosen for L_in.

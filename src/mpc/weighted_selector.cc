@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "common/thread_pool.h"
 #include "dsf/disjoint_set_forest.h"
 
 namespace mpc::core {
@@ -12,7 +11,6 @@ SelectionResult WeightedGreedySelector::Select(
     const rdf::RdfGraph& graph) const {
   const size_t num_props = graph.num_properties();
   const size_t cap = BalanceCap(graph, options_.base.k, options_.base.epsilon);
-  const int threads = ResolveNumThreads(options_.base.num_threads);
 
   SelectionResult result;
   result.internal.assign(num_props, false);
@@ -24,11 +22,8 @@ SelectionResult WeightedGreedySelector::Select(
   // Feasibility prefilter, as in Algorithm 1 lines 2-4. Per-property
   // costs evaluate in parallel; the filter stays serial in property
   // order.
-  std::vector<size_t> single_cost(num_props);
-  ParallelFor(0, num_props, 1, threads, [&](size_t p) {
-    single_cost[p] = dsf::MaxWccOfEdges(
-        graph.EdgesWithProperty(static_cast<rdf::PropertyId>(p)));
-  });
+  const std::vector<size_t> single_cost =
+      SingletonCosts(graph, options_.base.num_threads);
   std::vector<rdf::PropertyId> remaining;
   for (size_t p = 0; p < num_props; ++p) {
     if (single_cost[p] > cap) {

@@ -1,12 +1,14 @@
 #include "partition/partition_io.h"
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "common/hash.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "rdf/ntriples.h"
 
 namespace mpc::partition {
@@ -38,11 +40,92 @@ bool ParseUintField(std::string_view text, uint64_t max, uint64_t* out) {
   return true;
 }
 
-void WriteTriple(std::ofstream& out, const rdf::RdfGraph& graph,
-                 const rdf::Triple& t) {
-  out << graph.VertexName(t.subject) << ' '
-      << graph.PropertyName(t.property) << ' '
-      << graph.VertexName(t.object) << " .\n";
+/// Writes a file through a bounded buffer: whenever the buffer passes
+/// kFlushBytes it goes to the stream, so no file is held in memory whole
+/// (Save writes its k + 1 files at once).
+class BufferedWriter {
+ public:
+  explicit BufferedWriter(const std::string& path)
+      : out_(path, std::ios::binary) {
+    buffer_.reserve(kFlushBytes + 1024);
+  }
+
+  bool is_open() const { return out_.is_open(); }
+
+  BufferedWriter& operator<<(std::string_view text) {
+    buffer_.append(text);
+    return *this;
+  }
+
+  BufferedWriter& operator<<(uint32_t value) {
+    char digits[16];
+    buffer_.append(digits,
+                   std::to_chars(digits, digits + sizeof(digits), value).ptr);
+    return *this;
+  }
+
+  /// Ends a line, flushing the buffer once it is full.
+  void EndLine() {
+    buffer_ += '\n';
+    if (buffer_.size() >= kFlushBytes) Flush();
+  }
+
+  /// Flushes and closes; false when any write failed.
+  bool Close() {
+    Flush();
+    out_.close();
+    return !out_.fail();
+  }
+
+ private:
+  static constexpr size_t kFlushBytes = size_t{1} << 16;
+
+  void Flush() {
+    out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+    buffer_.clear();
+  }
+
+  std::ofstream out_;
+  std::string buffer_;
+};
+
+Status WriteAssignment(const rdf::RdfGraph& graph,
+                       const Partitioning& partitioning,
+                       const std::string& dir) {
+  BufferedWriter out(dir + "/" + kAssignmentName);
+  if (!out.is_open()) {
+    return Status::IoError("cannot write assignment in " + dir);
+  }
+  const auto& part = partitioning.assignment().part;
+  for (size_t v = 0; v < part.size(); ++v) {
+    out << graph.VertexName(static_cast<rdf::VertexId>(v)) << "\t"
+        << part[v];
+    out.EndLine();
+  }
+  if (!out.Close()) return Status::IoError("assignment write failed in " + dir);
+  return Status::Ok();
+}
+
+Status WriteSite(const rdf::RdfGraph& graph, const Partition& partition,
+                 const std::string& dir, uint32_t i) {
+  BufferedWriter out(dir + "/" + PartitionFileName(i));
+  if (!out.is_open()) {
+    return Status::IoError("cannot write partition file " +
+                           PartitionFileName(i));
+  }
+  for (const auto* edges : {&partition.internal_edges,
+                            &partition.crossing_edges}) {
+    for (const rdf::Triple& t : *edges) {
+      out << graph.VertexName(t.subject) << " "
+          << graph.PropertyName(t.property) << " "
+          << graph.VertexName(t.object) << " .";
+      out.EndLine();
+    }
+  }
+  if (!out.Close()) {
+    return Status::IoError("write failed for " + PartitionFileName(i));
+  }
+  return Status::Ok();
 }
 
 /// The manifest's header fields (the crossing list that follows is
@@ -132,30 +215,21 @@ Status PartitionIo::Save(const rdf::RdfGraph& graph,
     if (!out) return Status::IoError("manifest write failed in " + dir);
   }
 
-  if (vertex_disjoint) {
-    std::ofstream out(dir + "/" + kAssignmentName, std::ios::binary);
-    if (!out) return Status::IoError("cannot write assignment in " + dir);
-    const auto& part = partitioning.assignment().part;
-    for (size_t v = 0; v < part.size(); ++v) {
-      out << graph.VertexName(static_cast<rdf::VertexId>(v)) << '\t'
-          << part[v] << '\n';
+  // The assignment (slot 0) and the k site files (slot 1 + i) are
+  // written concurrently; errors are reported in that slot order.
+  const uint32_t k = partitioning.k();
+  std::vector<Status> statuses(k + 1);
+  ParallelFor(0, k + 1, 1, /*num_threads=*/0, [&](size_t slot) {
+    if (slot == 0) {
+      if (vertex_disjoint) {
+        statuses[0] = WriteAssignment(graph, partitioning, dir);
+      }
+      return;
     }
-    if (!out) return Status::IoError("assignment write failed in " + dir);
-  }
-
-  for (uint32_t i = 0; i < partitioning.k(); ++i) {
-    std::ofstream out(dir + "/" + PartitionFileName(i), std::ios::binary);
-    if (!out) {
-      return Status::IoError("cannot write partition file " +
-                             PartitionFileName(i));
-    }
-    const Partition& p = partitioning.partition(i);
-    for (const rdf::Triple& t : p.internal_edges) WriteTriple(out, graph, t);
-    for (const rdf::Triple& t : p.crossing_edges) WriteTriple(out, graph, t);
-    if (!out) {
-      return Status::IoError("write failed for " + PartitionFileName(i));
-    }
-  }
+    const uint32_t i = static_cast<uint32_t>(slot - 1);
+    statuses[slot] = WriteSite(graph, partitioning.partition(i), dir, i);
+  });
+  for (const Status& st : statuses) MPC_RETURN_IF_ERROR(st);
   return Status::Ok();
 }
 

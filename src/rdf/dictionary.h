@@ -5,7 +5,7 @@
 #include <deque>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "rdf/types.h"
 
@@ -28,9 +28,8 @@ class Dictionary {
   Dictionary(Dictionary&&) = default;
   Dictionary& operator=(Dictionary&&) = default;
 
-  /// Deep copy preserving ids: re-interns every term so the index's
-  /// string_view keys point into the copy's own storage (a defaulted
-  /// copy would leave them dangling into the source).
+  /// Deep copy preserving ids. (The implicit copy is deleted so sharing
+  /// stays deliberate.)
   Dictionary Clone() const;
 
   /// Returns the id of `term`, inserting it if new. Ids are assigned
@@ -53,10 +52,27 @@ class Dictionary {
   size_t MemoryUsage() const;
 
  private:
-  // Deque keeps element addresses stable under growth, so the string_view
-  // keys in index_ (which point into the stored strings) never dangle.
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+  /// Low 32 bits of the term's hash; picks the first probe slot.
+  static uint32_t HashOf(std::string_view term);
+
+  /// The slot holding `term`'s id, or the empty slot where its probe
+  /// ends. index_ must not be empty.
+  size_t FindSlot(std::string_view term, uint32_t hash) const;
+
+  /// Re-inserts every id into a table of `num_slots` (a power of two).
+  void Rehash(size_t num_slots);
+
+  // Deque keeps element addresses stable under growth, so a Lexical()
+  // reference stays valid while more terms are interned.
   std::deque<std::string> terms_;
-  std::unordered_map<std::string_view, uint32_t> index_;
+  /// hashes_[id] = HashOf(terms_[id]): compared before the strings, and
+  /// reused when the table grows.
+  std::vector<uint32_t> hashes_;
+  /// Open-addressing index with linear probing: each slot holds an id or
+  /// kEmptySlot, and at most half of the slots are used.
+  std::vector<uint32_t> index_;
 };
 
 }  // namespace mpc::rdf

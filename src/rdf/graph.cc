@@ -48,21 +48,6 @@ void GraphBuilder::Add(std::string_view subject, std::string_view property,
   triples_.emplace_back(s, p, o);
 }
 
-void GraphBuilder::Merge(const GraphBuilder& other) {
-  std::vector<VertexId> vmap(other.vertex_dict_.size());
-  for (uint32_t id = 0; id < other.vertex_dict_.size(); ++id) {
-    vmap[id] = vertex_dict_.Intern(other.vertex_dict_.Lexical(id));
-  }
-  std::vector<PropertyId> pmap(other.property_dict_.size());
-  for (uint32_t id = 0; id < other.property_dict_.size(); ++id) {
-    pmap[id] = property_dict_.Intern(other.property_dict_.Lexical(id));
-  }
-  triples_.reserve(triples_.size() + other.triples_.size());
-  for (const Triple& t : other.triples_) {
-    triples_.emplace_back(vmap[t.subject], pmap[t.property], vmap[t.object]);
-  }
-}
-
 RdfGraph GraphBuilder::Build() {
   std::sort(triples_.begin(), triples_.end());
   triples_.erase(std::unique(triples_.begin(), triples_.end()),

@@ -123,15 +123,11 @@ class GraphBuilder {
 
   size_t num_triples() const { return triples_.size(); }
 
-  /// Appends another builder's triples, re-interning its terms into this
-  /// builder's dictionaries. A builder assigns ids densely in first-seen
-  /// order, so re-interning `other`'s terms in id order replays exactly
-  /// the Intern() sequence a serial pass over other's input would have
-  /// issued — merging per-chunk builders in chunk order therefore
-  /// produces the same dictionaries and triple ids as one builder fed
-  /// the concatenated input. This is what makes the parallel N-Triples
-  /// parse bit-identical to the serial one.
-  void Merge(const GraphBuilder& other);
+  /// The state Build() freezes: triples in the order they were added, and
+  /// the two dictionaries (ids in first-seen order).
+  const std::vector<Triple>& triples() const { return triples_; }
+  const Dictionary& vertex_dict() const { return vertex_dict_; }
+  const Dictionary& property_dict() const { return property_dict_; }
 
   /// Sorts, deduplicates and freezes into an immutable graph. The builder
   /// is left empty.

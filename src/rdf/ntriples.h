@@ -25,11 +25,12 @@ class NTriplesParser {
   /// Parses a whole document (newline-separated). Stops at the first
   /// malformed line and reports its 1-based line number.
   ///
-  /// With num_threads > 1 (0 = hardware_concurrency) the text is split
-  /// into line-aligned chunks parsed by independent per-chunk builders
-  /// whose dictionaries are then merged in chunk order — the resulting
-  /// builder state (ids, triples, reported error) is bit-identical to
-  /// the serial parse at any thread count.
+  /// With num_threads > 1 (0 = hardware_concurrency) line-aligned chunks
+  /// are scanned concurrently into term views over `text`, the terms are
+  /// deduplicated per hash shard in parallel and numbered in order of
+  /// first occurrence, and the triples are remapped in parallel — the
+  /// resulting builder state (ids, triple order, reported error) is
+  /// bit-identical to the serial parse at any thread count.
   static Status ParseDocument(std::string_view text, GraphBuilder* builder,
                               int num_threads = 1);
 

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,21 @@ TEST(FlagParserTest, ParsesTypedFlagsAndPositionals) {
   EXPECT_EQ(seed, 123u);
   EXPECT_EQ(threads, -1);
   EXPECT_EQ(sites, (std::vector<uint32_t>{0, 3, 7}));
+}
+
+TEST(FlagParserTest, ReportsWhichFlagsWereGiven) {
+  int threads = 0;
+  uint32_t k = 8;
+  FlagParser parser;
+  parser.AddInt("threads", &threads);
+  parser.AddUint32("k", &k);
+  // An explicit value equal to the default still counts as given.
+  Argv args({"prog", "--threads=0", "data.nt"});
+  ASSERT_TRUE(parser.Parse(args.argc(), args.argv(), 1).ok());
+  EXPECT_EQ(parser.given(), (std::set<std::string>{"threads"}));
+  Argv none({"prog", "data.nt"});
+  ASSERT_TRUE(parser.Parse(none.argc(), none.argv(), 1).ok());
+  EXPECT_TRUE(parser.given().empty());
 }
 
 TEST(FlagParserTest, RejectsUnknownFlagNamingIt) {

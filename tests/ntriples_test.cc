@@ -1,6 +1,7 @@
 #include "rdf/ntriples.h"
 
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace mpc::rdf {
 namespace {
@@ -139,6 +140,62 @@ TEST(NTriplesTest, MissingFileIsIoError) {
 TEST(NTriplesTest, LastLineWithoutNewline) {
   RdfGraph g = ParseOrDie("<a> <p> <b> .");
   EXPECT_EQ(g.num_edges(), 1u);
+}
+
+/// A document cut into many chunks at 2 and 8 threads, holding every
+/// construct the chunked parse must number exactly as the serial one:
+/// comment and blank lines, literals with escapes and language or
+/// datatype suffixes, blank nodes, duplicate triples, and terms first
+/// seen in the last chunk.
+std::string ManyChunkDocument() {
+  const std::string first = "<http://ex.org/s0> <http://ex.org/p0> "
+                            "<http://ex.org/o0> .\n";
+  std::string text = "# header comment\n\n" + first;
+  for (int i = 1; i < 400; ++i) {
+    const std::string s = "<http://ex.org/s" + std::to_string(i % 37) + ">";
+    text += s + " <http://ex.org/p" + std::to_string(i % 5) +
+            "> <http://ex.org/o" + std::to_string(i % 53) + "> .\n";
+    if (i % 50 == 7) text += "# comment " + std::to_string(i) + "\n   \t\n";
+    if (i % 40 == 3) {
+      text += s + " <http://ex.org/label> \"say \\\"hi\\\"\\n\"@en-GB .\n";
+    }
+    if (i % 60 == 11) {
+      text += "_:b" + std::to_string(i % 3) +
+              " <http://ex.org/p1> "
+              "\"42\"^^<http://www.w3.org/2001/XMLSchema#int> .\n";
+    }
+    if (i % 90 == 45) text += first;  // a duplicate triple
+  }
+  text += "<http://ex.org/late> <http://ex.org/late-p> \"late\"@fr .\n";
+  text += "<http://ex.org/s1> <http://ex.org/late-p> <http://ex.org/late> .";
+  return text;
+}
+
+TEST(NTriplesTest, ChunkedParseMatchesSerialBuilderState) {
+  const std::string text = ManyChunkDocument();
+  testutil::ExpectParseIdenticalAcrossThreadCounts(text, "document");
+  GraphBuilder builder;
+  ASSERT_TRUE(NTriplesParser::ParseDocument(text, &builder, 8).ok());
+  EXPECT_EQ(builder.vertex_dict().Lexical(builder.triples().back().object),
+            "<http://ex.org/late>");
+  EXPECT_NE(builder.vertex_dict().Lookup("_:b2"), kInvalidVertex);
+  EXPECT_NE(builder.vertex_dict().Lookup("\"say \\\"hi\\\"\\n\"@en-GB"),
+            kInvalidVertex);
+}
+
+TEST(NTriplesTest, ChunkedParseReportsTheSerialErrorLine) {
+  // The malformed line comes after terms first seen in earlier chunks,
+  // and a term first seen on it must not be interned.
+  std::string text = ManyChunkDocument();
+  text.insert(text.find('\n', text.size() * 9 / 10) + 1,
+              "<http://ex.org/s3> <http://ex.org/p4> <http://ex.org/never>\n");
+  testutil::ExpectParseIdenticalAcrossThreadCounts(text, "malformed");
+  GraphBuilder builder;
+  const Status st = NTriplesParser::ParseDocument(text, &builder, 8);
+  EXPECT_NE(st.message().find("missing terminating '.'"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(builder.vertex_dict().Lookup("<http://ex.org/never>"),
+            kInvalidVertex);
 }
 
 }  // namespace

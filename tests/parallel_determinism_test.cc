@@ -6,6 +6,8 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "exec/cluster.h"
@@ -15,6 +17,7 @@
 #include "partition/edge_cut_partitioner.h"
 #include "partition/subject_hash_partitioner.h"
 #include "partition/vp_partitioner.h"
+#include "common/random.h"
 #include "rdf/ntriples.h"
 #include "test_util.h"
 #include "workload/datasets.h"
@@ -172,6 +175,53 @@ TEST_P(ParseDeterminismTest, ParseDocumentBitIdenticalAcrossThreadCounts) {
 INSTANTIATE_TEST_SUITE_P(LubmAndWatdiv, ParseDeterminismTest,
                          ::testing::Values(DatasetId::kLubm,
                                            DatasetId::kWatdiv),
+                         [](const auto& info) {
+                           return std::string(
+                               workload::DatasetName(info.param));
+                         });
+
+class ParseBuilderDeterminismTest
+    : public ::testing::TestWithParam<DatasetId> {};
+
+TEST_P(ParseBuilderDeterminismTest, BuilderStateIdenticalAcrossThreadCounts) {
+  GeneratedDataset d = workload::MakeDataset(GetParam(), 0.2, 1);
+  // Serialized graphs are sorted by property, so most vertices recur in
+  // every chunk; a shuffled copy spreads first occurrences differently.
+  const std::string sorted = rdf::SerializeNTriples(d.graph);
+  ASSERT_FALSE(sorted.empty());
+  testutil::ExpectParseIdenticalAcrossThreadCounts(sorted, d.name + " sorted");
+
+  std::vector<std::string_view> lines;
+  for (size_t start = 0; start < sorted.size();) {
+    const size_t end = sorted.find('\n', start);
+    lines.push_back(std::string_view(sorted).substr(start, end + 1 - start));
+    start = end + 1;
+  }
+  Rng rng(7);
+  for (size_t i = lines.size(); i > 1; --i) {
+    std::swap(lines[i - 1], lines[rng.Below(i)]);
+  }
+  std::string shuffled;
+  for (std::string_view line : lines) shuffled += line;
+  testutil::ExpectParseIdenticalAcrossThreadCounts(shuffled,
+                                                   d.name + " shuffled");
+
+  // A malformed line three quarters in: every earlier term was already
+  // seen, in earlier chunks, by the time the parse stops.
+  std::string broken = shuffled;
+  broken.insert(broken.find('\n', broken.size() * 3 / 4) + 1,
+                "<s> <p> malformed .\n");
+  testutil::ExpectParseIdenticalAcrossThreadCounts(broken,
+                                                   d.name + " malformed");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSix, ParseBuilderDeterminismTest,
+                         ::testing::Values(DatasetId::kLubm,
+                                           DatasetId::kWatdiv,
+                                           DatasetId::kYago2,
+                                           DatasetId::kBio2rdf,
+                                           DatasetId::kDbpedia,
+                                           DatasetId::kLgd),
                          [](const auto& info) {
                            return std::string(
                                workload::DatasetName(info.param));

@@ -10,6 +10,7 @@
 
 #include "common/random.h"
 #include "rdf/graph.h"
+#include "rdf/ntriples.h"
 #include "sparql/parser.h"
 #include "store/bgp_matcher.h"
 #include "store/triple_store.h"
@@ -29,6 +30,41 @@ inline rdf::RdfGraph BuildGraph(
     builder.Add(wrap(s), wrap(p), wrap(o));
   }
   return builder.Build();
+}
+
+/// Builder-state equality before Build(): ids in first-seen order and the
+/// triples in the order they were added, duplicates included.
+inline void ExpectSameBuilder(const rdf::GraphBuilder& a,
+                              const rdf::GraphBuilder& b,
+                              const std::string& label) {
+  EXPECT_EQ(a.triples(), b.triples()) << label;
+  ASSERT_EQ(a.vertex_dict().size(), b.vertex_dict().size()) << label;
+  ASSERT_EQ(a.property_dict().size(), b.property_dict().size()) << label;
+  for (uint32_t v = 0; v < a.vertex_dict().size(); ++v) {
+    ASSERT_EQ(a.vertex_dict().Lexical(v), b.vertex_dict().Lexical(v))
+        << label << " vertex " << v;
+  }
+  for (uint32_t p = 0; p < a.property_dict().size(); ++p) {
+    ASSERT_EQ(a.property_dict().Lexical(p), b.property_dict().Lexical(p))
+        << label << " property " << p;
+  }
+}
+
+/// Parses `text` at 1, 2 and 8 threads; every run must report the serial
+/// status and leave the serial builder state.
+inline void ExpectParseIdenticalAcrossThreadCounts(const std::string& text,
+                                                   const std::string& label) {
+  rdf::GraphBuilder serial;
+  const Status serial_status =
+      rdf::NTriplesParser::ParseDocument(text, &serial, 1);
+  for (int threads : {1, 2, 8}) {
+    rdf::GraphBuilder builder;
+    const Status status =
+        rdf::NTriplesParser::ParseDocument(text, &builder, threads);
+    const std::string where = label + " threads=" + std::to_string(threads);
+    EXPECT_EQ(status.ToString(), serial_status.ToString()) << where;
+    ExpectSameBuilder(serial, builder, where);
+  }
 }
 
 /// Shorthand term for queries built against BuildGraph: "?x" stays a

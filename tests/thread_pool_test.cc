@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -113,8 +114,56 @@ TEST(ParallelForTest, PropagatesExceptionFromBody) {
   }
 }
 
+TEST(ParallelForTest, NestedLoopsFinishAndVisitEveryIndexOnce) {
+  // Every outer chunk runs an inner ParallelFor: the inner calls find the
+  // shared pool's workers busy with outer chunks and must still finish.
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 8;
+  std::vector<std::atomic<int>> visits(kOuter * kInner);
+  ParallelFor(0, kOuter, 1, 8, [&](size_t i) {
+    ParallelFor(0, kInner, 1, 8, [&](size_t j) {
+      visits[i * kInner + j].fetch_add(1);
+    });
+  });
+  for (const std::atomic<int>& v : visits) EXPECT_EQ(v.load(), 1);
+}
+
+TEST(ParallelForTest, ConcurrentCallersEachGetTheirOwnResults) {
+  constexpr size_t kCallers = 4;
+  constexpr size_t kItems = 2000;
+  std::vector<std::vector<uint64_t>> out(kCallers,
+                                         std::vector<uint64_t>(kItems));
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&out, c] {
+      for (int round = 0; round < 20; ++round) {
+        ParallelFor(0, kItems, 16, 4, [&](size_t i) {
+          out[c][i] = (c + 1) * 1000003u + i;
+        });
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (size_t c = 0; c < kCallers; ++c) {
+    for (size_t i = 0; i < kItems; ++i) {
+      ASSERT_EQ(out[c][i], (c + 1) * 1000003u + i) << "caller " << c;
+    }
+  }
+}
+
+TEST(ParallelForTest, NextCallWorksAfterAnException) {
+  EXPECT_THROW(ParallelFor(0, 64, 1, 4,
+                           [](size_t i) {
+                             if (i % 5 == 3) throw std::runtime_error("bad");
+                           }),
+               std::runtime_error);
+  std::vector<int> visits(64, 0);
+  ParallelFor(0, visits.size(), 1, 4, [&](size_t i) { visits[i] += 1; });
+  for (int v : visits) EXPECT_EQ(v, 1);
+}
+
 TEST(ParallelForTest, SerialFallbackRunsOnCallingThread) {
-  // threads=1 must not spawn a pool: the body sees the caller's thread.
+  // threads=1 never reaches the pool: the body sees the caller's thread.
   const std::thread::id caller = std::this_thread::get_id();
   ParallelFor(0, 16, 4, 1, [&](size_t) {
     EXPECT_EQ(std::this_thread::get_id(), caller);

@@ -106,6 +106,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -276,6 +277,8 @@ struct Flags {
   bool trace_summary = false;
 
   std::vector<std::string> positional;
+  /// Flags given on the command line (not defaulted), by name.
+  std::set<std::string> given;
 
   partition::PartitionerOptions PartitionerOpts() const {
     return partition::PartitionerOptions{
@@ -361,6 +364,7 @@ struct Flags {
         parser.Parse(argc, argv, first);
     if (!positional.ok()) return positional.status();
     flags.positional = std::move(*positional);
+    flags.given = parser.given();
     return flags;
   }
 };
@@ -940,6 +944,11 @@ int CmdSite(const Flags& flags) {
   if (flags.store == "segment") {
     std::cerr << "site does not take --store=segment (a worker always "
                  "loads its packed segment into memory)\n";
+    return 2;
+  }
+  if (flags.given.count("threads") != 0) {
+    std::cerr << "site does not take --threads (a worker decodes its "
+                 "segment and answers each request on one thread)\n";
     return 2;
   }
   InstallDrainHandlers();
