@@ -38,7 +38,8 @@
 #    `mpc explain` must list each subquery's sites and `mpc query` must
 #    count the same results;
 #  - a serving-benchmark smoke replays a short dbpedia_log query-log
-#    profile through servebench, whose oracle checks every answer;
+#    profile and a short lubm_remote run through servebench, whose
+#    oracle checks every answer;
 #  - the tracer and metrics tests run under ThreadSanitizer, since their
 #    whole point is lock-free recording from concurrent pool threads;
 #    so do the RPC codec and RemoteCluster tests, whose clients share
@@ -699,13 +700,20 @@ EOF
 }
 
 # Serving-benchmark smoke: servebench (its own Release build under
-# .bench_build/) replays a DBpedia-profile query log for 2 s and checks
-# every answer against a single-store oracle. It exits non-zero when any
-# answer disagrees or any operation fails — the log's variable-free
-# crossing subqueries and self-loop query shapes are what it guards.
+# .bench_build/) replays a DBpedia-profile query log for 2 s, then runs
+# LUBM over 8 `mpc site` workers for 2 s, and checks every answer
+# against a single-store oracle. It exits non-zero when any answer
+# disagrees or any operation fails — the log's variable-free crossing
+# subqueries and self-loop query shapes, and the coordinator's union of
+# the workers' replies, are what it guards.
 servebench_smoke() {
   echo "=== servebench dbpedia_log smoke ==="
   python3 servebench/run.py --workload dbpedia_log --seed 11 --seconds 2 \
+    --trace 0
+  # lubm_remote unions LQ14 over 8 worker processes: servebench checks
+  # the deduplicated rows bit for bit against the in-process Cluster.
+  echo "=== servebench lubm_remote smoke ==="
+  python3 servebench/run.py --workload lubm_remote --seed 11 --seconds 2 \
     --trace 0
   echo "servebench smoke passed"
 }

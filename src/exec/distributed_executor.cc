@@ -1,6 +1,7 @@
 #include "exec/distributed_executor.h"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "common/timer.h"
@@ -42,6 +43,16 @@ size_t CountReplicaServedRows(const BindingTable& table,
     }
   }
   return hits;
+}
+
+/// "[0, 2, 5]": a column list for error messages.
+std::string FormatColumns(const std::vector<uint32_t>& var_ids) {
+  std::string out = "[";
+  for (size_t i = 0; i < var_ids.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += std::to_string(var_ids[i]);
+  }
+  return out + "]";
 }
 
 /// One registry update per query so ParallelFor site scans never touch
@@ -344,23 +355,30 @@ Result<BindingTable> DistributedExecutor::ScatterGather(
   // Gather, serially in site order. A step costs its slowest site; a
   // failed site still blocks it for as long as the coordinator waited
   // on it (timeouts, backoff, failure detection).
+  BindingTable merged = SchemaTable(run->resolved, patterns);
+  const SiteEvalReply no_reply;
+  std::vector<size_t> answered;  // slots of the replies to merge
+  size_t total_rows = 0;
   double slowest = 0.0;
-  bool answered = false;
-  BindingTable merged;
   size_t next_live = 0;
   for (const uint32_t site : sites) {
     // `live` keeps `sites`' order, so a site was called iff it is the
     // next live one.
     const bool called = next_live < live.size() && live[next_live] == site;
-    SiteEvalReply reply;
-    Status status;
-    if (called) {
-      reply = std::move(replies[next_live]);
-      status = std::move(statuses[next_live]);
-      ++next_live;
-    } else {
-      status = Status::Unavailable("site " + std::to_string(site) +
-                                   " is down");
+    const size_t slot = next_live;
+    const SiteEvalReply& reply = called ? replies[slot] : no_reply;
+    Status status = called ? std::move(statuses[slot])
+                           : Status::Unavailable("site " +
+                                                 std::to_string(site) +
+                                                 " is down");
+    next_live += called;
+    // Every later step indexes each row by the subquery's columns, so a
+    // reply with other columns is that site failing.
+    if (status.ok() && reply.table.var_ids != merged.var_ids) {
+      status = Status::Internal(
+          "site " + std::to_string(site) + " replied with columns " +
+          FormatColumns(reply.table.var_ids) + ", expected " +
+          FormatColumns(merged.var_ids));
     }
     run->contacted[site] |= called;
     stats->retries += static_cast<size_t>(reply.retries);
@@ -381,19 +399,22 @@ Result<BindingTable> DistributedExecutor::ScatterGather(
     stats->bloom_dropped_rows += reply.bloom_dropped;
     stats->local_rows += reply.table.num_rows();
     stats->shipped_bytes += reply.table.ByteSize();
-    // An explicit flag, not an empty column list: a sub-BGP without
-    // variables answers "true" as one row with no columns.
-    if (!answered) {
-      merged = std::move(reply.table);
-      answered = true;
-    } else {
-      for (auto& row : reply.table.rows) merged.rows.push_back(std::move(row));
-    }
+    answered.push_back(slot);
+    total_rows += reply.table.num_rows();
   }
   stats->local_eval_millis += slowest;
-  // No site answered (all pruned or failed, or k = 0): the empty table
-  // with the right columns, so downstream joins see the schema.
-  if (!answered) return SchemaTable(run->resolved, patterns);
+  // Union the answers in site order. With no site answering (all pruned
+  // or failed, or k = 0) `merged` stays the empty table with the right
+  // columns, so downstream joins see the schema.
+  for (const size_t slot : answered) {
+    std::vector<std::vector<uint32_t>>& rows = replies[slot].table.rows;
+    if (merged.rows.empty()) {
+      merged.rows = std::move(rows);
+      merged.rows.reserve(total_rows);
+    } else {
+      std::move(rows.begin(), rows.end(), std::back_inserter(merged.rows));
+    }
+  }
   return merged;
 }
 

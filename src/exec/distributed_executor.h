@@ -135,8 +135,10 @@ class DistributedExecutor {
   /// Every site failure — simulated or real — is handled here: under
   /// kFail the first one in site order is returned; under kBestEffort
   /// the site is skipped (and marked down when the failure is
-  /// fail-stop). Returns the un-deduplicated union, or the sub-BGP's
-  /// empty schema when no site answered.
+  /// fail-stop). A reply whose columns are not the sub-BGP's
+  /// (SchemaTable) is such a failure, an Internal error naming the
+  /// site and both column lists. Returns the un-deduplicated union, or
+  /// the sub-BGP's empty schema when no site answered.
   Result<store::BindingTable> ScatterGather(QueryRun* run,
                                             std::span<const size_t> patterns,
                                             std::span<const uint32_t> sites,

@@ -1,6 +1,8 @@
 #include "exec/rpc_protocol.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "net/bytes.h"
 
@@ -15,7 +17,7 @@ namespace {
 /// possibly back: every element needs at least `elem_bytes` bytes.
 Status CheckCount(uint64_t count, size_t elem_bytes, size_t remaining,
                   const char* what) {
-  if (count * elem_bytes <= remaining) return Status::Ok();
+  if (count <= remaining / elem_bytes) return Status::Ok();
   return Status::ParseError(std::string(what) + " count " +
                             std::to_string(count) +
                             " exceeds what the payload can hold");
@@ -291,15 +293,19 @@ Status DecodeEvalReply(std::string_view payload, SiteEvalReply* reply,
   }
   uint64_t num_rows = 0;
   MPC_RETURN_IF_ERROR(r.U64(&num_rows));
-  MPC_RETURN_IF_ERROR(CheckCount(
-      num_rows, num_cols == 0 ? 1 : num_cols * 4, r.remaining(), "row"));
-  table.rows.reserve(num_rows);
-  for (uint64_t i = 0; i < num_rows; ++i) {
-    std::vector<uint32_t> row(num_cols);
-    for (uint32_t c = 0; c < num_cols; ++c) {
-      MPC_RETURN_IF_ERROR(r.U32(&row[c]));
-    }
-    table.rows.push_back(std::move(row));
+  const size_t row_bytes = size_t{num_cols} * 4;
+  MPC_RETURN_IF_ERROR(CheckCount(num_rows, num_cols == 0 ? 1 : row_bytes,
+                                 r.remaining(), "row"));
+  // The row block is bounds-checked once and copied row by row: its
+  // cells are little-endian u32s, the host's own layout.
+  static_assert(std::endian::native == std::endian::little);
+  std::string_view block;
+  MPC_RETURN_IF_ERROR(r.Bytes(num_rows * row_bytes, &block));
+  table.rows.resize(num_rows);
+  for (uint64_t i = 0; i < num_rows && row_bytes > 0; ++i) {
+    table.rows[i].resize(num_cols);
+    std::memcpy(table.rows[i].data(), block.data() + i * row_bytes,
+                row_bytes);
   }
   uint32_t num_spans = 0;
   MPC_RETURN_IF_ERROR(r.U32(&num_spans));

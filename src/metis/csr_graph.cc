@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/radix_sort.h"
+
 namespace mpc::metis {
 
 CsrGraph CsrGraph::FromEdges(size_t n, std::span<const WeightedEdge> edges,
@@ -32,7 +34,11 @@ CsrGraph CsrGraph::FromTriples(size_t n,
 
 CsrGraph CsrGraph::FromHalfEdges(size_t n, std::vector<HalfEdge> half,
                                  std::vector<uint64_t> vertex_weights) {
-  std::sort(half.begin(), half.end());
+  // By `to`, then stably by `from`: the (from, to) order, with each
+  // vertex's adjacencies ascending.
+  std::vector<HalfEdge> buffer;
+  RadixSortBy(&half, &buffer, [](const HalfEdge& e) { return e.to; });
+  RadixSortBy(&half, &buffer, [](const HalfEdge& e) { return e.from; });
 
   CsrGraph g;
   g.xadj_.assign(n + 1, 0);

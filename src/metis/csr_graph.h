@@ -63,10 +63,6 @@ class CsrGraph {
     uint32_t from;
     uint32_t to;
     uint32_t weight;
-    bool operator<(const HalfEdge& o) const {
-      if (from != o.from) return from < o.from;
-      return to < o.to;
-    }
   };
 
   static CsrGraph FromHalfEdges(size_t n, std::vector<HalfEdge> half,

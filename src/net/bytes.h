@@ -73,6 +73,15 @@ class ByteReader {
     return Status::Ok();
   }
 
+  /// Takes the next `n` raw bytes as a view into the payload: one bounds
+  /// check for a whole fixed-width block.
+  Status Bytes(size_t n, std::string_view* out) {
+    MPC_RETURN_IF_ERROR(Need(n));
+    *out = data_.substr(pos_, n);
+    pos_ += n;
+    return Status::Ok();
+  }
+
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
   /// Decoders call this last: trailing garbage means the two ends

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/radix_sort.h"
+
 namespace mpc::store {
 
 namespace {
@@ -58,8 +60,50 @@ size_t BindingTable::ColumnOf(uint32_t var_id) const {
 }
 
 void BindingTable::Deduplicate() {
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  const size_t n = rows.size();
+  const size_t width = n == 0 ? 0 : rows[0].size();
+  const bool uniform =
+      std::all_of(rows.begin(), rows.end(),
+                  [&](const std::vector<uint32_t>& r) {
+                    return r.size() == width;
+                  });
+  if (n < kRadixSortCutoff || n > UINT32_MAX || !uniform) {
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    return;
+  }
+  // Sort a row permutation one column at a time, last column first: the
+  // sort is stable, so the result is the rows' lexicographic order, the
+  // order std::sort gives. Each pass reads its column from a
+  // column-major copy of the cells.
+  std::vector<uint32_t> cells(n * width);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < width; ++c) cells[c * n + r] = rows[r][c];
+  }
+  struct Entry {
+    uint32_t key;
+    uint32_t row;
+  };
+  std::vector<Entry> order(n);
+  std::vector<Entry> buffer;
+  for (size_t r = 0; r < n; ++r) order[r].row = static_cast<uint32_t>(r);
+  for (size_t c = width; c-- > 0;) {
+    const uint32_t* column = cells.data() + c * n;
+    for (Entry& e : order) e.key = column[e.row];
+    RadixSortBy(&order, &buffer, [](const Entry& e) { return e.key; });
+  }
+  // Equal rows are adjacent now; `key` holds the first column, so only
+  // rows that tie on it are compared in full.
+  std::vector<std::vector<uint32_t>> distinct;
+  distinct.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<uint32_t>& row = rows[order[i].row];
+    if (i > 0 && order[i].key == order[i - 1].key && row == distinct.back()) {
+      continue;
+    }
+    distinct.push_back(std::move(row));
+  }
+  rows = std::move(distinct);
 }
 
 void BindingTable::SortColumnsAscending() {

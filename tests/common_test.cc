@@ -1,7 +1,10 @@
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/logging.h"
+#include "common/radix_sort.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -139,6 +142,37 @@ TEST(ZipfTest, SamplesInRange) {
   Rng rng(19);
   ZipfSampler zipf(7, 0.9);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(zipf.Sample(rng), 7u);
+}
+
+// RadixSortBy is stable and orders by key on both sides of its
+// comparison-sort cutoff, whatever digits the keys share.
+TEST(RadixSortTest, MatchesStableSort) {
+  struct Item {
+    uint32_t key;
+    uint32_t seq;
+    bool operator==(const Item&) const = default;
+  };
+  Rng rng(31);
+  std::vector<Item> buffer;
+  for (size_t n : {0, 1, 2, 255, 256, 257, 5000}) {
+    // All equal, one shared high digit, 16-bit keys, the full 32 bits.
+    for (uint64_t range : {1ULL, 1ULL << 8, 1ULL << 16, 1ULL << 32}) {
+      std::vector<Item> items;
+      for (uint32_t i = 0; i < n; ++i) {
+        uint32_t key = static_cast<uint32_t>(rng.Below(range));
+        if (range > (1ULL << 16) && rng.Chance(0.1)) {
+          key = rng.Chance(0.5) ? 0 : UINT32_MAX;
+        }
+        items.push_back({key, i});
+      }
+      std::vector<Item> expected = items;
+      std::stable_sort(
+          expected.begin(), expected.end(),
+          [](const Item& a, const Item& b) { return a.key < b.key; });
+      RadixSortBy(&items, &buffer, [](const Item& it) { return it.key; });
+      EXPECT_TRUE(items == expected) << "n " << n << " range " << range;
+    }
+  }
 }
 
 TEST(StringUtilTest, StripWhitespace) {

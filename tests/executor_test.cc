@@ -421,5 +421,77 @@ TEST(ClusterTest, BuildsKSitesAndReportsLoading) {
   EXPECT_GT(cluster.MemoryUsage(), 0u);
 }
 
+/// Wraps a Cluster and drops the last column of every reply from one
+/// site: a worker that disagrees with the coordinator about a
+/// subquery's schema.
+class DroppedColumnCluster final : public ClusterBackend {
+ public:
+  DroppedColumnCluster(const Cluster& inner, uint32_t bad_site)
+      : ClusterBackend(inner), inner_(inner), bad_site_(bad_site) {}
+
+  size_t MemoryUsage() const override { return inner_.MemoryUsage(); }
+
+  Status EvaluateOnSite(uint32_t site, const store::ResolvedQuery& resolved,
+                        const SiteEvalRequest& request,
+                        const SiteCallPolicy& policy,
+                        SiteEvalReply* reply) const override {
+    MPC_RETURN_IF_ERROR(
+        inner_.EvaluateOnSite(site, resolved, request, policy, reply));
+    if (site == bad_site_) {
+      reply->table.var_ids.pop_back();
+      for (std::vector<uint32_t>& row : reply->table.rows) row.pop_back();
+    }
+    return Status::Ok();
+  }
+
+ private:
+  const Cluster& inner_;
+  uint32_t bad_site_;
+};
+
+TEST(ExecutorTest, ReplyWithWrongColumnsFailsThatSite) {
+  Rng rng(15);
+  RdfGraph graph = testutil::RandomGraph(rng, 60, 220, 5, 12);
+  Cluster cluster =
+      Cluster::Build(MakePartitioning(Strategy::kMpc, graph, 4, 15));
+  constexpr uint32_t kBadSite = 2;
+  DroppedColumnCluster faulty(cluster, kBadSite);
+  const std::string text = "SELECT * WHERE { ?x <t:p0> ?y . }";
+  DistributedExecutor::Options options;
+  options.site_pruning = false;  // every site answers, kBadSite too
+
+  {
+    DistributedExecutor executor(faulty, graph, options);
+    Result<QueryResponse> response =
+        executor.Execute(QueryRequest::FromText(text));
+    ASSERT_FALSE(response.ok());
+    EXPECT_EQ(response.status().code(), StatusCode::kInternal);
+    const std::string& message = response.status().message();
+    EXPECT_NE(message.find("site 2 replied with columns [0], expected [0, 1]"),
+              std::string::npos)
+        << message;
+  }
+
+  // Best effort answers from the other sites: the same rows as when
+  // kBadSite is down.
+  options.partial_results = PartialResultPolicy::kBestEffort;
+  DistributedExecutor executor(faulty, graph, options);
+  Result<QueryResponse> response =
+      executor.Execute(QueryRequest::FromText(text));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->stats.sites_failed, 1u);
+  EXPECT_EQ(response->stats.sites_evaluated, cluster.k() - 1);
+  EXPECT_FALSE(response->stats.complete);
+  EXPECT_EQ(response->bindings.var_ids, (std::vector<uint32_t>{0, 1}));
+
+  options.faults.fail_sites = {kBadSite};
+  DistributedExecutor crashed(cluster, graph, options);
+  Result<QueryResponse> without_site =
+      crashed.Execute(QueryRequest::FromText(text));
+  ASSERT_TRUE(without_site.ok()) << without_site.status().ToString();
+  EXPECT_GT(without_site->bindings.num_rows(), 0u);
+  EXPECT_EQ(response->bindings.rows, without_site->bindings.rows);
+}
+
 }  // namespace
 }  // namespace mpc::exec

@@ -1,6 +1,8 @@
 #include "metis/partitioner.h"
 
+#include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/random.h"
 #include "gtest/gtest.h"
@@ -43,6 +45,66 @@ TEST(CsrGraphTest, CombinesParallelEdges) {
   EXPECT_EQ(g.Neighbors(0)[0].neighbor, 1u);
   EXPECT_EQ(g.Neighbors(0)[0].weight, 6u);
   EXPECT_EQ(g.Neighbors(1)[0].weight, 6u);
+}
+
+// FromEdges radix-sorts its half-edges; the CSR must equal one built
+// from a std::sort of them, parallel edges summed and saturated.
+TEST(CsrGraphTest, FromEdgesMatchesSortReference) {
+  Rng rng(77);
+  for (size_t n : {1, 6, 300, 70000}) {
+    for (size_t m : {0, 40, 1000, 30000}) {
+      std::vector<WeightedEdge> edges;
+      for (size_t i = 0; i < m; ++i) {
+        const uint32_t u = static_cast<uint32_t>(rng.Below(n));
+        // Self-loops, parallel edges (a small endpoint range) and
+        // weights whose sums pass UINT32_MAX.
+        uint32_t v = static_cast<uint32_t>(
+            rng.Below(rng.Chance(0.5) ? std::min<size_t>(n, 4) : n));
+        if (rng.Chance(0.05)) v = u;
+        uint32_t w = static_cast<uint32_t>(rng.Below(100) + 1);
+        if (rng.Chance(0.1)) {
+          w = UINT32_MAX - static_cast<uint32_t>(rng.Below(3));
+        }
+        edges.push_back({u, v, w});
+      }
+      struct Half {
+        uint32_t from, to, weight;
+      };
+      std::vector<Half> half;
+      for (const WeightedEdge& e : edges) {
+        if (e.u == e.v) continue;
+        half.push_back({e.u, e.v, e.weight});
+        half.push_back({e.v, e.u, e.weight});
+      }
+      std::sort(half.begin(), half.end(), [](const Half& a, const Half& b) {
+        return std::pair(a.from, a.to) < std::pair(b.from, b.to);
+      });
+      std::vector<std::vector<std::pair<uint32_t, uint32_t>>> expected(n);
+      for (size_t i = 0; i < half.size();) {
+        uint64_t w = 0;
+        size_t j = i;
+        for (; j < half.size() && half[j].from == half[i].from &&
+               half[j].to == half[i].to;
+             ++j) {
+          w += half[j].weight;
+        }
+        expected[half[i].from].emplace_back(
+            half[i].to, static_cast<uint32_t>(
+                            std::min<uint64_t>(w, UINT32_MAX)));
+        i = j;
+      }
+
+      CsrGraph g = CsrGraph::FromEdges(n, edges);
+      ASSERT_EQ(g.num_vertices(), n);
+      for (uint32_t v = 0; v < n; ++v) {
+        std::vector<std::pair<uint32_t, uint32_t>> got;
+        for (const Adjacency& a : g.Neighbors(v)) {
+          got.emplace_back(a.neighbor, a.weight);
+        }
+        ASSERT_EQ(got, expected[v]) << "n " << n << " m " << m << " v " << v;
+      }
+    }
+  }
 }
 
 TEST(CsrGraphTest, DropsSelfLoops) {

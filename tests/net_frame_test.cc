@@ -446,18 +446,21 @@ TEST(RpcProtocolTest, EvalReplyRoundTrips) {
 
 TEST(RpcProtocolTest, EvalReplyRowCountIsValidatedBeforeAllocation) {
   // Claim 2^40 rows over a payload of a few bytes: must ParseError, not
-  // attempt the allocation.
-  net::ByteWriter w;
-  w.U64(0);                       // bloom_dropped
-  w.F64(0.0);                     // eval_millis
-  w.U32(2);                       // num columns
-  w.U32(0);
-  w.U32(1);
-  w.U64(uint64_t{1} << 40);       // num rows (hostile)
-  SiteEvalReply decoded;
-  Status st = DecodeEvalReply(w.Take(), &decoded);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  // attempt the allocation. 2^62 rows of 8 bytes wrap a 64-bit byte
+  // count to 0.
+  for (uint64_t hostile : {uint64_t{1} << 40, uint64_t{1} << 62}) {
+    net::ByteWriter w;
+    w.U64(0);                       // bloom_dropped
+    w.F64(0.0);                     // eval_millis
+    w.U32(2);                       // num columns
+    w.U32(0);
+    w.U32(1);
+    w.U64(hostile);                 // num rows
+    SiteEvalReply decoded;
+    Status st = DecodeEvalReply(w.Take(), &decoded);
+    ASSERT_FALSE(st.ok()) << hostile;
+    EXPECT_EQ(st.code(), StatusCode::kParseError);
+  }
 }
 
 TEST(RpcProtocolTest, ErrorRoundTripsEveryCode) {

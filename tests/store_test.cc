@@ -1,5 +1,6 @@
 #include "store/triple_store.h"
 
+#include <algorithm>
 #include <set>
 
 #include "common/random.h"
@@ -257,6 +258,71 @@ TEST(BindingTableTest, DeduplicateAndColumnOf) {
   EXPECT_EQ(t.ColumnOf(5), 1u);
   EXPECT_EQ(t.ColumnOf(9), SIZE_MAX);
   EXPECT_EQ(t.ByteSize(), 2 * 2 * sizeof(uint32_t));
+}
+
+/// `table`'s rows after std::sort + std::unique: the order and content
+/// Deduplicate must reproduce.
+std::vector<std::vector<uint32_t>> SortUnique(const BindingTable& table) {
+  std::vector<std::vector<uint32_t>> rows = table.rows;
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
+// Deduplicate radix-sorts large tables and comparison-sorts small ones;
+// both must give exactly the rows and order of std::sort + std::unique.
+TEST(BindingTableTest, DeduplicateMatchesSortUnique) {
+  Rng rng(404);
+  for (size_t arity = 0; arity <= 4; ++arity) {
+    for (size_t n : {0, 1, 2, 255, 256, 257, 3000, 50000}) {
+      // Value ranges: heavy duplicates, a mix, and the full 32 bits.
+      for (uint64_t range : {3ULL, 5000ULL, 1ULL << 32}) {
+        BindingTable t;
+        for (uint32_t v = 0; v < arity; ++v) t.var_ids.push_back(v);
+        t.rows.reserve(n);
+        for (size_t r = 0; r < n; ++r) {
+          if (r > 0 && rng.Chance(0.2)) {  // an exact duplicate
+            t.rows.push_back(t.rows[rng.Below(r)]);
+            continue;
+          }
+          std::vector<uint32_t> row(arity);
+          for (uint32_t& cell : row) {
+            const uint64_t pick = rng.Below(8);
+            cell = pick == 0   ? 0
+                   : pick == 1 ? UINT32_MAX
+                               : static_cast<uint32_t>(rng.Below(range));
+          }
+          t.rows.push_back(std::move(row));
+        }
+        const std::vector<std::vector<uint32_t>> expected = SortUnique(t);
+        const std::vector<uint32_t> var_ids = t.var_ids;
+        t.Deduplicate();
+        ASSERT_EQ(t.rows, expected)
+            << "arity " << arity << " rows " << n << " range " << range;
+        EXPECT_EQ(t.var_ids, var_ids);
+      }
+    }
+  }
+}
+
+TEST(BindingTableTest, DeduplicateZeroColumnAndRaggedRows) {
+  BindingTable empty_rows;
+  empty_rows.rows.assign(1000, std::vector<uint32_t>{});
+  empty_rows.Deduplicate();
+  EXPECT_EQ(empty_rows.rows, (std::vector<std::vector<uint32_t>>{{}}));
+
+  // Rows of unequal length (no BindingTable builds them) still sort
+  // lexicographically.
+  Rng rng(405);
+  BindingTable ragged;
+  for (size_t r = 0; r < 1000; ++r) {
+    std::vector<uint32_t> row(rng.Below(3));
+    for (uint32_t& cell : row) cell = static_cast<uint32_t>(rng.Below(4));
+    ragged.rows.push_back(std::move(row));
+  }
+  const std::vector<std::vector<uint32_t>> expected = SortUnique(ragged);
+  ragged.Deduplicate();
+  EXPECT_EQ(ragged.rows, expected);
 }
 
 // Property-style: distributed-agnostic sanity — matcher agrees with a
