@@ -1,5 +1,6 @@
 // Ablation: site localization (executor option site_pruning: property
-// presence plus ownership, exec::SelectSites) — sound forms of the query
+// presence, ownership and constant stars, exec::SelectSites) — sound
+// forms of the query
 // localization the paper leaves as future work. Reports per-dataset how
 // many site evaluations the benchmark queries and a query log save.
 
@@ -76,6 +77,7 @@ int main(int argc, char** argv) {
   RunDataset(mpc::workload::DatasetId::kLgd, scale);
   std::cout << "(property presence prunes modular datasets — Bio2RDF's "
                "per-module vocabularies, LGD's tile tags; ownership prunes "
-               "queries anchored at a constant on an internal property)\n";
+               "queries anchored at a constant on an internal property, or "
+               "at one constant on every pattern)\n";
   return 0;
 }

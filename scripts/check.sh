@@ -448,7 +448,8 @@ EOF
 # Localization smoke: LQ1 carries a constant (Course0) on a non-crossing
 # pattern, so on a k=8 MPC partitioning of a LUBM sample `mpc query`
 # must contact that constant's owner site only, and `mpc explain` must
-# name the constant and its owner.
+# name the constant and its owner. LQ14 is a star on its class (every
+# pattern touches it), so it too must reach that class's owner alone.
 localization_smoke() {
   local dir="$1"
   echo "=== localization smoke: ${dir} ==="
@@ -468,6 +469,14 @@ localization_smoke() {
   out="$("${dir}/tools/mpc" explain "${tmp}/mpc_sample.nt" "${tmp}/part" \
     "${lq1}")"
   grep -q "owner-localized: <http://example.org/lubm/Course0> is owned by site" \
+    <<< "${out}"
+  local lq14='SELECT ?x WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/lubm/class/UndergraduateStudent0> . }'
+  out="$("${dir}/tools/mpc" query "${tmp}/mpc_sample.nt" "${tmp}/part" \
+    "${lq14}")"
+  grep -q "sites 1 evaluated / 7 pruned" <<< "${out}"
+  out="$("${dir}/tools/mpc" explain "${tmp}/mpc_sample.nt" "${tmp}/part" \
+    "${lq14}")"
+  grep -qE "owner-localized: <http://example.org/lubm/class/UndergraduateStudent0> is owned by site [0-9]+ \(every pattern touches it\)" \
     <<< "${out}"
   # VP is a plan too: explain shows where each subquery goes, and the
   # query answers as many rows as on MPC.

@@ -282,6 +282,31 @@ void ClusterBackend::EvaluateOnSites(std::span<const uint32_t> sites,
   });
 }
 
+namespace {
+
+/// The star constant of a sub-BGP: a vertex c the partitioning knows
+/// (`c < part.size()`) that every pattern has as subject or object.
+std::optional<rdf::VertexId> StarConstant(
+    const store::ResolvedQuery& resolved,
+    std::span<const size_t> pattern_indices,
+    const std::vector<uint32_t>& part) {
+  if (pattern_indices.empty()) return std::nullopt;
+  const store::ResolvedPattern& first = resolved.patterns[pattern_indices[0]];
+  for (const auto& [is_var, c] : {std::pair(first.s_is_var, first.s),
+                                  std::pair(first.o_is_var, first.o)}) {
+    if (is_var || c >= part.size()) continue;
+    const bool touches_all = std::all_of(
+        pattern_indices.begin(), pattern_indices.end(), [&](size_t idx) {
+          const store::ResolvedPattern& p = resolved.patterns[idx];
+          return (!p.s_is_var && p.s == c) || (!p.o_is_var && p.o == c);
+        });
+    if (touches_all) return c;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 SiteSelection SelectSites(const ClusterBackend& cluster,
                           const store::ResolvedQuery& resolved,
                           const std::vector<bool>& crossing_pattern,
@@ -299,7 +324,6 @@ SiteSelection SelectSites(const ClusterBackend& cluster,
   // which is also its object's owner, so a non-crossing pattern with a
   // constant endpoint c matches at owner(c) alone. Two such constants
   // with different owners leave no site at all.
-  bool nowhere = false;
   if (partitioning.kind() == partition::PartitioningKind::kVertexDisjoint) {
     const std::vector<uint32_t>& part = partitioning.assignment().part;
     for (size_t idx : pattern_indices) {
@@ -312,12 +336,21 @@ SiteSelection SelectSites(const ClusterBackend& cluster,
           selection.owner_constant = c;
           selection.owner = part[c];
         } else if (part[c] != selection.owner) {
-          nowhere = true;
+          return selection;
         }
       }
     }
+    // The star rule: every triple incident to c is stored at owner(c),
+    // a crossing one at its other endpoint's owner too.
+    if (!selection.owner_constant.has_value()) {
+      selection.owner_constant =
+          StarConstant(resolved, pattern_indices, part);
+      if (selection.owner_constant.has_value()) {
+        selection.owner = part[*selection.owner_constant];
+        selection.star = true;
+      }
+    }
   }
-  if (nowhere) return selection;
   // Property presence: a site lacking a constant predicate the sub-BGP
   // requires cannot match it.
   auto relevant = [&](uint32_t site) {
@@ -330,11 +363,19 @@ SiteSelection SelectSites(const ClusterBackend& cluster,
                        });
   };
   if (selection.owner_constant.has_value()) {
-    if (relevant(selection.owner)) selection.sites.push_back(selection.owner);
-    return selection;
+    // An owner lacking a required property leaves no match anywhere:
+    // every match a replica could give is also the owner's.
+    if (!relevant(selection.owner)) return selection;
+    selection.sites.push_back(selection.owner);
+    if (!selection.star) return selection;
   }
+  // Without an owner these are the sites to ask; for a star, the ones
+  // holding its crossing triples' replicas.
+  std::vector<uint32_t>& rest =
+      selection.star ? selection.failover : selection.sites;
   for (uint32_t site = 0; site < cluster.k(); ++site) {
-    if (relevant(site)) selection.sites.push_back(site);
+    if (site == selection.owner && selection.star) continue;
+    if (relevant(site)) rest.push_back(site);
   }
   return selection;
 }
@@ -390,6 +431,9 @@ SiteEvalReply EvaluateSiteRequest(const store::TripleSource& store,
     reply.bloom_dropped = local.rows.size() - kept;
     local.rows.resize(kept);
   }
+  // The coordinator merges the sites' sorted replies instead of sorting
+  // their union.
+  local.Deduplicate();
   reply.eval_millis = timer.ElapsedMillis();
   reply.table = std::move(local);
   return reply;

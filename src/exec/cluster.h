@@ -256,15 +256,23 @@ class ClusterBackend {
 };
 
 /// Where one sub-BGP is sent: the query localization the paper leaves
-/// as future work (Section V-B2), in two sound forms.
+/// as future work (Section V-B2), in three sound forms.
 struct SiteSelection {
   /// The sites to contact, ascending.
   std::vector<uint32_t> sites;
-  /// Set when the ownership rule applied: a constant subject or object
-  /// of a non-crossing pattern, and `owner`, the one site that holds
-  /// every triple such a pattern can match.
+  /// Set when an ownership rule applied: `owner` is the one site that
+  /// holds every triple the sub-BGP can match, and `owner_constant` the
+  /// constant that names it.
   std::optional<rdf::VertexId> owner_constant;
   uint32_t owner = 0;
+  /// Set when the star rule alone applied: every pattern has
+  /// `owner_constant` as subject or object, crossing patterns included.
+  bool star = false;
+  /// For a star: the other sites property presence keeps. They hold the
+  /// 1-hop replicas of the star's crossing triples, so under kBestEffort
+  /// a failed `owner` is replaced by them within the same step, and the
+  /// answer is the one asking them all would have given.
+  std::vector<uint32_t> failover;
 };
 
 /// The sites that can hold a match of the sub-BGP `pattern_indices` of
@@ -277,10 +285,14 @@ struct SiteSelection {
 ///  - on a vertex-disjoint partitioning, a pattern with a constant,
 ///    non-crossing predicate has a constant subject or object c and the
 ///    site is not owner(c) (ownership: such a triple is internal, so it
-///    is stored at owner(c) only). A constant the partitioning does not
-///    know skips this rule.
-/// On an edge-disjoint (VP) partitioning a property is stored at its
-/// home site only, so presence alone selects that site (all k for a
+///    is stored at owner(c) only), or
+///  - on a vertex-disjoint partitioning, every pattern has one constant
+///    c as subject or object and the site is not owner(c) (the star
+///    rule: every triple incident to c, internal or crossing, is stored
+///    at owner(c)).
+/// A constant the partitioning does not know skips both ownership
+/// rules. On an edge-disjoint (VP) partitioning a property is stored at
+/// its home site only, so presence alone selects that site (all k for a
 /// variable predicate). DESIGN.md §5 has the proof. Both the executor
 /// and `mpc explain` select sites here.
 SiteSelection SelectSites(const ClusterBackend& cluster,
@@ -369,10 +381,12 @@ class Cluster final : public ClusterBackend {
   std::vector<std::shared_ptr<const store::TripleSource>> stores_;
 };
 
-/// Runs the matcher and applies the request's Bloom filters — the
-/// site-side half of one evaluation, shared verbatim by the in-process
-/// Cluster and the `mpc site` worker process so their tables are
-/// bit-identical (for any TripleSource backend).
+/// Runs the matcher, applies the request's Bloom filters and sorts and
+/// deduplicates the rows — the site-side half of one evaluation, shared
+/// verbatim by the in-process Cluster and the `mpc site` worker process
+/// so their tables are bit-identical (for any TripleSource backend). The
+/// reply's rows are strictly ascending, which the coordinator's merge
+/// relies on and checks.
 SiteEvalReply EvaluateSiteRequest(const store::TripleSource& store,
                                   const store::ResolvedQuery& resolved,
                                   const SiteEvalRequest& request);

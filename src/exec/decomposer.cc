@@ -51,13 +51,17 @@ Decomposition WholeQuery(const sparql::QueryGraph& query) {
   return result;
 }
 
-/// VP locality: a query runs at a single site iff it has no variable
-/// predicate and every constant predicate present in the data has the
-/// same home site. A property absent from the data matches nowhere, so
-/// it never splits the query.
+/// VP locality: a query is the union of its per-site matches iff it is
+/// one pattern, or it has no variable predicate and every constant
+/// predicate present in the data has the same home site. Every triple
+/// is stored at one site only, so a single pattern's matches are exactly
+/// the union over the sites storing its property (all k for a variable
+/// predicate). A property absent from the data matches nowhere, so it
+/// never splits the query.
 bool IsVpLocal(const sparql::QueryGraph& query,
                const partition::Partitioning& partitioning,
                const rdf::RdfGraph& graph) {
+  if (query.num_patterns() == 1) return true;
   if (query.has_variable_predicate()) return false;
   uint32_t home = UINT32_MAX;
   for (const std::string& pred : query.ConstantPredicates()) {

@@ -55,6 +55,70 @@ std::string FormatColumns(const std::vector<uint32_t>& var_ids) {
   return out + "]";
 }
 
+using Rows = std::vector<std::vector<uint32_t>>;
+
+/// The first row of [first, last) not below `bound`, by galloping from
+/// `first`: O(log d) comparisons for a block of d rows below `bound`.
+Rows::iterator GallopLowerBound(Rows::iterator first, Rows::iterator last,
+                                const std::vector<uint32_t>& bound) {
+  const ptrdiff_t n = last - first;
+  ptrdiff_t lo = 0;
+  ptrdiff_t probe = 1;
+  while (probe <= n && first[probe - 1] < bound) {
+    lo = probe;
+    probe *= 2;
+  }
+  return std::lower_bound(first + lo, first + std::min(probe, n), bound);
+}
+
+/// Unions strictly ascending runs into one strictly ascending table:
+/// the rows sort + unique would give. Each round takes the run with the
+/// smallest head, moves its whole block below every other run's head
+/// in one galloping search, and drops its next row if another run holds
+/// it too. `rows` is the runs' total.
+Rows MergeDistinctRuns(std::vector<Rows> runs, size_t rows) {
+  struct Cursor {
+    Rows::iterator pos;
+    Rows::iterator end;
+  };
+  std::vector<Cursor> live;
+  for (Rows& run : runs) {
+    if (!run.empty()) live.push_back({run.begin(), run.end()});
+  }
+  if (live.size() == 1) {
+    for (Rows& run : runs) {
+      if (!run.empty()) return std::move(run);
+    }
+  }
+  Rows merged;
+  merged.reserve(rows);
+  while (live.size() > 1) {
+    size_t a = 0;
+    for (size_t i = 1; i < live.size(); ++i) {
+      if (*live[i].pos < *live[a].pos) a = i;
+    }
+    const std::vector<uint32_t>* bound = nullptr;
+    for (size_t i = 0; i < live.size(); ++i) {
+      if (i != a && (bound == nullptr || *live[i].pos < *bound)) {
+        bound = &*live[i].pos;
+      }
+    }
+    Cursor& cursor = live[a];
+    const Rows::iterator block_end =
+        GallopLowerBound(cursor.pos, cursor.end, *bound);
+    merged.insert(merged.end(), std::make_move_iterator(cursor.pos),
+                  std::make_move_iterator(block_end));
+    cursor.pos = block_end;
+    if (cursor.pos != cursor.end && *cursor.pos == *bound) ++cursor.pos;
+    if (cursor.pos == cursor.end) live.erase(live.begin() + a);
+  }
+  if (!live.empty()) {
+    merged.insert(merged.end(), std::make_move_iterator(live[0].pos),
+                  std::make_move_iterator(live[0].end));
+  }
+  return merged;
+}
+
 /// One registry update per query so ParallelFor site scans never touch
 /// the registry mutex; the counters mirror ExecutionStats exactly (the
 /// obs regression test in tests/obs_metrics_test.cc relies on this).
@@ -227,9 +291,9 @@ Result<BindingTable> DistributedExecutor::ExecutePlan(
     }
   }
 
-  // --- LET: per subquery, prune, scatter, dedupe, publish filters. ---
+  // --- LET: per subquery, localize, scatter, merge, publish filters. ---
   std::vector<BindingTable> subquery_results(decomposition.num_subqueries());
-  std::vector<uint32_t> sites;
+  SiteSelection selection;
   for (size_t step = 0; step < order.size(); ++step) {
     const size_t subquery_index = order[step];
     obs::TraceSpan subquery_span("exec.subquery");
@@ -242,20 +306,19 @@ Result<BindingTable> DistributedExecutor::ExecutePlan(
     // Localization: sites that cannot hold a match of the subquery are
     // not contacted.
     if (options_.site_pruning) {
-      sites = SelectSites(cluster_, resolved,
-                          plan->classification.crossing_pattern, sub)
-                  .sites;
+      selection = SelectSites(cluster_, resolved,
+                              plan->classification.crossing_pattern, sub);
     } else {
-      sites.resize(cluster_.k());
-      for (uint32_t site = 0; site < cluster_.k(); ++site) sites[site] = site;
+      selection.sites.resize(cluster_.k());
+      for (uint32_t site = 0; site < cluster_.k(); ++site) {
+        selection.sites[site] = site;
+      }
     }
-    stats->sites_pruned += cluster_.k() - sites.size();
+    // The sorted, distinct union of Definition 3.7: replicas may
+    // produce the same match at two sites.
     Result<BindingTable> merged = ScatterGather(
-        run, sub, sites, step, use_bloom ? &var_filters : nullptr);
+        run, sub, selection, step, use_bloom ? &var_filters : nullptr);
     if (!merged.ok()) return merged.status();
-    // Union semantics (Definition 3.7): replicas may produce the same
-    // match at two sites; dedupe.
-    merged->Deduplicate();
     if (use_bloom) {
       // Publish filters for join variables still needed by later
       // subqueries, sized by distinct values (filters are broadcast to
@@ -331,13 +394,49 @@ Result<BindingTable> DistributedExecutor::ExecutePlan(
 
 Result<BindingTable> DistributedExecutor::ScatterGather(
     QueryRun* run, std::span<const size_t> patterns,
-    std::span<const uint32_t> sites, size_t step,
+    const SiteSelection& selection, size_t step,
     const VarFilters* filters) const {
   ExecutionStats* stats = run->stats;
   SiteEvalRequest request;
   request.pattern_indices = patterns;
   request.max_rows = options_.max_rows;
   request.var_filters = filters;
+  BindingTable merged = SchemaTable(run->resolved, patterns);
+  Gathered gathered;
+  size_t asked = selection.sites.size();
+  Status status =
+      CallSites(run, request, selection.sites, step, merged.var_ids,
+                &gathered);
+  if (status.ok() && gathered.failed > 0 && !selection.failover.empty()) {
+    // The star's owner failed: the replicas of its crossing triples
+    // answer, as they would have had every site been asked this step
+    // (the fault schedule is a pure function of site, step and attempt).
+    asked += selection.failover.size();
+    status = CallSites(run, request, selection.failover, step,
+                       merged.var_ids, &gathered);
+  }
+  stats->sites_pruned += cluster_.k() - asked;
+  stats->local_eval_millis += gathered.millis;
+  if (!status.ok()) return status;
+  // With no site answering (all pruned or failed, or k = 0) `merged`
+  // stays the empty table with the right columns, so downstream joins
+  // see the schema.
+  obs::TraceSpan span("exec.gather");
+  const size_t runs = gathered.runs.size();
+  merged.rows = MergeDistinctRuns(std::move(gathered.runs), gathered.rows);
+  span.Attr("rows_in", static_cast<uint64_t>(gathered.rows))
+      .Attr("rows_out", static_cast<uint64_t>(merged.num_rows()))
+      .Attr("runs", static_cast<uint64_t>(runs));
+  return merged;
+}
+
+Status DistributedExecutor::CallSites(QueryRun* run,
+                                      const SiteEvalRequest& request,
+                                      std::span<const uint32_t> sites,
+                                      size_t step,
+                                      const std::vector<uint32_t>& columns,
+                                      Gathered* out) const {
+  ExecutionStats* stats = run->stats;
   // Scatter: one batch call for every site not known down since an
   // earlier step — in-process threads standing in for (or real RPCs
   // actually reaching) the sites matching in parallel, each reply
@@ -352,13 +451,10 @@ Result<BindingTable> DistributedExecutor::ScatterGather(
                                run->resolved, request, options_.num_threads,
                                replies, statuses);
 
-  // Gather, serially in site order. A step costs its slowest site; a
+  // Gather, serially in site order. A batch costs its slowest site; a
   // failed site still blocks it for as long as the coordinator waited
   // on it (timeouts, backoff, failure detection).
-  BindingTable merged = SchemaTable(run->resolved, patterns);
   const SiteEvalReply no_reply;
-  std::vector<size_t> answered;  // slots of the replies to merge
-  size_t total_rows = 0;
   double slowest = 0.0;
   size_t next_live = 0;
   for (const uint32_t site : sites) {
@@ -372,13 +468,18 @@ Result<BindingTable> DistributedExecutor::ScatterGather(
                                                  std::to_string(site) +
                                                  " is down");
     next_live += called;
-    // Every later step indexes each row by the subquery's columns, so a
-    // reply with other columns is that site failing.
-    if (status.ok() && reply.table.var_ids != merged.var_ids) {
+    // Every later step indexes each row by the subquery's columns, and
+    // the merge needs each reply sorted and distinct, so a reply that
+    // breaks either is that site failing.
+    if (status.ok() && reply.table.var_ids != columns) {
       status = Status::Internal(
           "site " + std::to_string(site) + " replied with columns " +
           FormatColumns(reply.table.var_ids) + ", expected " +
-          FormatColumns(merged.var_ids));
+          FormatColumns(columns));
+    } else if (status.ok() && !reply.table.StrictlyAscending()) {
+      status = Status::Internal("site " + std::to_string(site) +
+                                " replied with rows that are not sorted "
+                                "and distinct");
     }
     run->contacted[site] |= called;
     stats->retries += static_cast<size_t>(reply.retries);
@@ -392,6 +493,7 @@ Result<BindingTable> DistributedExecutor::ScatterGather(
         run->avail.MarkDown(site);
       }
       ++stats->sites_failed;
+      ++out->failed;
       if (run->partial_results == PartialResultPolicy::kFail) return status;
       continue;
     }
@@ -399,23 +501,11 @@ Result<BindingTable> DistributedExecutor::ScatterGather(
     stats->bloom_dropped_rows += reply.bloom_dropped;
     stats->local_rows += reply.table.num_rows();
     stats->shipped_bytes += reply.table.ByteSize();
-    answered.push_back(slot);
-    total_rows += reply.table.num_rows();
+    out->rows += reply.table.num_rows();
+    out->runs.push_back(std::move(replies[slot].table.rows));
   }
-  stats->local_eval_millis += slowest;
-  // Union the answers in site order. With no site answering (all pruned
-  // or failed, or k = 0) `merged` stays the empty table with the right
-  // columns, so downstream joins see the schema.
-  for (const size_t slot : answered) {
-    std::vector<std::vector<uint32_t>>& rows = replies[slot].table.rows;
-    if (merged.rows.empty()) {
-      merged.rows = std::move(rows);
-      merged.rows.reserve(total_rows);
-    } else {
-      std::move(rows.begin(), rows.end(), std::back_inserter(merged.rows));
-    }
-  }
-  return merged;
+  out->millis += slowest;
+  return Status::Ok();
 }
 
 }  // namespace mpc::exec

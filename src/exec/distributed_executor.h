@@ -40,9 +40,10 @@ struct ExecutorOptions {
   size_t max_rows = SIZE_MAX;
   /// Localization (SelectSites): skip sites that lack a property some
   /// pattern of the subquery requires, and send a subquery with a
-  /// constant on a non-crossing pattern to that constant's owner site
-  /// only. Sound — skipped sites cannot contribute matches. The query
-  /// localization the paper leaves as future work (Section V-B2).
+  /// constant on a non-crossing pattern, or with one constant on every
+  /// pattern, to that constant's owner site only. Sound — skipped sites
+  /// cannot contribute matches. The query localization the paper leaves
+  /// as future work (Section V-B2).
   bool site_pruning = true;
   /// WORQ-style [24] Bloom-join reduction for decomposed (non-IEQ)
   /// queries: join-key Bloom filters from earlier subqueries are shipped
@@ -127,23 +128,43 @@ class DistributedExecutor {
                                           QueryRun* run) const;
 
   /// The execution primitive of Section V-B2: ships the sub-BGP
-  /// `patterns` to every site in `sites` in one batch call
-  /// (FaultModel::EvaluateOnSites), then unions the replies serially in
-  /// site order, so the table and every stat are identical at any
-  /// thread count. `step` numbers the call
-  /// for the fault schedule; `filters` are the optional Bloom filters.
-  /// Every site failure — simulated or real — is handled here: under
-  /// kFail the first one in site order is returned; under kBestEffort
-  /// the site is skipped (and marked down when the failure is
-  /// fail-stop). A reply whose columns are not the sub-BGP's
-  /// (SchemaTable) is such a failure, an Internal error naming the
-  /// site and both column lists. Returns the un-deduplicated union, or
+  /// `patterns` to every site of `selection.sites` in one batch call
+  /// (FaultModel::EvaluateOnSites), then merges the replies, so the
+  /// table and every stat are identical at any thread count. `step`
+  /// numbers the call for the fault schedule; `filters` are the optional
+  /// Bloom filters. Every site failure — simulated or real — is handled
+  /// here: under kFail the first one in site order is returned; under
+  /// kBestEffort the site is skipped (and marked down when the failure
+  /// is fail-stop), and a failed star owner is replaced by
+  /// `selection.failover` in a second batch of the same step. A reply
+  /// whose columns are not the sub-BGP's (SchemaTable), or whose rows
+  /// are not strictly ascending, is such a failure, an Internal error
+  /// naming the site. Returns the sorted, distinct union (Def. 3.7), or
   /// the sub-BGP's empty schema when no site answered.
   Result<store::BindingTable> ScatterGather(QueryRun* run,
                                             std::span<const size_t> patterns,
-                                            std::span<const uint32_t> sites,
+                                            const SiteSelection& selection,
                                             size_t step,
                                             const VarFilters* filters) const;
+
+  /// What the batches of one ScatterGather step gathered.
+  struct Gathered {
+    /// The answering sites' rows, one strictly ascending run each.
+    std::vector<std::vector<std::vector<uint32_t>>> runs;
+    size_t rows = 0;
+    size_t failed = 0;
+    /// Modeled step time: the batches run one after another, each as
+    /// long as its slowest site.
+    double millis = 0.0;
+  };
+
+  /// One batch call of ScatterGather over `sites`, checking each reply
+  /// against `columns` and accounting it into `run` and `out`. Returns
+  /// the first failure under kFail, Ok otherwise.
+  Status CallSites(QueryRun* run, const SiteEvalRequest& request,
+                   std::span<const uint32_t> sites, size_t step,
+                   const std::vector<uint32_t>& columns,
+                   Gathered* out) const;
 
   const ClusterBackend& cluster_;
   const rdf::RdfGraph& graph_;

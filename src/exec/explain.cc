@@ -73,7 +73,8 @@ std::string ExplainQuery(const sparql::QueryGraph& query,
       if (selection.owner_constant.has_value()) {
         out << "  owner-localized: "
             << graph.VertexName(*selection.owner_constant)
-            << " is owned by site " << selection.owner << "\n";
+            << " is owned by site " << selection.owner
+            << (selection.star ? " (every pattern touches it)" : "") << "\n";
       }
     }
   }

@@ -231,8 +231,14 @@ Status RemoteCluster::ReceiveReplyLocked(SiteState* state,
   }
   const double rtt_ms = sent.timer.ElapsedMillis();
   std::vector<obs::TraceEvent> remote_spans;
-  Status st = DecodeEvalReply(frame->payload, reply,
-                              sent.trace_id != 0 ? &remote_spans : nullptr);
+  Status st = Status::Ok();
+  {
+    obs::TraceSpan decode("net.decode_reply");
+    st = DecodeEvalReply(frame->payload, reply,
+                         sent.trace_id != 0 ? &remote_spans : nullptr);
+    decode.Attr("rows", static_cast<uint64_t>(reply->table.num_rows()))
+        .Attr("bytes", static_cast<uint64_t>(frame->payload.size()));
+  }
   if (!st.ok()) {
     // A payload that passed the checksum but fails to decode is a
     // protocol bug, not line noise; drop the connection anyway so a

@@ -251,25 +251,42 @@ Status DecodeSpan(ByteReader* r, obs::TraceEvent* e) {
 
 }  // namespace
 
-std::string EncodeEvalReply(const SiteEvalReply& reply,
-                            const std::vector<obs::TraceEvent>& spans) {
+std::string EncodeEvalReplyBody(const SiteEvalReply& reply) {
+  const store::BindingTable& table = reply.table;
   ByteWriter w;
+  w.Reserve(32 + 4 * table.var_ids.size() + table.ByteSize());
   w.U64(reply.bloom_dropped);
   w.F64(reply.eval_millis);
-  const store::BindingTable& table = reply.table;
   w.U32(static_cast<uint32_t>(table.var_ids.size()));
   for (uint32_t var : table.var_ids) w.U32(var);
   w.U64(table.rows.size());
+  // Each row's cells are little-endian u32s, the host's own layout
+  // (DecodeEvalReply checks the same), so a row is one append.
+  static_assert(std::endian::native == std::endian::little);
   for (const std::vector<uint32_t>& row : table.rows) {
-    for (uint32_t v : row) w.U32(v);
+    w.Bytes(std::string_view(reinterpret_cast<const char*>(row.data()),
+                             row.size() * sizeof(uint32_t)));
   }
+  return w.Take();
+}
+
+void AppendReplySpans(const std::vector<obs::TraceEvent>& spans,
+                      std::string* payload) {
   // Earliest spans win under the cap: the root and coarse phase spans
   // open first, and those are the ones a cross-process timeline needs.
   const uint32_t num_spans = static_cast<uint32_t>(
       std::min<size_t>(spans.size(), kMaxSpansPerReply));
+  ByteWriter w;
   w.U32(num_spans);
   for (uint32_t i = 0; i < num_spans; ++i) EncodeSpan(&w, spans[i]);
-  return w.Take();
+  payload->append(w.Take());
+}
+
+std::string EncodeEvalReply(const SiteEvalReply& reply,
+                            const std::vector<obs::TraceEvent>& spans) {
+  std::string payload = EncodeEvalReplyBody(reply);
+  AppendReplySpans(spans, &payload);
+  return payload;
 }
 
 Status DecodeEvalReply(std::string_view payload, SiteEvalReply* reply,

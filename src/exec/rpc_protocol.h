@@ -91,6 +91,12 @@ std::string EncodeEvalReply(const SiteEvalReply& reply,
 inline std::string EncodeEvalReply(const SiteEvalReply& reply) {
   return EncodeEvalReply(reply, {});
 }
+/// EncodeEvalReply in two steps: the reply up to its span list, then
+/// the list appended. A worker encodes the body inside the spans it
+/// ships, so its encode time travels with them.
+std::string EncodeEvalReplyBody(const SiteEvalReply& reply);
+void AppendReplySpans(const std::vector<obs::TraceEvent>& spans,
+                      std::string* payload);
 /// Fills table/bloom_dropped/eval_millis; transport fields stay zero.
 /// When `spans` is non-null the carried span list is decoded into it
 /// (cleared first); when null the span bytes are validated and skipped.

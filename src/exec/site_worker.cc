@@ -101,7 +101,7 @@ std::string HandleEval(const SiteData& data, uint32_t site,
 
   const bool traced = msg.trace.trace_id != 0;
   if (traced && !obs::TracingEnabled()) obs::StartTracing();
-  SiteEvalReply reply;
+  std::string encoded;
   {
     // The propagated context parents the worker's root span directly to
     // the coordinator's span that issued this request. The parent id is
@@ -113,14 +113,21 @@ std::string HandleEval(const SiteData& data, uint32_t site,
       root.Attr("site", static_cast<uint64_t>(site));
       if (!msg.trace.query_tag.empty()) root.Attr("tag", msg.trace.query_tag);
     }
-    reply = EvaluateSiteRequest(data.store, msg.resolved, request);
+    const SiteEvalReply reply =
+        EvaluateSiteRequest(data.store, msg.resolved, request);
+    obs::TraceSpan encode("net.encode_reply");
+    encoded = EncodeEvalReplyBody(reply);
+    encode.Attr("rows", static_cast<uint64_t>(reply.table.num_rows()))
+        .Attr("bytes", static_cast<uint64_t>(encoded.size()));
   }
-  if (!traced) return EncodeEvalReply(reply);
   std::vector<obs::TraceEvent> spans;
-  for (obs::TraceEvent& e : obs::CollectTrace()) {
-    if (e.trace_id == msg.trace.trace_id) spans.push_back(std::move(e));
+  if (traced) {
+    for (obs::TraceEvent& e : obs::CollectTrace()) {
+      if (e.trace_id == msg.trace.trace_id) spans.push_back(std::move(e));
+    }
   }
-  std::string encoded = EncodeEvalReply(reply, spans);
+  AppendReplySpans(spans, &encoded);
+  if (!traced) return encoded;
   obs::DiscardTrace();
   return encoded;
 }

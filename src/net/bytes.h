@@ -28,6 +28,7 @@ class ByteWriter {
     out_.append(data);
   }
 
+  void Reserve(size_t bytes) { out_.reserve(bytes); }
   size_t size() const { return out_.size(); }
   std::string Take() { return std::move(out_); }
 

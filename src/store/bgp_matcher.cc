@@ -59,7 +59,16 @@ size_t BindingTable::ColumnOf(uint32_t var_id) const {
   return SIZE_MAX;
 }
 
+bool BindingTable::StrictlyAscending() const {
+  return std::adjacent_find(rows.begin(), rows.end(),
+                            [](const std::vector<uint32_t>& a,
+                               const std::vector<uint32_t>& b) {
+                              return !(a < b);
+                            }) == rows.end();
+}
+
 void BindingTable::Deduplicate() {
+  if (StrictlyAscending()) return;
   const size_t n = rows.size();
   const size_t width = n == 0 ? 0 : rows[0].size();
   const bool uniform =

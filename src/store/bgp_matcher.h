@@ -54,8 +54,13 @@ struct BindingTable {
   size_t num_rows() const { return rows.size(); }
   /// Column position of `var_id`, or SIZE_MAX.
   size_t ColumnOf(uint32_t var_id) const;
+  /// True iff every row is lexicographically below the next: the rows
+  /// are sorted and distinct.
+  bool StrictlyAscending() const;
   /// Sorts rows and removes duplicates (set semantics for the
-  /// cross-partition union of Definition 3.7).
+  /// cross-partition union of Definition 3.7). Rows already strictly
+  /// ascending, as a single-pattern index scan yields them, are left
+  /// untouched after one O(n) check.
   void Deduplicate();
   /// Reorders columns ascending by var id (joins append columns in join
   /// order; this restores the canonical layout the matcher produces).

@@ -216,10 +216,14 @@ TEST(VpLocalityTest, SingleSiteQueriesAreLocal) {
       "SELECT * WHERE { ?x <t:p0> ?y . }");
   EXPECT_TRUE(PlanQuery(q1, vp, g).union_only);
 
-  // A var-predicate query never is.
+  // A single var-predicate pattern is the union over every site (each
+  // triple is stored once); with a second pattern it is not.
   sparql::QueryGraph q2 =
       testutil::ParseQueryOrDie("SELECT * WHERE { ?x ?p ?y . }");
-  EXPECT_FALSE(PlanQuery(q2, vp, g).union_only);
+  EXPECT_TRUE(PlanQuery(q2, vp, g).union_only);
+  sparql::QueryGraph q2_joined = testutil::ParseQueryOrDie(
+      "SELECT * WHERE { ?x ?p ?y . ?y <t:p0> ?z . }");
+  EXPECT_FALSE(PlanQuery(q2_joined, vp, g).union_only);
 
   // Two properties: local iff same home.
   rdf::PropertyId p0 = g.property_dict().Lookup("<t:p0>");

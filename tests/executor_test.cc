@@ -493,5 +493,99 @@ TEST(ExecutorTest, ReplyWithWrongColumnsFailsThatSite) {
   EXPECT_EQ(response->bindings.rows, without_site->bindings.rows);
 }
 
+/// Wraps a Cluster and breaks the row order of one site's replies: the
+/// first two rows swapped, or the first row repeated. A worker whose
+/// rows the coordinator's merge cannot take.
+class DisorderedReplyCluster final : public ClusterBackend {
+ public:
+  enum class Fault { kSwapped, kRepeated };
+
+  DisorderedReplyCluster(const Cluster& inner, uint32_t bad_site, Fault fault)
+      : ClusterBackend(inner),
+        inner_(inner),
+        bad_site_(bad_site),
+        fault_(fault) {}
+
+  size_t MemoryUsage() const override { return inner_.MemoryUsage(); }
+
+  Status EvaluateOnSite(uint32_t site, const store::ResolvedQuery& resolved,
+                        const SiteEvalRequest& request,
+                        const SiteCallPolicy& policy,
+                        SiteEvalReply* reply) const override {
+    MPC_RETURN_IF_ERROR(
+        inner_.EvaluateOnSite(site, resolved, request, policy, reply));
+    std::vector<std::vector<uint32_t>>& rows = reply->table.rows;
+    if (site == bad_site_ && !rows.empty()) {
+      if (fault_ == Fault::kRepeated) {
+        rows.insert(rows.begin(), rows.front());
+      } else if (rows.size() > 1) {
+        std::swap(rows[0], rows[1]);
+      }
+    }
+    return Status::Ok();
+  }
+
+ private:
+  const Cluster& inner_;
+  uint32_t bad_site_;
+  Fault fault_;
+};
+
+TEST(ExecutorTest, ReplyNotSortedAndDistinctFailsThatSite) {
+  Rng rng(15);
+  RdfGraph graph = testutil::RandomGraph(rng, 60, 220, 5, 12);
+  Cluster cluster =
+      Cluster::Build(MakePartitioning(Strategy::kMpc, graph, 4, 15));
+  constexpr uint32_t kBadSite = 2;
+  const std::string text = "SELECT * WHERE { ?x <t:p0> ?y . }";
+  DistributedExecutor::Options options;
+  options.site_pruning = false;  // every site answers, kBadSite too
+  options.faults.fail_sites = {kBadSite};
+  options.partial_results = PartialResultPolicy::kBestEffort;
+  // What the other sites answer: kBadSite down.
+  Result<QueryResponse> without_site =
+      DistributedExecutor(cluster, graph, options)
+          .Execute(QueryRequest::FromText(text));
+  ASSERT_TRUE(without_site.ok()) << without_site.status().ToString();
+  options.faults.fail_sites.clear();
+  for (const auto fault : {DisorderedReplyCluster::Fault::kSwapped,
+                           DisorderedReplyCluster::Fault::kRepeated}) {
+    DisorderedReplyCluster faulty(cluster, kBadSite, fault);
+    SiteEvalReply bad;
+    ASSERT_TRUE(faulty
+                    .EvaluateOnSite(kBadSite,
+                                    store::ResolveQuery(
+                                        testutil::ParseQueryOrDie(text),
+                                        graph),
+                                    {.pattern_indices = std::vector<size_t>{0}},
+                                    SiteCallPolicy(), &bad)
+                    .ok());
+    ASSERT_GT(bad.table.num_rows(), 1u);
+    ASSERT_FALSE(bad.table.StrictlyAscending());
+
+    options.partial_results = PartialResultPolicy::kFail;
+    Result<QueryResponse> failed = DistributedExecutor(faulty, graph, options)
+                                       .Execute(QueryRequest::FromText(text));
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+    EXPECT_NE(failed.status().message().find(
+                  "site 2 replied with rows that are not sorted and distinct"),
+              std::string::npos)
+        << failed.status().message();
+
+    // Best effort keeps the other sites' rows.
+    options.partial_results = PartialResultPolicy::kBestEffort;
+    Result<QueryResponse> response =
+        DistributedExecutor(faulty, graph, options)
+            .Execute(QueryRequest::FromText(text));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->stats.sites_failed, 1u);
+    EXPECT_EQ(response->stats.sites_evaluated, cluster.k() - 1);
+    EXPECT_FALSE(response->stats.complete);
+    EXPECT_GT(response->bindings.num_rows(), 0u);
+    EXPECT_EQ(response->bindings.rows, without_site->bindings.rows);
+  }
+}
+
 }  // namespace
 }  // namespace mpc::exec

@@ -932,6 +932,18 @@ TEST(RemoteClusterTest, TracedQueryAssemblesOneMergedTraceAcrossProcesses) {
   // landed in the same trace.
   EXPECT_EQ(names.count("exec.rpc.attempt"), 1u);
   EXPECT_EQ(names.count("site.eval"), 1u);
+  // The coordinator's union and the reply's encode and decode are
+  // spans of their own.
+  EXPECT_EQ(names.count("exec.gather"), 1u);
+  EXPECT_EQ(names.count("net.decode_reply"), 1u);
+  EXPECT_EQ(names.count("net.encode_reply"), 1u);
+  for (const obs::TraceEvent& e : events) {
+    if (e.name == "net.encode_reply") {
+      EXPECT_NE(e.pid, 0u);
+    } else if (e.name == "net.decode_reply" || e.name == "exec.gather") {
+      EXPECT_EQ(e.pid, 0u) << e.name;
+    }
+  }
   // pid 0 is this process; every worker stamped its real pid.
   EXPECT_GE(pids.size(), 2u) << "no remote spans were ingested";
   EXPECT_EQ(pids.count(0), 1u);

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -257,16 +258,236 @@ TEST(SitePruningTest, OverlayLocalizesOnAFreshVertex) {
   }
 }
 
+// --- Differential: constant stars. ---
+
+/// A BGP anchored on the constant `c`: a star (every pattern has c as
+/// subject or object) or a near-star (one pattern does not).
+struct AnchoredQuery {
+  std::string text;
+  rdf::VertexId c = 0;
+  bool star = true;
+};
+
+/// Random BGPs anchored on a vertex of `triples` (on `anchor`, if
+/// given): 1-3 patterns, each from a triple incident to c with c kept
+/// as its subject or object. So c is the subject of one pattern and the
+/// object of another where it has edges both ways, and a self-loop
+/// gives `c p c`. The other endpoint is a variable, now and then a
+/// constant, and one predicate in four is a variable. One query in four
+/// is a near-star: a pattern hanging off the first pattern's variable
+/// endpoint ?x, away from c, which the star rule must not localize.
+std::vector<AnchoredQuery> AnchoredQueries(
+    const RdfGraph& graph, const std::vector<rdf::Triple>& triples,
+    uint64_t seed, size_t count,
+    std::optional<rdf::VertexId> anchor = std::nullopt) {
+  Rng rng(seed);
+  std::vector<std::vector<size_t>> incident(graph.num_vertices());
+  for (size_t i = 0; i < triples.size(); ++i) {
+    incident[triples[i].subject].push_back(i);
+    if (triples[i].object != triples[i].subject) {
+      incident[triples[i].object].push_back(i);
+    }
+  }
+  std::vector<rdf::VertexId> anchors;
+  if (anchor.has_value()) {
+    anchors.push_back(*anchor);
+  } else {
+    for (size_t v = 0; v < incident.size(); ++v) {
+      if (!incident[v].empty()) anchors.push_back(static_cast<uint32_t>(v));
+    }
+  }
+  std::vector<AnchoredQuery> queries;
+  for (size_t q = 0; q < count; ++q) {
+    AnchoredQuery query;
+    query.c = anchors[rng.Below(anchors.size())];
+    const std::vector<size_t>& edges = incident[query.c];
+    size_t next_var = 0;
+    auto var = [&next_var] { return "?v" + std::to_string(next_var++); };
+    // A near-star's first pattern binds ?x to a neighbour of c.
+    std::vector<size_t> open;
+    for (size_t e : edges) {
+      if (triples[e].subject != triples[e].object) open.push_back(e);
+    }
+    query.star = open.empty() || !rng.Chance(0.25);
+    std::string body;
+    const size_t n = 1 + rng.Below(3);
+    for (size_t i = 0; i < n; ++i) {
+      const rdf::Triple& t = triples[!query.star && i == 0
+                                         ? open[rng.Below(open.size())]
+                                         : edges[rng.Below(edges.size())]];
+      const bool first_of_near_star = !query.star && i == 0;
+      auto term = [&](rdf::VertexId v) -> std::string {
+        if (v == query.c) return graph.VertexName(v);
+        if (first_of_near_star) return "?x";
+        return rng.Chance(0.2) ? graph.VertexName(v) : var();
+      };
+      const std::string s = term(t.subject);
+      const std::string p =
+          rng.Chance(0.25) ? var() : graph.PropertyName(t.property);
+      body += s + " " + p + " " + term(t.object) + " . ";
+    }
+    if (!query.star) {
+      const rdf::Triple& t = triples[rng.Below(triples.size())];
+      body += "?x " + graph.PropertyName(t.property) + " " + var() + " . ";
+    }
+    query.text = "SELECT * WHERE { " + body + "}";
+    queries.push_back(std::move(query));
+  }
+  return queries;
+}
+
+/// The k = 1 oracle: the query over one store holding `triples`.
+BindingTable Oracle(const std::vector<rdf::Triple>& triples,
+                    const RdfGraph& graph, const sparql::QueryGraph& query) {
+  const store::TripleStore single(triples);
+  BindingTable table = store::BgpMatcher::EvaluateAll(
+      single, store::ResolveQuery(query, graph));
+  table.Deduplicate();
+  return table;
+}
+
+/// Every query answers as the oracle does, bit-identically with pruning
+/// on and off at 1 and 8 threads; and with owner(c) down under
+/// kBestEffort, pruning on answers as the broadcast does. Returns how
+/// many stars reached one site, and in `served`, how many of the
+/// owner-down broadcasts still had rows (the failover's work).
+size_t ExpectAnchoredQueriesExact(const ClusterBackend& cluster,
+                                  const RdfGraph& graph,
+                                  const std::vector<rdf::Triple>& triples,
+                                  const std::vector<AnchoredQuery>& queries,
+                                  const std::string& label,
+                                  size_t* served) {
+  const std::vector<uint32_t>& part = cluster.partitioning().assignment().part;
+  size_t localized = 0;
+  *served = 0;
+  for (const int threads : {1, 8}) {
+    ExecutorOptions on;
+    on.num_threads = threads;
+    ExecutorOptions off = on;
+    off.site_pruning = false;
+    const DistributedExecutor pruned(cluster, graph, on);
+    const DistributedExecutor full(cluster, graph, off);
+    for (const AnchoredQuery& q : queries) {
+      const std::string where = label + " at " + std::to_string(threads) +
+                                " threads: " + q.text;
+      const sparql::QueryGraph query = testutil::ParseQueryOrDie(q.text);
+      const QueryRequest request = QueryRequest::FromQuery(query);
+      Result<QueryResponse> a = pruned.Execute(request);
+      Result<QueryResponse> b = full.Execute(request);
+      EXPECT_TRUE(a.ok() && b.ok()) << where;
+      if (!a.ok() || !b.ok()) continue;
+      EXPECT_EQ(a->bindings.var_ids, b->bindings.var_ids) << where;
+      EXPECT_EQ(a->bindings.rows, b->bindings.rows) << where;
+      // A joined answer keeps the join's row order, so the oracle is
+      // compared as a set of the same size (no repeated row).
+      const BindingTable oracle = Oracle(triples, graph, query);
+      EXPECT_EQ(a->bindings.var_ids, oracle.var_ids) << where;
+      EXPECT_EQ(a->bindings.num_rows(), oracle.num_rows()) << where;
+      EXPECT_EQ(testutil::RowSet(a->bindings), testutil::RowSet(oracle))
+          << where;
+      if (!q.star) continue;
+      localized += threads == 1 && a->stats.sites_evaluated == 1 &&
+                   b->stats.sites_evaluated > 1;
+      // The owner's loss: what a broadcast still answers from replicas.
+      EXPECT_LT(q.c, part.size()) << where;
+      if (q.c >= part.size()) continue;
+      ExecutorOptions down_on = on;
+      down_on.faults.fail_sites = {part[q.c]};
+      down_on.partial_results = PartialResultPolicy::kBestEffort;
+      ExecutorOptions down_off = down_on;
+      down_off.site_pruning = false;
+      Result<QueryResponse> c =
+          DistributedExecutor(cluster, graph, down_on).Execute(request);
+      Result<QueryResponse> d =
+          DistributedExecutor(cluster, graph, down_off).Execute(request);
+      EXPECT_TRUE(c.ok() && d.ok()) << where;
+      if (!c.ok() || !d.ok()) continue;
+      EXPECT_EQ(c->bindings.var_ids, d->bindings.var_ids) << where;
+      EXPECT_EQ(c->bindings.rows, d->bindings.rows) << where;
+      *served += threads == 1 && d->bindings.num_rows() > 0;
+    }
+  }
+  return localized;
+}
+
+TEST(SitePruningTest, ConstantStarsAnswerAsTheBroadcastAndTheOracle) {
+  Rng rng(31);
+  const RdfGraph graph = testutil::RandomGraph(rng, 150, 700, 6,
+                                               /*community=*/15,
+                                               /*escape=*/0.15);
+  partition::Partitioning partitioning = MpcPartition(graph, 4);
+  ASSERT_GT(partitioning.num_crossing_properties(), 0u);
+  ASSERT_LT(partitioning.num_crossing_properties(), graph.num_properties());
+  const std::vector<AnchoredQuery> queries =
+      AnchoredQueries(graph, graph.triples(), 9, 80);
+  size_t near_stars = 0;
+  for (const AnchoredQuery& q : queries) near_stars += !q.star;
+  ASSERT_GT(near_stars, 0u);
+
+  size_t served = 0;
+  const Cluster memory = Cluster::Build(partitioning);
+  const size_t localized = ExpectAnchoredQueriesExact(
+      memory, graph, graph.triples(), queries, "memory", &served);
+  EXPECT_GT(localized, 0u);
+  EXPECT_GT(served, 0u);
+
+  TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  const Cluster segments =
+      SegmentCluster(partitioning, graph, dir.path + "/parts");
+  ASSERT_EQ(segments.k(), 4u);
+  EXPECT_EQ(ExpectAnchoredQueriesExact(segments, graph, graph.triples(),
+                                       queries, "segment", &served),
+            localized);
+
+  // The overlay, after a batch that adds a vertex the pack never saw:
+  // stars anchored on it, and on the rest of the updated graph.
+  dynamic::MaintainerOptions maintainer_options;
+  maintainer_options.policy.kind = dynamic::RepartitionPolicy::Kind::kNever;
+  dynamic::IncrementalMaintainer maintainer(graph.Clone(),
+                                            std::move(partitioning),
+                                            maintainer_options);
+  const std::string fresh = "<t:fresh>";
+  dynamic::UpdateBatch batch;
+  for (int i = 0; i < 6; ++i) {
+    const rdf::Triple& t = graph.triples()[rng.Below(graph.num_edges())];
+    const std::string p = graph.PropertyName(t.property);
+    batch.updates.push_back({dynamic::UpdateKind::kInsert, fresh, p,
+                             graph.VertexName(t.object)});
+    batch.updates.push_back({dynamic::UpdateKind::kInsert,
+                             graph.VertexName(t.subject), p, fresh});
+  }
+  batch.updates.push_back(
+      {dynamic::UpdateKind::kInsert, fresh, "<t:p0>", fresh});
+  maintainer.ApplyBatch(batch);
+  serve::ServingStateOptions state_options;
+  state_options.base_sources = segments.sources();
+  const std::shared_ptr<const serve::ServingState> overlay =
+      serve::ServingState::Capture(maintainer, state_options);
+  const RdfGraph& updated = overlay->graph();
+  const std::vector<rdf::Triple> live = maintainer.LiveTriples();
+  const rdf::VertexId v = updated.vertex_dict().Lookup(fresh);
+  ASSERT_NE(v, rdf::kInvalidVertex);
+  std::vector<AnchoredQuery> overlay_queries =
+      AnchoredQueries(updated, live, 10, 40);
+  for (AnchoredQuery& q : AnchoredQueries(updated, live, 11, 20, v)) {
+    overlay_queries.push_back(std::move(q));
+  }
+  EXPECT_GT(ExpectAnchoredQueriesExact(overlay->cluster(), updated, live,
+                                       overlay_queries, "overlay", &served),
+            0u);
+}
+
 // --- Effectiveness: which LUBM queries reach one site. ---
 
-TEST(SitePruningTest, NineLubmQueriesContactOnlyTheOwnerSite) {
+TEST(SitePruningTest, ElevenLubmQueriesContactOnlyTheOwnerSite) {
   workload::GeneratedDataset lubm =
       workload::MakeDataset(workload::DatasetId::kLubm, 0.2, 1);
   const Cluster cluster = Cluster::Build(MpcPartition(lubm.graph));
   const DistributedExecutor executor(cluster, lubm.graph);
-  const std::set<std::string> localized = {"LQ1", "LQ3",  "LQ4",
-                                           "LQ5", "LQ7",  "LQ8",
-                                           "LQ10", "LQ11", "LQ12"};
+  const std::set<std::string> localized = {
+      "LQ1", "LQ3",  "LQ4",  "LQ5",  "LQ7", "LQ8",
+      "LQ10", "LQ11", "LQ12", "LQ13", "LQ14"};
   for (const workload::NamedQuery& nq : lubm.benchmark_queries) {
     Result<QueryResponse> response = executor.Execute(
         QueryRequest::FromQuery(testutil::ParseQueryOrDie(nq.sparql)));
@@ -280,11 +501,10 @@ TEST(SitePruningTest, NineLubmQueriesContactOnlyTheOwnerSite) {
   }
 }
 
-// A constant on a crossing edge says nothing about where the subquery's
-// core lives: a Type-II satellite (rdf:type's class) and a constant
-// reached only over a crossing property (LQ13's university) are not
-// localized.
-TEST(SitePruningTest, SatelliteAndCrossingOnlyConstantsAreNotLocalized) {
+// A constant on a crossing edge of a query that is not a star on it says
+// nothing about where the subquery's core lives: a Type-II satellite
+// (rdf:type's class) is not localized.
+TEST(SitePruningTest, SatelliteConstantOutsideAStarIsNotLocalized) {
   workload::GeneratedDataset lubm =
       workload::MakeDataset(workload::DatasetId::kLubm, 0.2, 1);
   const Cluster cluster = Cluster::Build(MpcPartition(lubm.graph));
@@ -294,23 +514,60 @@ TEST(SitePruningTest, SatelliteAndCrossingOnlyConstantsAreNotLocalized) {
   const std::string takes_course = lq1.patterns()[0].predicate.text;
   const std::string type = lq1.patterns()[1].predicate.text;
   const std::string grad_student = lq1.patterns()[1].object.text;
-  const std::string lq13 = lubm.benchmark_queries[12].sparql;
   const std::string satellite = "SELECT ?x ?c WHERE { ?x " + takes_course +
                                 " ?c . ?x " + type + " " + grad_student +
                                 " . }";
-  for (const std::string& text : {satellite, lq13}) {
-    const sparql::QueryGraph query = testutil::ParseQueryOrDie(text);
+  const sparql::QueryGraph query = testutil::ParseQueryOrDie(satellite);
+  const QueryPlan plan = PlanQuery(query, cluster.partitioning(), graph);
+  // The constant sits on a crossing pattern: the precondition of the
+  // exclusion.
+  ASSERT_GT(plan.classification.num_crossing_patterns, 0u);
+  const store::ResolvedQuery resolved = store::ResolveQuery(query, graph);
+  for (const std::vector<size_t>& sub : plan.decomposition.subqueries) {
+    const SiteSelection selection = SelectSites(
+        cluster, resolved, plan.classification.crossing_pattern, sub);
+    EXPECT_FALSE(selection.owner_constant.has_value());
+    EXPECT_GT(selection.sites.size(), 1u);
+  }
+}
+
+// A constant on every pattern, crossing ones included, is a star: each
+// triple incident to it is stored at its owner, so LQ13's university
+// and LQ14's class send their query there alone, with the other sites
+// property presence keeps as the failover.
+TEST(SitePruningTest, CrossingStarIsLocalizedToItsOwner) {
+  workload::GeneratedDataset lubm =
+      workload::MakeDataset(workload::DatasetId::kLubm, 0.2, 1);
+  const Cluster cluster = Cluster::Build(MpcPartition(lubm.graph));
+  const RdfGraph& graph = lubm.graph;
+  const std::vector<uint32_t>& part =
+      cluster.partitioning().assignment().part;
+  for (size_t q : {12, 13}) {
+    const sparql::QueryGraph query =
+        testutil::ParseQueryOrDie(lubm.benchmark_queries[q].sparql);
     const QueryPlan plan = PlanQuery(query, cluster.partitioning(), graph);
-    // The constant sits on a crossing pattern: the precondition of the
-    // exclusion.
-    ASSERT_GT(plan.classification.num_crossing_patterns, 0u) << text;
+    ASSERT_EQ(plan.classification.num_crossing_patterns, 1u) << q;
+    ASSERT_EQ(plan.decomposition.num_subqueries(), 1u) << q;
     const store::ResolvedQuery resolved = store::ResolveQuery(query, graph);
-    for (const std::vector<size_t>& sub : plan.decomposition.subqueries) {
-      const SiteSelection selection = SelectSites(
-          cluster, resolved, plan.classification.crossing_pattern, sub);
-      EXPECT_FALSE(selection.owner_constant.has_value()) << text;
-      EXPECT_GT(selection.sites.size(), 1u) << text;
+    const SiteSelection selection =
+        SelectSites(cluster, resolved, plan.classification.crossing_pattern,
+                    plan.decomposition.subqueries[0]);
+    ASSERT_TRUE(selection.owner_constant.has_value()) << q;
+    EXPECT_TRUE(selection.star) << q;
+    EXPECT_EQ(*selection.owner_constant, resolved.patterns[0].o) << q;
+    EXPECT_EQ(selection.owner, part[*selection.owner_constant]) << q;
+    EXPECT_EQ(selection.sites, std::vector<uint32_t>{selection.owner}) << q;
+    // The owner stores every match; the other sites holding the
+    // property hold replicas of some of its rows.
+    std::vector<uint32_t> replicas;
+    for (uint32_t site = 0; site < cluster.k(); ++site) {
+      if (site != selection.owner &&
+          cluster.SiteHasProperty(site, resolved.patterns[0].p)) {
+        replicas.push_back(site);
+      }
     }
+    EXPECT_FALSE(replicas.empty()) << q;
+    EXPECT_EQ(selection.failover, replicas) << q;
   }
 }
 

@@ -325,6 +325,60 @@ TEST(BindingTableTest, DeduplicateZeroColumnAndRaggedRows) {
   EXPECT_EQ(ragged.rows, expected);
 }
 
+// Rows already strictly ascending (a single-pattern index scan's) are
+// left where they are: not one row is moved or reallocated.
+TEST(BindingTableTest, DeduplicateLeavesAscendingRowsUntouched) {
+  BindingTable t;
+  t.var_ids = {0, 1};
+  for (uint32_t r = 0; r < 1000; ++r) t.rows.push_back({r / 7, r % 7});
+  ASSERT_TRUE(t.StrictlyAscending());
+  const std::vector<std::vector<uint32_t>> before = t.rows;
+  const std::vector<uint32_t>* table_data = t.rows.data();
+  std::vector<const uint32_t*> cells;
+  for (const std::vector<uint32_t>& row : t.rows) cells.push_back(row.data());
+  t.Deduplicate();
+  EXPECT_EQ(t.rows, before);
+  EXPECT_EQ(t.rows.data(), table_data);
+  for (size_t r = 0; r < t.rows.size(); ++r) {
+    ASSERT_EQ(t.rows[r].data(), cells[r]) << r;
+  }
+}
+
+// One row out of place at the end, or a repeat of the row before it,
+// still gets the full sort + unique.
+TEST(BindingTableTest, DeduplicateSortsAscendingRowsButTheLast) {
+  for (size_t n : {3, 300}) {
+    for (const bool repeat : {false, true}) {
+      BindingTable t;
+      t.var_ids = {0, 1};
+      for (uint32_t r = 1; r < n; ++r) t.rows.push_back({r, 2 * r});
+      t.rows.push_back(repeat ? t.rows.back()
+                              : std::vector<uint32_t>{0, 5});
+      EXPECT_FALSE(t.StrictlyAscending());
+      const std::vector<std::vector<uint32_t>> expected = SortUnique(t);
+      t.Deduplicate();
+      EXPECT_EQ(t.rows, expected) << n << " " << repeat;
+      EXPECT_TRUE(t.StrictlyAscending());
+      EXPECT_EQ(t.num_rows(), repeat ? n - 1 : n);
+    }
+  }
+}
+
+// Rows of unequal width compare lexicographically, a prefix first: an
+// ascending mix is kept as is, a shuffled one sorted.
+TEST(BindingTableTest, DeduplicateMixedWidthRows) {
+  BindingTable t;
+  t.rows = {{}, {1}, {1, 0}, {1, 2, 3}, {2}, {2, 0, 0}, {3, 1}};
+  ASSERT_TRUE(t.StrictlyAscending());
+  const std::vector<std::vector<uint32_t>> sorted = t.rows;
+  t.Deduplicate();
+  EXPECT_EQ(t.rows, sorted);
+  t.rows = {{2}, {1, 2, 3}, {}, {3, 1}, {1}, {2, 0, 0}, {1, 0}, {2}, {}};
+  EXPECT_FALSE(t.StrictlyAscending());
+  t.Deduplicate();
+  EXPECT_EQ(t.rows, sorted);
+}
+
 // Property-style: distributed-agnostic sanity — matcher agrees with a
 // brute-force nested-loop evaluation on random graphs and 2-pattern
 // queries.
